@@ -25,9 +25,9 @@ def make_records(count, filler=60):
             for i in range(count)]
 
 
-def loaded_store(count=2000, buffer_pages=64):
+def loaded_store(count=2000, buffer_pages=64, filler=60):
     store = ObjectStore(page_size=4096, buffer_pages=buffer_pages)
-    store.bulk_load(make_records(count))
+    store.bulk_load(make_records(count, filler))
     store.reset_stats()
     return store
 
@@ -61,6 +61,25 @@ def test_read_cold_objects(benchmark):
 
     benchmark(sweep)
     assert store.snapshot().buffer.misses > 0
+
+
+def test_read_with_full_buffer_evictions(benchmark):
+    # About 13 objects per page over ~310 pages against a 170-page buffer
+    # (the dstc_recluster shape): every fault evicts from a full resident
+    # set, so the cost of unswizzling the victim page shows up here.
+    store = loaded_store(count=4000, buffer_pages=170, filler=280)
+    for oid in range(1, 4001):
+        store.read_object(oid)  # Fill the buffer.
+    assert len(store.buffer) == 170
+    rng = LewisPayne(5)
+    oids = [rng.randint(1, 4000) for _ in range(256)]
+
+    def sweep():
+        for oid in oids:
+            store.read_object(oid)
+
+    benchmark(sweep)
+    assert store.snapshot().buffer.evictions > 0
 
 
 def test_bulk_load_2000_objects(benchmark):

@@ -238,10 +238,16 @@ class ObjectStore:
         self.clock.advance(self.cost_model.cpu_object_time)
 
         cached = self._live.get(oid)
-        if cached is not None and self._pages_resident(offset, length):
-            # Fast path still touches the pages so the cache sees the access.
-            self._touch_pages(offset, length)
-            return cached
+        if cached is not None:
+            ps = self.page_size
+            pages = range(offset // ps, (offset + length - 1) // ps + 1)
+            buffer = self.buffer
+            if all(map(buffer.is_resident, pages)):
+                # Fast path still touches the pages so the cache sees the
+                # access.
+                for pid in pages:
+                    buffer.access(pid)
+                return cached
 
         data = self._fetch_bytes(offset, length)
         if lazy:
@@ -252,17 +258,6 @@ class ObjectStore:
             record = decode_object(data)
         self._live[oid] = record
         return record
-
-    def _pages_resident(self, offset: int, length: int) -> bool:
-        ps = self.page_size
-        first, last = offset // ps, (offset + length - 1) // ps
-        return all(self.buffer.is_resident(pid) for pid in range(first, last + 1))
-
-    def _touch_pages(self, offset: int, length: int) -> None:
-        ps = self.page_size
-        first, last = offset // ps, (offset + length - 1) // ps
-        for pid in range(first, last + 1):
-            self.buffer.access(pid)
 
     def _fetch_bytes(self, offset: int, length: int) -> bytes:
         """Assemble a byte range page by page through the buffer pool."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from repro.errors import ParameterError, StorageError, UnknownObject
 from repro.store.serializer import StoredObject
 from repro.store.storage import ObjectStore, StoreConfig
+from test_swizzle import _ReferenceSwizzleTable
 
 PAGE = 256
 
@@ -380,6 +383,72 @@ def test_read_after_load_property(fillers, buffer_pages, seed):
     seed.shuffle(indices)
     for index in indices:
         assert store.read_object(records[index].oid) == records[index]
+
+
+_STORE_STEPS = st.lists(st.tuples(
+    st.sampled_from(["read", "insert", "write", "delete", "drop_caches",
+                     "reorganize"]),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=300),
+), max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fillers=st.lists(st.integers(min_value=0, max_value=300),
+                        min_size=1, max_size=12),
+       buffer_pages=st.integers(min_value=1, max_value=3),
+       steps=_STORE_STEPS)
+def test_swizzling_matches_reference_table(fillers, buffer_pages, steps):
+    """The store behaves the same on the scan-based reference table."""
+    records = [StoredObject(oid=i + 1, cid=1, refs=(1,), filler=f)
+               for i, f in enumerate(fillers)]
+    contents = {record.oid: record for record in records}
+    store = ObjectStore(page_size=128, buffer_pages=buffer_pages)
+    reference = ObjectStore(page_size=128, buffer_pages=buffer_pages)
+    reference.swizzle = _ReferenceSwizzleTable(reference.cost_model,
+                                               reference.clock)
+    store.bulk_load(records)
+    reference.bulk_load(records)
+    next_oid = len(records) + 1
+    for name, pick, filler in steps:
+        live = sorted(contents)
+        oid = live[pick % len(live)] if live else None
+        if name == "insert":
+            # Appended pages come in through install_page, never swizzled.
+            record = StoredObject(oid=next_oid, cid=2, filler=filler)
+            next_oid += 1
+            contents[record.oid] = record
+            store.insert_object(record)
+            reference.insert_object(record)
+        elif name == "drop_caches":
+            store.drop_caches()
+            reference.drop_caches()
+        elif name == "reorganize":
+            random.Random(pick).shuffle(live)
+            store.reorganize(live)
+            reference.reorganize(live)
+        elif oid is None:
+            continue
+        elif name == "read":
+            assert store.read_object(oid) == contents[oid]
+            assert reference.read_object(oid) == contents[oid]
+        elif name == "write":
+            # Odd picks keep the size (patched in place); even picks take
+            # the drawn filler, and a new size relocates the object.
+            old = contents[oid]
+            record = StoredObject(oid=oid, cid=old.cid, refs=(oid,),
+                                  filler=old.filler if pick % 2 else filler)
+            contents[oid] = record
+            store.write_object(record)
+            reference.write_object(record)
+        else:
+            del contents[oid]
+            store.delete_object(oid)
+            reference.delete_object(oid)
+        assert store.snapshot() == reference.snapshot(), name
+        assert {o for o in range(1, next_oid) if store.swizzle.is_swizzled(o)} \
+            == {o for o in range(1, next_oid)
+                if reference.swizzle.is_swizzled(o)}, name
 
 
 @settings(max_examples=25, deadline=None)
