@@ -10,7 +10,12 @@ from __future__ import annotations
 import pytest
 
 from repro.rand.lewis_payne import LewisPayne
-from repro.store.serializer import StoredObject, decode_object, encode_object
+from repro.store.serializer import (
+    StoredObject,
+    decode_object,
+    decode_refs,
+    encode_object,
+)
 from repro.store.storage import ObjectStore
 
 # When the pytest-benchmark plugin is unavailable, every test here is
@@ -40,6 +45,28 @@ def test_encode_decode_roundtrip(benchmark):
         return decode_object(encode_object(record))
 
     assert benchmark(roundtrip) == record
+
+
+#: A record shaped like the paper's Table 1 defaults: MAXNREF = 10
+#: forward references, about as many back references, ~280 filler bytes.
+TABLE1_RECORD = StoredObject(
+    oid=4321, cid=12, refs=tuple(range(101, 111)),
+    back_refs=tuple((17 + 23 * i, i) for i in range(9)), filler=280)
+
+
+def test_decode_object_table1_record(benchmark):
+    data = encode_object(TABLE1_RECORD)
+    assert benchmark(decode_object, data) == TABLE1_RECORD
+
+
+def test_decode_refs_table1_record(benchmark):
+    data = encode_object(TABLE1_RECORD)
+    assert benchmark(decode_refs, data) == TABLE1_RECORD.refs
+
+
+def test_encode_object_table1_record(benchmark):
+    encoded = benchmark(encode_object, TABLE1_RECORD)
+    assert len(encoded) == TABLE1_RECORD.size
 
 
 def test_read_resident_object(benchmark):

@@ -218,10 +218,11 @@ class Session:
         decoded-record cache without touching the engine again; the
         clustering policy still observes every link crossing.  Each
         prefetched record is consumed by its first serve (so the cache
-        never grows past one frontier/chunk, and repeat visits are
-        charged to the engine exactly as they are without batching —
-        the OO1 heritage of counting duplicate visits carries over to
-        the physical counters).
+        never grows past one frontier/chunk, or one fan-out per open
+        depth-first level, and repeat visits are charged to the engine
+        exactly as they are without batching — the OO1 heritage of
+        counting duplicate visits carries over to the physical
+        counters).
         """
         record = self._prefetched.pop(oid, None) if self.batch_reads else None
         if record is None:
@@ -274,7 +275,8 @@ class Session:
 
         Each cached record is consumed by its first :meth:`access` /
         :meth:`touch`, so the cache holds at most one frontier or scan
-        chunk at a time.  Note that engine-side *physical* counters
+        chunk, or one fan-out per open depth-first level, at a time.
+        Note that engine-side *physical* counters
         (``object_accesses``, SQL round trips) legitimately differ
         between batched and per-object runs — prefetching may fetch
         objects a truncated traversal never serves; the paper's

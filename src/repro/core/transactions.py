@@ -27,7 +27,9 @@ engine and notifies the clustering policy of each link crossing (DSTC's
 observation input).  Set-oriented accesses expand level by level and
 prefetch each BFS frontier through the kernel's batched read path, so
 engines with native batching (SQLite) answer a whole frontier — forward
-or reversed — with one round trip.
+or reversed — with one round trip.  Depth-first traversals prefetch each
+node's fan-out before descending, so such engines answer a node's
+children with one round trip too; the visit order is unchanged.
 """
 
 from __future__ import annotations
@@ -93,16 +95,14 @@ class TransactionResult:
 class _Tracker:
     """Visit accounting shared by the four traversal algorithms."""
 
-    __slots__ = ("visits", "distinct", "max_depth", "truncated", "limit",
-                 "dedupe")
+    __slots__ = ("visits", "distinct", "max_depth", "truncated", "limit")
 
-    def __init__(self, limit: int, dedupe: bool) -> None:
+    def __init__(self, limit: int) -> None:
         self.visits = 0
         self.distinct: Set[int] = set()
         self.max_depth = 0
         self.truncated = False
         self.limit = limit
-        self.dedupe = dedupe
 
     def note(self, oid: int, depth: int) -> bool:
         """Record a visit; return False when the budget is exhausted."""
@@ -115,15 +115,11 @@ class _Tracker:
             self.max_depth = depth
         return True
 
-    def should_expand(self, oid: int) -> bool:
-        """With dedupe on, only first visits are expanded."""
-        return True  # Expansion filtering handled by callers via `seen`.
-
 
 def run_transaction(ctx: Session, spec: TransactionSpec,
                     rng: LewisPayne) -> TransactionResult:
     """Execute one transaction and return its logical result."""
-    tracker = _Tracker(spec.max_visits, spec.dedupe)
+    tracker = _Tracker(spec.max_visits)
     if spec.kind is TransactionKind.SET:
         _breadth_first(ctx, spec, tracker)
     elif spec.kind is TransactionKind.SIMPLE:
@@ -225,16 +221,32 @@ def _breadth_first(ctx: Session, spec: TransactionSpec,
 
 def _depth_first(ctx: Session, spec: TransactionSpec,
                  tracker: _Tracker, type_filter: Optional[int]) -> None:
+    """Pre-order expansion with one batched fetch per expanded node.
+
+    Each node's outgoing edges are announced to the kernel before the
+    walk descends into the first of them, so engines with native
+    batching answer the node's children in one round trip.  Children are
+    still visited one at a time in edge order, each through
+    :meth:`~repro.core.session.Session.access`, so visit order and policy
+    observations are those of the unbatched walk; a record is served from
+    the cache at most once, so repeat visits are charged to the engine
+    exactly as breadth-first expansion charges them.  Without native
+    batching no prefetch is issued at all.
+    """
     root_record = ctx.access(spec.root)
     if not tracker.note(spec.root, 0):
         return
     seen: Set[int] = {spec.root}
+    batch = ctx.batch_reads
 
     def visit(record: StoredObject, depth: int) -> bool:
         if depth >= spec.depth:
             return True
-        for target, index, via_back in _neighbours(ctx, record, spec.reverse,
-                                                   type_filter):
+        edges = _neighbours(ctx, record, spec.reverse, type_filter)
+        if batch:
+            ctx.prefetch(target for target, _, _ in edges
+                         if not (spec.dedupe and target in seen))
+        for target, index, via_back in edges:
             if spec.dedupe and target in seen:
                 continue
             child = ctx.access(target, source=record, ref_index=index,

@@ -30,7 +30,12 @@ valid record, a property the test-suite checks with Hypothesis.
 Two decode strategies share the wire format:
 
 * :func:`decode_object` materializes an eager :class:`StoredObject`,
-  unpacking the whole ref/back-ref vector in one bulk ``struct`` call;
+  unpacking the ref vector in one precompiled ``struct`` call and the
+  back refs with ``Struct.iter_unpack`` over a ``memoryview`` slice.  The
+  record is built directly rather than through ``__post_init__``: the
+  wire format already guarantees tuples and non-negative ``cid`` /
+  ``filler``, so only ``oid >= 1`` is checked explicitly.  No step runs
+  a per-element Python loop unless the ref vector holds a NULL;
 * :func:`decode_object_lazy` returns a zero-copy :class:`LazyStoredObject`
   over a ``memoryview`` — the 22-byte header is parsed up front (so
   corruption still surfaces at read time) but ``refs``, ``back_refs`` and
@@ -40,12 +45,17 @@ Two decode strategies share the wire format:
 * :func:`decode_refs` skips record construction entirely and returns just
   the non-null reference vector — the structure-only decode batched
   frontier expansion (``traverse_refs_many``) runs on.
+
+:func:`encode_object` is the mirror image: the ref vector goes out in one
+precompiled ``pack`` and each back-ref pair through ``Struct.pack``.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import starmap
 from typing import Optional, Tuple, Union
 
 from repro.errors import StorageError
@@ -64,6 +74,12 @@ _BACKREF = struct.Struct("<QH")
 HEADER_SIZE = _HEADER.size       # 22 bytes
 REF_SIZE = _REF.size             # 8 bytes
 BACKREF_SIZE = _BACKREF.size     # 10 bytes
+
+
+@lru_cache(maxsize=256)
+def _ref_vector(nref: int) -> struct.Struct:
+    """The precompiled struct of an *nref*-long ref vector."""
+    return struct.Struct(f"<{nref}q")
 
 
 @dataclass
@@ -144,6 +160,9 @@ class LazyStoredObject:
         if end > len(view):
             raise StorageError(
                 f"truncated object body for oid {oid} at offset {offset}")
+        if oid < 1:
+            raise StorageError(
+                f"oid must be >= 1, got {oid} at offset {offset}")
         self.oid = oid
         self.cid = cid
         self.filler = filler
@@ -219,40 +238,42 @@ def encoded_size(nref: int, nback: int, filler: int) -> int:
 
 def encode_object(record: StoredObject) -> bytes:
     """Serialize *record* to its canonical byte form."""
-    nref = len(record.refs)
-    nback = len(record.back_refs)
+    refs = record.refs
+    back_refs = record.back_refs
+    nref = len(refs)
+    nback = len(back_refs)
     if nref > 0xFFFF:
         raise StorageError(f"too many references ({nref}) for object {record.oid}")
     if nback > 0xFFFF:
         raise StorageError(
             f"too many back references ({nback}) for object {record.oid}")
-    parts = [_HEADER.pack(MAGIC, record.oid, record.cid, nref, nback,
-                          record.filler)]
-    if nref:
-        parts.append(struct.pack(
-            f"<{nref}q", *(0 if ref is None else ref for ref in record.refs)))
-    if nback:
-        parts.append(struct.pack(
-            "<" + "QH" * nback,
-            *(value for pair in record.back_refs for value in pair)))
-    parts.append(b"\x00" * record.filler)
-    return b"".join(parts)
+    if None in refs:
+        refs = [0 if ref is None else ref for ref in refs]
+    return b"".join((
+        _HEADER.pack(MAGIC, record.oid, record.cid, nref, nback,
+                     record.filler),
+        _ref_vector(nref).pack(*refs),
+        b"".join(starmap(_BACKREF.pack, back_refs)),
+        bytes(record.filler)))
 
 
 def _unpack_refs(data, pos: int, nref: int) -> Tuple[Optional[int], ...]:
-    """Bulk-unpack *nref* forward references (0 decodes to NULL)."""
-    if not nref:
-        return ()
-    raw = struct.unpack_from(f"<{nref}q", data, pos)
-    return tuple(None if value == 0 else value for value in raw)
+    """Bulk-unpack *nref* forward references (0 decodes to NULL).
+
+    The tuple ``struct`` returns is used as is unless it holds a NULL.
+    """
+    refs = _ref_vector(nref).unpack_from(data, pos)
+    if 0 in refs:
+        return tuple(None if ref == 0 else ref for ref in refs)
+    return refs
 
 
 def _unpack_back_refs(data, pos: int, nback: int) -> Tuple[Tuple[int, int], ...]:
     """Bulk-unpack *nback* (source oid, ref index) pairs."""
     if not nback:
         return ()
-    flat = struct.unpack_from("<" + "QH" * nback, data, pos)
-    return tuple(zip(flat[0::2], flat[1::2]))
+    return tuple(_BACKREF.iter_unpack(
+        memoryview(data)[pos:pos + nback * BACKREF_SIZE]))
 
 
 def decode_object(data, offset: int = 0) -> StoredObject:
@@ -265,14 +286,21 @@ def decode_object(data, offset: int = 0) -> StoredObject:
         raise StorageError(
             f"bad magic 0x{magic:04X} at offset {offset} (corrupt store?)")
     pos = offset + HEADER_SIZE
-    end = pos + nref * REF_SIZE + nback * BACKREF_SIZE + filler
-    if end > len(data):
+    back = pos + nref * REF_SIZE
+    if back + nback * BACKREF_SIZE + filler > len(data):
         raise StorageError(
             f"truncated object body for oid {oid} at offset {offset}")
-    refs = _unpack_refs(data, pos, nref)
-    back_refs = _unpack_back_refs(data, pos + nref * REF_SIZE, nback)
-    return StoredObject(oid=oid, cid=cid, refs=refs,
-                        back_refs=back_refs, filler=filler)
+    if oid < 1:
+        raise StorageError(f"oid must be >= 1, got {oid} at offset {offset}")
+    # Every field is already a validated, normalised value, so the record
+    # is built without re-running ``__post_init__``.
+    record = object.__new__(StoredObject)
+    record.oid = oid
+    record.cid = cid
+    record.refs = _unpack_refs(data, pos, nref)
+    record.back_refs = _unpack_back_refs(data, back, nback)
+    record.filler = filler
+    return record
 
 
 def decode_object_lazy(data, offset: int = 0) -> LazyStoredObject:
@@ -298,12 +326,11 @@ def decode_refs(data, offset: int = 0) -> Tuple[int, ...]:
     if magic != MAGIC:
         raise StorageError(
             f"bad magic 0x{magic:04X} at offset {offset} (corrupt store?)")
-    if not nref:
-        return ()
-    pos = offset + HEADER_SIZE
     try:
-        raw = struct.unpack_from(f"<{nref}q", data, pos)
+        refs = _ref_vector(nref).unpack_from(data, offset + HEADER_SIZE)
     except struct.error as exc:
         raise StorageError(
             f"truncated object body for oid {oid} at offset {offset}") from exc
-    return tuple(ref for ref in raw if ref)
+    if 0 in refs:
+        return tuple(ref for ref in refs if ref)
+    return refs

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +12,12 @@ from repro.errors import StorageError
 from repro.store.serializer import (
     BACKREF_SIZE,
     HEADER_SIZE,
+    MAGIC,
     REF_SIZE,
     StoredObject,
     decode_object,
+    decode_object_lazy,
+    decode_refs,
     encode_object,
     encoded_size,
 )
@@ -140,3 +145,103 @@ def test_roundtrip_property(oid, cid, refs, back_refs, filler):
     encoded = encode_object(record)
     assert len(encoded) == record.size
     assert decode_object(encoded) == record
+
+
+# ---------------------------------------------------------------------- #
+# Differential test against the generator-based reference kernels
+# ---------------------------------------------------------------------- #
+
+_HEADER = struct.Struct("<HQIHHI")
+
+
+def _reference_encode(record):
+    nref = len(record.refs)
+    nback = len(record.back_refs)
+    parts = [_HEADER.pack(MAGIC, record.oid, record.cid, nref, nback,
+                          record.filler)]
+    if nref:
+        parts.append(struct.pack(
+            f"<{nref}q", *(0 if ref is None else ref for ref in record.refs)))
+    if nback:
+        parts.append(struct.pack(
+            "<" + "QH" * nback,
+            *(value for pair in record.back_refs for value in pair)))
+    parts.append(b"\x00" * record.filler)
+    return b"".join(parts)
+
+
+def _reference_decode(data, offset=0):
+    _magic, oid, cid, nref, nback, filler = _HEADER.unpack_from(data, offset)
+    pos = offset + HEADER_SIZE
+    refs = tuple(None if value == 0 else value
+                 for value in struct.unpack_from(f"<{nref}q", data, pos))
+    flat = struct.unpack_from("<" + "QH" * nback, data,
+                              pos + nref * REF_SIZE)
+    return StoredObject(oid=oid, cid=cid, refs=refs,
+                        back_refs=tuple(zip(flat[0::2], flat[1::2])),
+                        filler=filler)
+
+
+def _reference_decode_refs(data, offset=0):
+    nref = _HEADER.unpack_from(data, offset)[3]
+    raw = struct.unpack_from(f"<{nref}q", data, offset + HEADER_SIZE)
+    return tuple(ref for ref in raw if ref)
+
+
+record_strategy = st.builds(
+    StoredObject,
+    oid=st.integers(min_value=1, max_value=2**64 - 1),
+    cid=st.integers(min_value=0, max_value=2**32 - 1),
+    refs=st.lists(st.one_of(st.none(), st.integers(min_value=1,
+                                                   max_value=2**63 - 1)),
+                  max_size=16).map(tuple),
+    back_refs=st.lists(st.tuples(st.integers(min_value=0,
+                                             max_value=2**64 - 1),
+                                 st.integers(min_value=0,
+                                             max_value=2**16 - 1)),
+                       max_size=16).map(tuple),
+    filler=st.integers(min_value=0, max_value=512))
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=st.lists(record_strategy, min_size=1, max_size=4),
+       prefix=st.binary(max_size=9),
+       as_view=st.booleans())
+def test_kernels_match_the_reference(records, prefix, as_view):
+    blobs = []
+    for record in records:
+        encoded = encode_object(record)
+        assert encoded == _reference_encode(record)
+        blobs.append(encoded)
+    data = prefix + b"".join(blobs)
+    buffer = memoryview(data) if as_view else data
+    offset = len(prefix)
+    for record, blob in zip(records, blobs):
+        decoded = decode_object(buffer, offset)
+        assert decoded == _reference_decode(data, offset) == record
+        assert type(decoded) is StoredObject
+        assert type(decoded.refs) is tuple
+        assert all(ref is None or type(ref) is int for ref in decoded.refs)
+        assert type(decoded.back_refs) is tuple
+        assert all(type(pair) is tuple and len(pair) == 2
+                   for pair in decoded.back_refs)
+        assert decode_object_lazy(buffer, offset) == decoded
+        refs = decode_refs(buffer, offset)
+        assert type(refs) is tuple
+        assert refs == _reference_decode_refs(data, offset)
+        offset += len(blob)
+
+
+class TestOidZero:
+    def _oid_zero_record(self):
+        data = bytearray(encode_object(make_record()))
+        data[2:10] = bytes(8)  # The u64 oid follows the u16 magic.
+        return bytes(data)
+
+    def test_decode_object_rejects_oid_zero(self):
+        with pytest.raises(StorageError, match="oid must be >= 1"):
+            decode_object(self._oid_zero_record())
+
+    def test_lazy_decode_rejects_oid_zero_at_read_time(self):
+        with pytest.raises(StorageError, match="oid must be >= 1"):
+            decode_object_lazy(self._oid_zero_record())
