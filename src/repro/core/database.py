@@ -10,8 +10,9 @@ reference-type lookups, and structural validation.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.parameters import DatabaseParameters
 from repro.core.schema import Schema
@@ -69,6 +70,7 @@ class OCBDatabase:
         self.parameters = parameters
         self._class_of: Dict[int, int] = {
             oid: obj.cid for oid, obj in objects.items()}
+        self._sorted_oids: Optional[List[int]] = None
 
     # ------------------------------------------------------------------ #
     # Lookups
@@ -113,9 +115,17 @@ class OCBDatabase:
                 for descriptor in self.schema}
 
     def iter_objects(self) -> Iterator[OCBObject]:
-        """Objects in oid order."""
-        for oid in sorted(self.objects):
+        """Objects in oid order (a snapshot: safe to mutate meanwhile)."""
+        for oid in list(self.sorted_oids()):
             yield self.objects[oid]
+
+    def sorted_oids(self) -> List[int]:
+        """Every live oid, ascending: sorted once, then kept current.  The
+        list is live: callers must not mutate it, nor hold it across a
+        :meth:`add_object` or :meth:`remove_object`."""
+        if self._sorted_oids is None:
+            self._sorted_oids = sorted(self.objects)
+        return self._sorted_oids
 
     # ------------------------------------------------------------------ #
     # Mutation (the generic-operations extension)
@@ -123,8 +133,9 @@ class OCBDatabase:
 
     @property
     def next_oid(self) -> int:
-        """The next unused object id."""
-        return max(self.objects, default=0) + 1
+        """Largest live oid + 1: deleting the newest object frees its oid."""
+        oids = self.sorted_oids()
+        return oids[-1] + 1 if oids else 1
 
     def add_object(self, obj: OCBObject) -> None:
         """Register a freshly created object (class iterator + catalog).
@@ -143,6 +154,8 @@ class OCBDatabase:
         self.objects[obj.oid] = obj
         self._class_of[obj.oid] = obj.cid
         descriptor.iterator.append(obj.oid)
+        if self._sorted_oids is not None:
+            bisect.insort(self._sorted_oids, obj.oid)
 
     def remove_object(self, oid: int) -> OCBObject:
         """Unregister an object; returns it for final bookkeeping.
@@ -153,6 +166,8 @@ class OCBDatabase:
         obj = self.get(oid)
         del self.objects[oid]
         del self._class_of[oid]
+        if self._sorted_oids is not None:
+            del self._sorted_oids[bisect.bisect_left(self._sorted_oids, oid)]
         iterator = self.schema.get(obj.cid).iterator
         try:
             iterator.remove(oid)

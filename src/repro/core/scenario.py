@@ -62,6 +62,7 @@ could not express — partition the object space by client
 
 from __future__ import annotations
 
+import bisect
 import copy
 import json
 import time
@@ -1027,8 +1028,7 @@ class ClientExecutor:
         self.rng = rng
         self.read_misses = 0
         self.write_conflicts = 0
-        self._live_cache: Optional[List[int]] = None
-        self._owned_cache: Optional[List[int]] = None
+        self._owned: Optional[List[int]] = None
         self._dispatch: Dict[str, Callable[[MixEntry], OperationResult]] = {
             "insert": lambda entry: self.op_insert(),
             "update": lambda entry: self.op_update(),
@@ -1048,30 +1048,25 @@ class ClientExecutor:
             return True
         return oid % self.total_clients == self.client_id
 
-    def _invalidate_caches(self) -> None:
-        self._live_cache = None
-        self._owned_cache = None
-
     def _live_sorted(self) -> List[int]:
-        """Every live oid of the view, sorted (transaction-root domain)."""
-        if self._live_cache is None:
-            self._live_cache = sorted(self.view.objects)
-        return self._live_cache
+        """The view's sorted oids (transaction-root domain).  The list is
+        live: callers must not mutate it, nor hold it across a mutation."""
+        return self.view.sorted_oids()
 
     def _owned_sorted(self) -> List[int]:
         """The client's mutable oids, sorted (victim-selection domain)."""
         if not self.partitioned:
             return self._live_sorted()
-        if self._owned_cache is None:
-            self._owned_cache = [oid for oid in self._live_sorted()
-                                 if self._owns(oid)]
-        return self._owned_cache
+        if self._owned is None:
+            self._owned = [oid for oid in self._live_sorted()
+                           if self._owns(oid)]
+        return self._owned
 
     def _next_oid(self) -> int:
         """The next fresh oid in this client's allocation lane."""
+        floor = self.view.next_oid
         if not self.partitioned:
-            return self.view.next_oid
-        floor = max(self.view.objects, default=0) + 1
+            return floor
         return floor + (self.client_id - floor) % self.total_clients
 
     def _busy_retries(self) -> int:
@@ -1102,15 +1097,9 @@ class ClientExecutor:
                 break
         return chosen
 
-    def _owned_count(self) -> int:
-        """Live objects in the client's mutable partition."""
-        if not self.partitioned:
-            return len(self.view.objects)
-        return len(self._owned_sorted())
-
     def _guarded(self, entry: MixEntry) -> MixEntry:
         """The legacy keep-the-database-populated guard, per partition."""
-        if entry.kind == "delete" and self._owned_count() <= 1:
+        if entry.kind == "delete" and len(self._owned_sorted()) <= 1:
             return MixEntry(kind="insert")
         return entry
 
@@ -1222,7 +1211,8 @@ class ClientExecutor:
             obj = OCBObject(oid=oid, cid=cid,
                             oref=[None] * descriptor.max_nref)
             self.view.add_object(obj)
-            self._invalidate_caches()
+            if self._owned is not None:
+                bisect.insort(self._owned, oid)
             dirty: Dict[int, None] = {}
             low, high = params.object_ref_bounds(
                 min(oid, params.num_objects or oid))
@@ -1301,7 +1291,8 @@ class ClientExecutor:
                     source_obj.oref[index] = None
                     dirty[source] = None
             self.view.remove_object(victim_oid)
-            self._invalidate_caches()
+            if self._owned is not None and self._owns(victim_oid):
+                del self._owned[bisect.bisect_left(self._owned, victim_oid)]
             self._write_dirty(dirty)
             self._store_delete(victim_oid)
             self.session.flush()
@@ -1638,19 +1629,11 @@ class ScenarioRunner:
         clients = [worker.scenario_report
                    for worker in parallel_report.workers
                    if worker.scenario_report is not None]
-        sql_round_trips = sum(
-            int((worker.backend_stats or {}).get("sql_round_trips", 0) or 0)
-            for worker in parallel_report.workers)
-        records_decoded = sum(
-            int((worker.backend_stats or {}).get("records_decoded", 0) or 0)
-            for worker in parallel_report.workers)
-        decodes_avoided = sum(
-            int((worker.backend_stats or {}).get("decodes_avoided", 0) or 0)
-            for worker in parallel_report.workers)
-        concurrent_batches = sum(
-            int((worker.backend_stats or {}).get("concurrent_batches", 0)
-                or 0)
-            for worker in parallel_report.workers)
+
+        def total(counter: str) -> int:
+            return sum(int((worker.backend_stats or {}).get(counter, 0) or 0)
+                       for worker in parallel_report.workers)
+
         worker_resources = [
             dict(worker.resource_usage, worker=worker.worker_id)
             for worker in parallel_report.workers
@@ -1662,10 +1645,10 @@ class ScenarioRunner:
             mode=parallel_report.mode,
             elapsed_seconds=parallel_report.elapsed_seconds,
             executed_parallel=parallel_report.executed_parallel,
-            sql_round_trips=sql_round_trips,
-            records_decoded=records_decoded,
-            decodes_avoided=decodes_avoided,
+            sql_round_trips=total("sql_round_trips"),
+            records_decoded=total("records_decoded"),
+            decodes_avoided=total("decodes_avoided"),
             max_inflight_reads=parallel_report.max_inflight_reads,
-            concurrent_batches=concurrent_batches,
+            concurrent_batches=total("concurrent_batches"),
             pool_wait_seconds=parallel_report.pool_wait_seconds,
             worker_resources=worker_resources)

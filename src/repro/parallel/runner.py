@@ -323,7 +323,7 @@ class ParallelRunner:
         """
         from repro.errors import UnknownObject
 
-        oids = sorted(self.database.objects)
+        oids = self.database.sorted_oids()
         step = max(1, len(oids) // self._CONTENT_SAMPLE)
         for oid in oids[::step][:self._CONTENT_SAMPLE]:
             expected = self.database.to_record(oid)

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.database import OCBDatabase, OCBObject
 from repro.core.generation import generate_database
@@ -124,3 +129,85 @@ class TestLiveReferences:
     def test_live_references_property(self):
         obj = OCBObject(oid=1, cid=1, oref=[2, None, 3])
         assert obj.live_references == [2, 3]
+
+
+def _tiny_database() -> OCBDatabase:
+    database, _ = generate_database(DatabaseParameters(
+        num_classes=4, max_nref=2, base_size=20, num_objects=24, seed=5))
+    return database
+
+
+def _blank(database: OCBDatabase, oid: int) -> OCBObject:
+    cid = oid % database.schema.num_classes + 1
+    return OCBObject(oid=oid, cid=cid,
+                     oref=[None] * database.schema.get(cid).max_nref)
+
+
+def _assert_index_current(database: OCBDatabase) -> None:
+    assert database.sorted_oids() == sorted(database.objects)
+    assert database.next_oid == max(database.objects, default=0) + 1
+
+
+_PRISTINE = _tiny_database()
+
+#: ``add`` an oid (skipped when live), ``remove`` the k-th live oid,
+#: drop the newest, empty the view, or carry on in a deep or pickled copy.
+_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("add"), st.integers(1, 60)),
+    st.tuples(st.just("remove"), st.integers(0, 60)),
+    st.tuples(st.sampled_from(
+        ["remove_max", "empty", "deepcopy", "pickle"]), st.just(0))),
+    max_size=60)
+
+
+class TestSortedOidIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(steps=_STEPS, built_first=st.booleans())
+    def test_index_matches_a_full_sort_after_every_step(self, steps,
+                                                         built_first):
+        database = copy.deepcopy(_PRISTINE)
+        if built_first:
+            database.sorted_oids()
+        for op, value in steps:
+            live = sorted(database.objects)
+            if op == "add" and value not in database.objects:
+                database.add_object(_blank(database, value))
+            elif op == "remove" and live:
+                database.remove_object(live[value % len(live)])
+            elif op == "remove_max" and live:
+                database.remove_object(live[-1])
+            elif op == "empty":
+                for oid in live:
+                    database.remove_object(oid)
+            elif op == "deepcopy":
+                database = copy.deepcopy(database)
+            elif op == "pickle":
+                database = pickle.loads(pickle.dumps(database))
+            _assert_index_current(database)
+        _assert_index_current(copy.deepcopy(database))
+        _assert_index_current(pickle.loads(pickle.dumps(database)))
+
+    def test_deleting_the_newest_object_frees_its_oid(self):
+        database = copy.deepcopy(_PRISTINE)
+        newest = database.next_oid
+        database.add_object(_blank(database, newest))
+        assert database.next_oid == newest + 1
+        database.remove_object(newest)
+        assert database.next_oid == newest
+
+    def test_empty_view_starts_at_one(self):
+        database = copy.deepcopy(_PRISTINE)
+        for oid in list(database.sorted_oids()):
+            database.remove_object(oid)
+        assert database.sorted_oids() == []
+        assert database.next_oid == 1
+
+    def test_iter_objects_survives_removal_during_iteration(self):
+        database = copy.deepcopy(_PRISTINE)
+        seen = []
+        for obj in database.iter_objects():
+            seen.append(obj.oid)
+            if obj.oid % 2 == 1:
+                database.remove_object(obj.oid)
+        assert seen == sorted(_PRISTINE.objects)
+        _assert_index_current(database)

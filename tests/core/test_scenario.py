@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 
 import pytest
 
+from repro.core import database as database_module
+from repro.core import scenario as scenario_module
 from repro.core.generation import generate_database
 from repro.core.generic_ops import GenericOperationsRunner
 from repro.core.parameters import DatabaseParameters, WorkloadParameters
@@ -347,3 +350,103 @@ class TestGenericOpsShimStillMutatesSharedDatabase:
         assert database.num_objects == before + 1
         runner.delete()
         database.validate()
+
+
+class _ReferenceExecutor(ClientExecutor):
+    """The O(n)-per-call bookkeeping the view's sorted-oid index replaced."""
+
+    def _live_sorted(self):
+        return sorted(self.view.objects)
+
+    def _owned_sorted(self):
+        return [oid for oid in self._live_sorted() if self._owns(oid)]
+
+    def _next_oid(self):
+        floor = max(self.view.objects, default=0) + 1
+        if not self.partitioned:
+            return floor
+        return floor + (self.client_id - floor) % self.total_clients
+
+
+class _RecordingCollector(ScenarioCollector):
+    """Logs every result, with the (nondeterministic) wall time zeroed."""
+
+    def __init__(self) -> None:
+        super().__init__("diff")
+        self.log = []
+
+    def record_transaction(self, result, delta, wall_seconds, retries=0):
+        super().record_transaction(result, delta, wall_seconds, retries)
+        self.log.append(result)
+
+    def record_operation(self, result, retries=0):
+        super().record_operation(result, retries)
+        self.log.append(dataclasses.replace(result, wall_time=0.0))
+
+
+_WRITE_MIX = WorkloadMix(name="write_mix", entries=(
+    MixEntry("insert", weight=0.25),
+    MixEntry("update", weight=0.50),
+    MixEntry("delete", weight=0.10),
+    MixEntry("simple", weight=0.15, depth=2)))
+
+
+def _run_write_mix(clients, executor_class, monkeypatch, steps=300):
+    """Each client's (result log, per-class digest, final view records)."""
+    runner = ScenarioRunner(
+        small_mutating_db(num_objects=150),
+        Scenario(mix=_WRITE_MIX, clients=clients, backend="memory"))
+    engine = runner._resolve_engine()
+    with monkeypatch.context() as patch:
+        patch.setattr(scenario_module, "ClientExecutor", executor_class)
+        executors = runner.build_executors(engine)
+    collectors = [_RecordingCollector() for _ in executors]
+    for _ in range(steps):
+        for executor, collector in zip(executors, collectors):
+            executor.step(collector)
+    return executors, [
+        (collector.log,
+         {kind: (stats.count, stats.objects, stats.io_reads, stats.io_writes)
+          for kind, stats in collector.per_class.items()},
+         executor.view.to_records())
+        for executor, collector in zip(executors, collectors)]
+
+
+class TestSortedOidIndexMatchesFullSorts:
+    @pytest.mark.parametrize("clients", [1, 3])
+    def test_same_results_digests_and_views_with_one_sort_per_view(
+            self, clients, monkeypatch):
+        _, expected = _run_write_mix(clients, _ReferenceExecutor,
+                                     monkeypatch)
+        full_sorts = []
+
+        def spy(iterable, *args, **kwargs):
+            full_sorts.append(iterable)
+            return sorted(iterable, *args, **kwargs)
+
+        for module in (database_module, scenario_module):
+            monkeypatch.setattr(module, "sorted", spy, raising=False)
+        executors, actual = _run_write_mix(clients, ClientExecutor,
+                                           monkeypatch)
+        monkeypatch.undo()
+        assert actual == expected
+        assert all(executor.partitioned == (clients > 1)
+                   for executor in executors)
+        inserts = sum(digest["insert"][0] for _, digest, _ in actual)
+        deletes = sum(digest["delete"][0] for _, digest, _ in actual)
+        assert inserts > 50 and deletes > 10
+        for executor in executors:
+            assert sum(arg is executor.view.objects
+                       for arg in full_sorts) == 1
+
+    def test_deleting_the_newest_object_lets_the_next_insert_reuse_it(self):
+        database = small_mutating_db()
+        session = Session.for_database(database, "memory")
+        executor = ClientExecutor(database, _WRITE_MIX, session)
+        executor.op_insert()
+        newest = database.sorted_oids()[-1]
+        executor.op_delete(newest)
+        executor.op_insert()
+        assert database.sorted_oids()[-1] == newest
+        assert newest in session.store.read_many([newest])
+        session.close()
