@@ -1,6 +1,6 @@
 """Pluggable storage backends: run the OCB workload against real engines.
 
-The package ships three built-in engines, registered under the names the
+The package ships four built-in engines, registered under the names the
 CLI and the benchmark facade resolve (``ocb backends`` lists them):
 
 ========== ==================================================== ==========
@@ -13,8 +13,6 @@ sqlite     serialized objects in an indexed SQLite table with   wall only
            configurable page/cache pragmas
 sharded-   oid-residue partitioning over N independent SQLite   wall only
 sqlite     files with per-worker home-shard affinity
-pipelined- single SQLite file whose batched reads split into    wall only
-sqlite     pooled sub-batches executed concurrently
 ========== ==================================================== ==========
 
 Adding an engine is two steps: subclass
@@ -38,7 +36,6 @@ from repro.backends.registry import (
     register_backend,
     unregister_backend,
 )
-from repro.backends.pipelined import PipelinedSQLiteBackend
 from repro.backends.sharded import ShardedSQLiteBackend
 from repro.backends.simulated import SimulatedBackend
 from repro.backends.sqlite import SQLiteBackend
@@ -52,7 +49,6 @@ __all__ = [
     "MemoryBackend",
     "SQLiteBackend",
     "ShardedSQLiteBackend",
-    "PipelinedSQLiteBackend",
     "available_backends",
     "backend_info",
     "backend_names",
@@ -115,27 +111,7 @@ register_backend(
     "sharded-sqlite", _make_sharded,
     "oid-residue sharding over N SQLite files (home-shard affinity)",
     capabilities=("batched-reads", "cold-cache", "concurrent", "sharded",
-                  "ref_index", "pipelined"),
-    overwrite=True)
-
-
-def _make_pipelined(store_config: StoreConfig, **options: object) -> Backend:
-    path = str(options.pop("path", ":memory:"))
-    kwargs = {"page_size": store_config.page_size,
-              "cache_pages": store_config.buffer_pages}
-    if store_config.journal_mode is not None:
-        kwargs["journal_mode"] = store_config.journal_mode
-    if store_config.busy_timeout_ms is not None:
-        kwargs["busy_timeout_ms"] = store_config.busy_timeout_ms
-    kwargs.update(options)  # type: ignore[arg-type]
-    return PipelinedSQLiteBackend(path=path, **kwargs)  # type: ignore[arg-type]
-
-
-register_backend(
-    "pipelined-sqlite", _make_pipelined,
-    "single SQLite file, batched reads split across a connection pool",
-    capabilities=("batched-reads", "cold-cache", "concurrent", "ref_index",
-                  "pipelined"),
+                  "ref_index"),
     overwrite=True)
 
 

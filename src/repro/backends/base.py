@@ -50,26 +50,7 @@ from repro.store.serializer import StoredObject
 from repro.store.storage import StoreSnapshot
 from repro.store.swizzle import SwizzleStats
 
-__all__ = ["Backend", "ReadHandle"]
-
-
-class ReadHandle:
-    """Already-completed answer of a submitted batched read.
-
-    The synchronous half of the optional submit/collect protocol (see
-    :meth:`Backend.submit_read_many`): engines without an asynchronous
-    read path execute the batch *at submit time* and wrap the finished
-    answer, so callers written against the pipelined protocol run
-    unchanged — and bit-identically — on every engine.
-    """
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: object) -> None:
-        self._value = value
-
-    def result(self) -> object:
-        return self._value
+__all__ = ["Backend"]
 
 
 class Backend(abc.ABC):
@@ -198,32 +179,6 @@ class Backend(abc.ABC):
     #: link-structure query (no record decode) rather than the loop
     #: fallback.  SQLite sets it when constructed with ``ref_index=True``.
     supports_ref_index: bool = False
-
-    #: Whether :meth:`submit_read_many` / :meth:`submit_traverse_refs_many`
-    #: genuinely overlap I/O with the caller (pooled connections, reads
-    #: in flight while the caller keeps working).  When ``False`` the
-    #: submit hooks below execute synchronously at submit time — correct
-    #: on every engine, concurrent on none.
-    supports_async_reads: bool = False
-
-    def submit_read_many(self, oids: Sequence[int],
-                         lazy: bool = False) -> "ReadHandle":
-        """Schedule a batched read; ``result()`` yields the batch.
-
-        The pipelined half of the batched-read protocol: an engine with
-        pooled connections overrides this to put the batch in flight and
-        return a pending handle, so the caller (the session's pipelined
-        BFS) can keep processing the previous frontier while this one's
-        I/O runs.  The fallback executes :meth:`read_many` immediately —
-        same answer, no overlap — which keeps the protocol safe to use
-        unconditionally.
-        """
-        return ReadHandle(self.read_many(oids, lazy=lazy))
-
-    def submit_traverse_refs_many(self, oids: Sequence[int]
-                                  ) -> "ReadHandle":
-        """Schedule a batched structure-only traversal (see above)."""
-        return ReadHandle(self.traverse_refs_many(oids))
 
     def traverse_refs_many(self, oids: Sequence[int]
                            ) -> Dict[int, Tuple[int, ...]]:

@@ -49,8 +49,6 @@ KNOWN_CAPABILITIES: Tuple[str, ...] = (
                        # stores with per-worker home-shard affinity
     "ref_index",       # native link-index traverse_refs_many (whole
                        # frontier, no record decode)
-    "pipelined",       # pooled-connection submit/collect reads: batches
-                       # stay in flight while the caller keeps working
 )
 
 

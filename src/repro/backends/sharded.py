@@ -43,17 +43,14 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.backends.base import Backend, ReadHandle
-from repro.backends.pool import ConnectionPool, DeferredHandle, InflightGauge
-from repro.backends.sqlite import SQLiteBackend, _MAX_BATCH_VARIABLES
-from repro.errors import BackendError, StorageError, UnknownObject
+from repro.backends.base import Backend
+from repro.backends.sqlite import SQLiteBackend
+from repro.errors import BackendError, StorageError
 from repro.obs import trace
 from repro.store.costs import DEFAULT_PAGE_SIZE
-from repro.store.serializer import StoredObject, decode_object, \
-    decode_object_lazy, decode_refs
+from repro.store.serializer import StoredObject
 from repro.store.storage import stage_bulk_load
 
 __all__ = ["ShardedSQLiteBackend", "shard_of", "DEFAULT_SHARDS"]
@@ -92,9 +89,7 @@ class ShardedSQLiteBackend(Backend):
                  synchronous: str = "OFF",
                  journal_mode: str = "MEMORY",
                  busy_timeout_ms: int = SQLiteBackend.DEFAULT_BUSY_TIMEOUT_MS,
-                 ref_index: bool = True,
-                 concurrent_fanout: bool = False,
-                 pool_size: int = 2) -> None:
+                 ref_index: bool = True) -> None:
         super().__init__()
         shards = int(shards)
         if shards < 1:
@@ -134,24 +129,6 @@ class ShardedSQLiteBackend(Backend):
         #: instead of paying ``shards`` no-op commit round trips per
         #: operation (the session flushes after every op).
         self._dirty_shards: set = set()
-        #: Requested concurrent per-shard read fan-out.  Effective only
-        #: for directory-backed multi-shard engines: in-memory shards
-        #: cannot serve a second (pooled) connection, and one shard has
-        #: nothing to overlap — both degrade to the sequential path
-        #: with the honest counters (peaks stay at 1).
-        self.concurrent_fanout = bool(concurrent_fanout)
-        if pool_size < 1:
-            raise BackendError(f"pool_size must be >= 1, got {pool_size}")
-        self.pool_size = int(pool_size)
-        self._fanout_enabled = (self.concurrent_fanout
-                                and path is not None and shards > 1)
-        self.supports_async_reads = self._fanout_enabled
-        self._pools: List[Optional[ConnectionPool]] = [None] * shards
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._inflight = InflightGauge()
-        #: Peak read batches submitted as one concurrent group — equals
-        #: the touched-shard count of the widest fan-out (1 sequential).
-        self.concurrent_batches = 0
         if self.path is not None:
             os.makedirs(self.path, exist_ok=True)
         # Open connections home-shard-first: a worker's affinity shard is
@@ -207,198 +184,6 @@ class ShardedSQLiteBackend(Backend):
         if self.home_shard is not None and shard != self.home_shard:
             self.remote_writes += amount
 
-    # -- concurrent fan-out --------------------------------------------- #
-
-    def _pool_for(self, shard: int) -> ConnectionPool:
-        pool = self._pools[shard]
-        if pool is None:
-            pool = ConnectionPool(
-                self._engines[shard]._open_read_connection,
-                size=self.pool_size,
-                name=SHARD_FILE_FORMAT.format(index=shard))
-            self._pools[shard] = pool
-        return pool
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.shards,
-                thread_name_prefix="ocb-shard-read")
-        return self._executor
-
-    def _fetch_shard(self, shard: int, oids: Sequence[int],
-                     lazy: bool) -> Tuple[Dict[int, StoredObject], int]:
-        """One shard's read slice, on a pooled connection.
-
-        Runs on an executor thread; SQLite's C calls release the GIL, so
-        slices genuinely overlap.  Records are decoded in-task — one
-        shard's decode overlaps another shard's I/O.  Counters are *not*
-        touched here: the collect side folds the returned round-trip
-        count on the coordinator thread, keeping every counter
-        single-threaded.
-        """
-        started = time.perf_counter() if trace.enabled else 0.0
-        decode = decode_object_lazy if lazy else decode_object
-        records: Dict[int, StoredObject] = {}
-        round_trips = 0
-        with self._pool_for(shard).acquire() as conn:
-            for start in range(0, len(oids), _MAX_BATCH_VARIABLES):
-                chunk = oids[start:start + _MAX_BATCH_VARIABLES]
-                placeholders = ",".join("?" * len(chunk))
-                round_trips += 1
-                for oid, data in conn.execute(
-                        f"SELECT oid, data FROM objects "
-                        f"WHERE oid IN ({placeholders})", chunk):
-                    records[oid] = decode(data)
-        if trace.enabled:
-            trace.emit("pool.read", time.perf_counter() - started,
-                       shard=shard, oids=len(oids))
-        return records, round_trips
-
-    def _fetch_shard_refs(self, shard: int, oids: Sequence[int]
-                          ) -> Tuple[Dict[int, Tuple[int, ...]], int]:
-        """One shard's structure-only slice (see :meth:`_fetch_shard`)."""
-        started = time.perf_counter() if trace.enabled else 0.0
-        refs: Dict[int, Tuple[int, ...]] = {}
-        round_trips = 0
-        with self._pool_for(shard).acquire() as conn:
-            for start in range(0, len(oids), _MAX_BATCH_VARIABLES):
-                chunk = oids[start:start + _MAX_BATCH_VARIABLES]
-                placeholders = ",".join("?" * len(chunk))
-                round_trips += 1
-                for oid, data in conn.execute(
-                        f"SELECT oid, data FROM objects "
-                        f"WHERE oid IN ({placeholders})", chunk):
-                    refs[oid] = decode_refs(data)
-        if trace.enabled:
-            trace.emit("pool.read", time.perf_counter() - started,
-                       shard=shard, oids=len(oids), structure_only=True)
-        return refs, round_trips
-
-    def submit_read_many(self, oids: Sequence[int],
-                         lazy: bool = False) -> "ReadHandle | DeferredHandle":
-        """Put every touched shard's ``IN``-clause read in flight at once.
-
-        Sequential engines get the base behaviour (execute now).  With
-        fan-out enabled, one :meth:`_fetch_shard` task per touched shard
-        is submitted to the executor simultaneously; the returned
-        handle's ``result()`` collects the slices in fan-out order
-        (home shard first) and folds every counter — per-shard
-        round trips and decodes into the shard engines, remote-read
-        routing into this engine — exactly as the sequential path would
-        have, so ``stats()`` stays comparable across modes.
-        """
-        if not self._fanout_enabled:
-            return ReadHandle(self.read_many(oids, lazy=lazy))
-        started = time.perf_counter() if trace.enabled else 0.0
-        unique: List[int] = list(dict.fromkeys(oids))
-        if self._dirty_shards:
-            self.flush()  # Publish buffered writes to the pooled readers.
-        groups = self._group_by_shard(unique)
-        order = self._fanout_order(groups)
-        executor = self._ensure_executor()
-        self._inflight.enter(len(order))
-        self.concurrent_batches = max(self.concurrent_batches, len(order))
-        futures = {shard: executor.submit(self._fetch_shard, shard,
-                                          groups[shard], lazy)
-                   for shard in order}
-
-        def collect() -> Dict[int, StoredObject]:
-            fetched: Dict[int, StoredObject] = {}
-            outstanding = len(order)
-            try:
-                for shard in order:
-                    records, round_trips = futures[shard].result()
-                    self._inflight.exit()
-                    outstanding -= 1
-                    self._fold_shard_read(shard, groups[shard], records,
-                                          round_trips, lazy)
-                    fetched.update(records)
-            finally:
-                if outstanding:
-                    self._inflight.exit(outstanding)
-            self.object_accesses += len(unique)
-            if trace.enabled:
-                trace.emit("sharded.read_many",
-                           time.perf_counter() - started,
-                           oids=len(unique), shards=len(groups),
-                           concurrent=True)
-            return {oid: fetched[oid] for oid in unique}
-
-        return DeferredHandle(collect)
-
-    def submit_traverse_refs_many(self, oids: Sequence[int]
-                                  ) -> "ReadHandle | DeferredHandle":
-        """Structure-only fan-out, all touched shards in flight at once."""
-        if not self._fanout_enabled:
-            return ReadHandle(self.traverse_refs_many(oids))
-        started = time.perf_counter() if trace.enabled else 0.0
-        unique: List[int] = list(dict.fromkeys(oids))
-        if self._dirty_shards:
-            self.flush()
-        groups = self._group_by_shard(unique)
-        order = self._fanout_order(groups)
-        executor = self._ensure_executor()
-        self._inflight.enter(len(order))
-        self.concurrent_batches = max(self.concurrent_batches, len(order))
-        futures = {shard: executor.submit(self._fetch_shard_refs, shard,
-                                          groups[shard])
-                   for shard in order}
-
-        def collect() -> Dict[int, Tuple[int, ...]]:
-            refs: Dict[int, Tuple[int, ...]] = {}
-            outstanding = len(order)
-            try:
-                for shard in order:
-                    answered, round_trips = futures[shard].result()
-                    self._inflight.exit()
-                    outstanding -= 1
-                    self._fold_shard_refs(shard, groups[shard], answered,
-                                          round_trips)
-                    refs.update(answered)
-            finally:
-                if outstanding:
-                    self._inflight.exit(outstanding)
-            self.object_accesses += len(unique)
-            self._account_edges(refs)
-            if trace.enabled:
-                trace.emit("sharded.traverse_refs_many",
-                           time.perf_counter() - started,
-                           oids=len(unique), shards=len(groups),
-                           concurrent=True)
-            return {oid: refs[oid] for oid in unique}
-
-        return DeferredHandle(collect)
-
-    def _fold_shard_read(self, shard: int, expected: Sequence[int],
-                         records: Dict[int, StoredObject],
-                         round_trips: int, lazy: bool) -> None:
-        """Coordinator-side counter folding for one collected slice —
-        the same accounting the shard engine's own ``read_many`` does."""
-        engine = self._engines[shard]
-        engine.sql_round_trips += round_trips
-        if lazy:
-            engine.decodes_avoided += len(records)
-        else:
-            engine.records_decoded += len(records)
-        if len(records) != len(expected):
-            missing = next(oid for oid in expected if oid not in records)
-            raise UnknownObject(missing)
-        engine.object_accesses += len(expected)
-        self._count_remote_read(shard, len(expected))
-
-    def _fold_shard_refs(self, shard: int, expected: Sequence[int],
-                         refs: Dict[int, Tuple[int, ...]],
-                         round_trips: int) -> None:
-        engine = self._engines[shard]
-        engine.sql_round_trips += round_trips
-        if len(refs) != len(expected):
-            missing = next(oid for oid in expected if oid not in refs)
-            raise UnknownObject(missing)
-        engine.object_accesses += len(expected)
-        engine.decodes_avoided += len(expected)
-        self._count_remote_read(shard, len(expected))
-
     # -- lifecycle ------------------------------------------------------ #
 
     def bulk_load(self, records: Iterable[StoredObject],
@@ -424,15 +209,7 @@ class ShardedSQLiteBackend(Backend):
 
     def read_many(self, oids: Sequence[int],
                   lazy: bool = False) -> Dict[int, StoredObject]:
-        """One ``IN``-clause batch per touched shard, home shard first.
-
-        With :attr:`concurrent_fanout` enabled the touched shards'
-        batches run simultaneously on pooled connections (see
-        :meth:`submit_read_many`); the answer — and every counter — is
-        identical either way.
-        """
-        if self._fanout_enabled:
-            return self.submit_read_many(oids, lazy=lazy).result()
+        """One ``IN``-clause batch per touched shard, home shard first."""
         started = time.perf_counter() if trace.enabled else 0.0
         unique: List[int] = list(dict.fromkeys(oids))
         groups = self._group_by_shard(unique)
@@ -529,8 +306,6 @@ class ShardedSQLiteBackend(Backend):
         is the next hop's off-shard fetch, which makes traversal
         locality visible before it is paid for.
         """
-        if self._fanout_enabled:
-            return self.submit_traverse_refs_many(oids).result()
         started = time.perf_counter() if trace.enabled else 0.0
         unique: List[int] = list(dict.fromkeys(oids))
         groups = self._group_by_shard(unique)
@@ -564,13 +339,6 @@ class ShardedSQLiteBackend(Backend):
 
     def drop_caches(self) -> bool:
         dropped = [engine.drop_caches() for engine in self._engines]
-        # Pooled read connections carry their own pager caches; recycle
-        # them so a "cold" run is cold on every connection, not just the
-        # shard engines' primary ones.
-        for shard, pool in enumerate(self._pools):
-            if pool is not None:
-                pool.close()
-                self._pools[shard] = None
         return all(dropped)
 
     def flush(self) -> int:
@@ -605,9 +373,7 @@ class ShardedSQLiteBackend(Backend):
             synchronous=self.synchronous,
             journal_mode=self.journal_mode,
             busy_timeout_ms=self.busy_timeout_ms,
-            ref_index=self.ref_index,
-            concurrent_fanout=self.concurrent_fanout,
-            pool_size=self.pool_size)
+            ref_index=self.ref_index)
 
     # -- accounting surface --------------------------------------------- #
 
@@ -652,16 +418,6 @@ class ShardedSQLiteBackend(Backend):
             "remote_reads": self.remote_reads,
             "remote_writes": self.remote_writes,
             "cross_shard_refs": self.cross_shard_refs,
-            "concurrent_fanout": self.concurrent_fanout,
-            "pool_size": self.pool_size,
-            "concurrent_batches": self.concurrent_batches,
-            "max_inflight_reads": self._inflight.peak,
-            "pool_wait_seconds": sum(pool.wait_seconds
-                                     for pool in self._pools
-                                     if pool is not None),
-            "pool_connections_opened": sum(pool.connections_opened
-                                           for pool in self._pools
-                                           if pool is not None),
             "sqlite_version": shard_stats[0]["sqlite_version"],
         }
 
@@ -670,22 +426,10 @@ class ShardedSQLiteBackend(Backend):
         self.remote_reads = 0
         self.remote_writes = 0
         self.cross_shard_refs = 0
-        self.concurrent_batches = 0
-        self._inflight.reset()
-        for pool in self._pools:
-            if pool is not None:
-                pool.reset_stats()
         for engine in self._engines:
             engine.reset_stats()
 
     def close(self) -> None:
-        for pool in self._pools:
-            if pool is not None:
-                pool.close()
-        self._pools = [None] * self.shards
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
         for engine in self._engines:
             engine.close()
 

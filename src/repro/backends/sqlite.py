@@ -167,35 +167,6 @@ class SQLiteBackend(Backend):
         conn.commit()
         return conn
 
-    def _open_read_connection(self) -> sqlite3.Connection:
-        """A dedicated read-only-use connection for pooled fetches.
-
-        Pool connections are handed to one executor thread at a time but
-        to *different* threads across acquires, so the sqlite3 default
-        thread pin is lifted (``check_same_thread=False``); exclusive
-        hand-out by :class:`~repro.backends.pool.ConnectionPool` is what
-        keeps that safe.  Unlike the main connection, the busy budget is
-        spent SQLite-side here — pool reads never mutate, so there are
-        no retries worth counting, and blocking in C releases the GIL.
-        Only file databases can be pooled: a second connection to
-        ``:memory:`` would see a different (empty) database.
-        """
-        if self.path == ":memory:":
-            raise BackendError(
-                "a ':memory:' SQLite database cannot serve pooled read "
-                "connections; use a file path for concurrent reads")
-        try:
-            conn = sqlite3.connect(self.path, check_same_thread=False)
-        except sqlite3.Error as exc:
-            raise BackendError(
-                f"cannot open pooled read connection to "
-                f"{self.path!r}: {exc}") from exc
-        cur = conn.cursor()
-        cur.execute(f"PRAGMA cache_size = {self.cache_pages}")
-        cur.execute(f"PRAGMA busy_timeout = {self.busy_timeout_ms}")
-        cur.execute("PRAGMA query_only = 1")
-        return conn
-
     # -- busy-retry accounting ------------------------------------------ #
 
     @staticmethod

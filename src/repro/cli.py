@@ -219,20 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="serve reads as zero-copy lazy records "
                                "(identical logical results, no record "
                                "decode on access)")
-    scenario.add_argument("--pipeline", action="store_true",
-                          help="pipelined BFS: keep the next frontier "
-                               "chunk's read in flight while the current "
-                               "chunk is filtered (engines with the "
-                               "'pipelined' capability)")
-    scenario.add_argument("--pool-size", type=int, default=None,
-                          metavar="N",
-                          help="read-connection pool width for "
-                               "pipelined-sqlite / sharded-sqlite "
-                               "(default: 2)")
-    scenario.add_argument("--concurrent-fanout", action="store_true",
-                          help="sharded-sqlite only: execute multi-shard "
-                               "read batches concurrently, one pooled "
-                               "connection per touched shard")
     scenario.add_argument("--json", action="store_true",
                           help="emit one machine-readable JSON document "
                                "instead of the tables")
@@ -505,7 +491,7 @@ def _cmd_generate(args: argparse.Namespace) -> str:
 
 def _backend_options(args: argparse.Namespace) -> dict:
     backend = getattr(args, "backend", None)
-    if backend in ("sqlite", "pipelined-sqlite"):
+    if backend == "sqlite":
         return {"path": args.sqlite_path}
     if backend == "sharded-sqlite":
         # ``--sqlite-path`` names the shard *directory* here; the
@@ -617,7 +603,6 @@ def _cmd_ops(args: argparse.Namespace) -> str:
 
 def _cmd_scenario(args: argparse.Namespace) -> str:
     import json
-    from dataclasses import replace
 
     from repro.core.presets import SCENARIO_PRESETS, scenario_preset
     from repro.core.scenario import ScenarioRunner
@@ -646,8 +631,6 @@ def _cmd_scenario(args: argparse.Namespace) -> str:
     scenario = _load_scenario(args.name)
 
     overrides = {}
-    if args.backend is not None:
-        overrides["backend"] = args.backend
     if args.clients is not None:
         overrides["clients"] = args.clients
     if args.processes is not None:
@@ -660,24 +643,8 @@ def _cmd_scenario(args: argparse.Namespace) -> str:
         overrides["seed"] = args.seed
     if args.lazy:
         overrides["lazy"] = True
-    if args.pipeline:
-        overrides["pipeline"] = True
-    if overrides:
-        scenario = replace(scenario, **overrides)
-    if scenario.backend in ("sqlite", "sharded-sqlite", "pipelined-sqlite"):
-        options = dict(scenario.backend_options)
-        options.setdefault("path", args.sqlite_path)
-        if scenario.backend == "sharded-sqlite" and args.shards is not None:
-            options.setdefault("shards", args.shards)
-        if scenario.backend == "sharded-sqlite" and args.concurrent_fanout:
-            options.setdefault("concurrent_fanout", True)
-        if scenario.backend in ("sharded-sqlite", "pipelined-sqlite") \
-                and args.pool_size is not None:
-            options.setdefault("pool_size", args.pool_size)
-        options = _shared_sqlite_options(
-            options, args.journal_mode, args.busy_timeout,
-            for_processes=args.processes is not None)
-        scenario = replace(scenario, backend_options=options)
+    scenario = _configure_scenario(scenario, args, overrides,
+                                   for_processes=args.processes is not None)
 
     db_params, _ = preset(args.preset)
     database, _report = generate_database(db_params)
@@ -722,6 +689,37 @@ def _load_scenario(name: str):
     return scenario_preset(name)
 
 
+def _configure_scenario(scenario, args: argparse.Namespace,
+                        overrides: dict, for_processes: bool):
+    """Apply CLI *overrides* and ``--backend`` to *scenario*, then its
+    engine options.
+
+    A ``--backend`` naming another engine starts from empty
+    ``backend_options``: the preset's options belong to its own engine
+    (``hot_spot``'s ``shards`` means nothing to plain SQLite).  SQLite
+    engines then get the path, shard count and shared-file policy.
+    """
+    from dataclasses import replace
+
+    overrides = dict(overrides)
+    if args.backend is not None and args.backend != scenario.backend:
+        overrides["backend"] = args.backend
+        overrides["backend_options"] = {}
+    if overrides:
+        scenario = replace(scenario, **overrides)
+    if scenario.backend in ("sqlite", "sharded-sqlite"):
+        options = dict(scenario.backend_options)
+        options.setdefault("path", args.sqlite_path)
+        shards = getattr(args, "shards", None)
+        if scenario.backend == "sharded-sqlite" and shards is not None:
+            options.setdefault("shards", shards)
+        options = _shared_sqlite_options(
+            options, args.journal_mode, args.busy_timeout,
+            for_processes=for_processes)
+        scenario = replace(scenario, backend_options=options)
+    return scenario
+
+
 def _shared_sqlite_options(options: dict, journal_mode: str,
                            busy_timeout_ms: int,
                            for_processes: bool) -> dict:
@@ -746,8 +744,7 @@ def _shared_sqlite_options(options: dict, journal_mode: str,
 def _parallel_options(args: argparse.Namespace) -> dict:
     """Backend options for a process run, through the one shared policy."""
     options = _backend_options(args)
-    if getattr(args, "backend", None) in ("sqlite", "sharded-sqlite",
-                                          "pipelined-sqlite"):
+    if getattr(args, "backend", None) in ("sqlite", "sharded-sqlite"):
         return _shared_sqlite_options(options, args.journal_mode,
                                       args.busy_timeout,
                                       for_processes=True)
@@ -767,7 +764,7 @@ def _cmd_multiuser(args: argparse.Namespace) -> str:
     wl_params = replace(wl_params, clients=args.clients)
     database, _report = generate_database(db_params)
     options = _backend_options(args)
-    if args.backend in ("sqlite", "sharded-sqlite", "pipelined-sqlite"):
+    if args.backend in ("sqlite", "sharded-sqlite"):
         # The journal/busy/synchronous knobs apply on the in-process
         # path too, so the two execution modes benchmark the same
         # engine settings.
@@ -966,7 +963,6 @@ def _parse_rates(chunks: Sequence[str]) -> List[float]:
 def _cmd_loadtest(args: argparse.Namespace) -> int:
     """Run (or load) an offered-rate sweep, render it, gate a baseline."""
     import json
-    from dataclasses import replace
 
     from repro.core.loadgen import run_load_sweep
     from repro.obs import results
@@ -982,22 +978,12 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         rates = _parse_rates(args.rate)
         scenario = _load_scenario(args.name)
         overrides = {}
-        if args.backend is not None:
-            overrides["backend"] = args.backend
         if args.clients is not None:
             overrides["clients"] = args.clients
         if args.seed is not None:
             overrides["seed"] = args.seed
-        if overrides:
-            scenario = replace(scenario, **overrides)
-        if scenario.backend in ("sqlite", "sharded-sqlite",
-                                "pipelined-sqlite"):
-            options = dict(scenario.backend_options)
-            options.setdefault("path", args.sqlite_path)
-            options = _shared_sqlite_options(
-                options, args.journal_mode, args.busy_timeout,
-                for_processes=False)
-            scenario = replace(scenario, backend_options=options)
+        scenario = _configure_scenario(scenario, args, overrides,
+                                       for_processes=False)
         db_params, _ = preset(args.preset)
         database, _report = generate_database(db_params)
         sweep = run_load_sweep(

@@ -499,12 +499,6 @@ class Scenario:
     #: records (header parsed, refs/back-refs deferred).  Default off so
     #: goldens and cost accounting stay byte-identical.
     lazy: bool = False
-    #: Pipelined BFS: sessions keep the next frontier chunk's read in
-    #: flight (engine submit/collect protocol) while the current chunk's
-    #: references are filtered.  Default off — the off path executes none
-    #: of the pool machinery, and traversal *results* are identical
-    #: either way (pinned by the equivalence tests).
-    pipeline: bool = False
 
     def __post_init__(self) -> None:
         if self.clients < 1:
@@ -534,8 +528,6 @@ class Scenario:
             spec["batch"] = self.batch
         if self.lazy:
             spec["lazy"] = self.lazy
-        if self.pipeline:
-            spec["pipeline"] = self.pipeline
         return spec
 
     @classmethod
@@ -549,7 +541,7 @@ class Scenario:
             mix = WorkloadMix.from_dict(mix)
         options = dict(spec.pop("backend_options", {}) or {})
         unknown = set(spec) - {"clients", "cold_ops", "warm_ops", "backend",
-                               "seed", "batch", "lazy", "pipeline"}
+                               "seed", "batch", "lazy"}
         if unknown:
             raise ParameterError(f"unknown Scenario keys {sorted(unknown)}")
         return cls(mix=mix, backend_options=options,
@@ -826,14 +818,6 @@ class ScenarioReport:
     #: and link-index traversals).  Summed over workers for processes.
     records_decoded: int = 0
     decodes_avoided: int = 0
-    #: Concurrent-I/O accounting from pooled engines: the peak number of
-    #: simultaneously executing pooled reads (max over workers — ``> 1``
-    #: proves genuine overlap), cumulative sub-batches / shards fanned
-    #: out concurrently (summed), and time spent blocked on an exhausted
-    #: pool (summed).  All zero on sequential configurations.
-    max_inflight_reads: int = 0
-    concurrent_batches: int = 0
-    pool_wait_seconds: float = 0.0
     #: Per-worker resource usage mappings when the scenario ran as
     #: monitored OS processes (see :class:`repro.obs.ResourceMonitor`).
     worker_resources: List[Dict[str, object]] = field(default_factory=list)
@@ -960,9 +944,6 @@ class ScenarioReport:
             "sql_round_trips": self.sql_round_trips,
             "records_decoded": self.records_decoded,
             "decodes_avoided": self.decodes_avoided,
-            "max_inflight_reads": self.max_inflight_reads,
-            "concurrent_batches": self.concurrent_batches,
-            "pool_wait_seconds": self.pool_wait_seconds,
             "read_misses": self.read_misses,
             "write_conflicts": self.write_conflicts,
             "late_starts": self.late_starts,
@@ -1354,24 +1335,19 @@ class ClientExecutor:
             for _ in range(entry.resolved_depth):
                 if not frontier or len(visited) >= entry.max_visits:
                     break
-                next_frontier: List[int] = []
-                # With pipelining on, the next frontier chunk's read is
-                # already in flight while this loop filters the current
-                # chunk; answers arrive in frontier order either way, so
-                # the visit set is mode-invariant.
-                for answers in self.session.iter_frontier_refs(frontier):
-                    for targets in answers.values():
-                        for target in targets:
-                            if len(visited) >= entry.max_visits:
-                                break
-                            # Skip edges into objects a concurrent client
-                            # deleted from this view; structure-only walks
-                            # tolerate them like read misses.
-                            if target not in visited \
-                                    and target in self.view.objects:
-                                visited.add(target)
-                                next_frontier.append(target)
-                frontier = next_frontier
+                answers = self.session.traverse_refs_many(frontier)
+                frontier = []
+                for targets in answers.values():
+                    for target in targets:
+                        if len(visited) >= entry.max_visits:
+                            break
+                        # Skip edges into objects a concurrent client
+                        # deleted from this view; structure-only walks
+                        # tolerate them like read misses.
+                        if target not in visited \
+                                and target in self.view.objects:
+                            visited.add(target)
+                            frontier.append(target)
             return len(visited)
         return self._timed(GenericOperation.STRUCTURE_TRAVERSAL, body)
 
@@ -1517,8 +1493,7 @@ class ScenarioRunner:
                               tref_table=view.tref_table(),
                               catalog=view.catalog(),
                               batch=scenario.batch,
-                              lazy=scenario.lazy,
-                              pipeline=scenario.pipeline)
+                              lazy=scenario.lazy)
             executors.append(ClientExecutor(
                 view, self.mix, session, client_id=client,
                 total_clients=scenario.clients, seed=scenario.seed,
@@ -1583,11 +1558,7 @@ class ScenarioRunner:
             executed_parallel=False,
             sql_round_trips=int(stats.get("sql_round_trips", 0) or 0),
             records_decoded=int(stats.get("records_decoded", 0) or 0),
-            decodes_avoided=int(stats.get("decodes_avoided", 0) or 0),
-            max_inflight_reads=int(stats.get("max_inflight_reads", 0) or 0),
-            concurrent_batches=int(stats.get("concurrent_batches", 0) or 0),
-            pool_wait_seconds=float(
-                stats.get("pool_wait_seconds", 0.0) or 0.0))
+            decodes_avoided=int(stats.get("decodes_avoided", 0) or 0))
 
     # -- process execution ------------------------------------------------ #
 
@@ -1624,7 +1595,7 @@ class ScenarioRunner:
             self.database, scenario.backend, carrier, config=config,
             backend_options=dict(scenario.backend_options),
             batch=scenario.batch, mix=self.mix,
-            lazy=scenario.lazy, pipeline=scenario.pipeline)
+            lazy=scenario.lazy)
         parallel_report = runner.run()
         clients = [worker.scenario_report
                    for worker in parallel_report.workers
@@ -1648,7 +1619,4 @@ class ScenarioRunner:
             sql_round_trips=total("sql_round_trips"),
             records_decoded=total("records_decoded"),
             decodes_avoided=total("decodes_avoided"),
-            max_inflight_reads=parallel_report.max_inflight_reads,
-            concurrent_batches=total("concurrent_batches"),
-            pool_wait_seconds=parallel_report.pool_wait_seconds,
             worker_resources=worker_resources)

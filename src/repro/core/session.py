@@ -46,7 +46,7 @@ from typing import (
     Union,
 )
 
-from repro.backends.base import Backend, ReadHandle
+from repro.backends.base import Backend
 from repro.clustering.base import ClusteringPolicy, NoClustering
 from repro.core.database import OCBDatabase
 from repro.errors import WorkloadError
@@ -58,13 +58,6 @@ __all__ = ["Measurement", "Session"]
 
 #: Anything a Session can drive.
 StoreLike = Union[ObjectStore, Backend]
-
-#: Pipelined-BFS frontier chunk: while one chunk's references are being
-#: filtered on the caller's thread, the next chunk's read is already in
-#: flight on the engine's pool.  Sized so a default-depth OCB frontier
-#: splits into a handful of overlapping reads without shrinking the
-#: IN-clause batches below usefulness.
-_PIPELINE_CHUNK = 128
 
 
 class Measurement:
@@ -114,8 +107,7 @@ class Session:
                  tref_table: Optional[Mapping[int, Tuple[int, ...]]] = None,
                  catalog: Optional[Mapping[int, int]] = None,
                  batch: Optional[bool] = None,
-                 lazy: bool = False,
-                 pipeline: bool = False) -> None:
+                 lazy: bool = False) -> None:
         self.store = store
         self.policy = policy or NoClustering()
         self._tref_table = dict(tref_table or {})
@@ -131,15 +123,6 @@ class Session:
         #: byte-identical; engines without a byte representation simply
         #: ignore the flag.
         self.lazy = bool(lazy)
-        #: Pipelined BFS: during frontier traversal the next chunk's read
-        #: is submitted (engine submit/collect hooks) while the current
-        #: chunk's references are filtered on this thread.  Requested via
-        #: the flag but only *effective* on engines that declare
-        #: ``supports_async_reads`` — everywhere else the session keeps
-        #: the exact sequential call sequence, so the off/ineffective
-        #: path executes none of the pool machinery.
-        self.pipeline = bool(pipeline) and \
-            bool(getattr(store, "supports_async_reads", False))
         self._prefetched: Dict[int, StoredObject] = {}
 
     # ------------------------------------------------------------------ #
@@ -154,8 +137,7 @@ class Session:
                      batch: Optional[bool] = None,
                      backend_options: Optional[dict] = None,
                      load: bool = True,
-                     lazy: bool = False,
-                     pipeline: bool = False) -> "Session":
+                     lazy: bool = False) -> "Session":
         """Build a Session over *store* for a generated *database*.
 
         *store* may be a loaded :class:`ObjectStore`/:class:`Backend`
@@ -185,8 +167,7 @@ class Session:
             store.reset_stats()
         return cls(store, policy=policy,
                    tref_table=database.tref_table(),
-                   catalog=database.catalog(), batch=batch, lazy=lazy,
-                   pipeline=pipeline)
+                   catalog=database.catalog(), batch=batch, lazy=lazy)
 
     # ------------------------------------------------------------------ #
     # Catalog lookups (no I/O)
@@ -315,42 +296,6 @@ class Session:
             if oid not in refs:
                 refs[oid] = self.store.read_object(oid).non_null_refs()
         return refs
-
-    def iter_frontier_refs(self, frontier: Sequence[int]
-                           ) -> "Iterable[Dict[int, Tuple[int, ...]]]":
-        """Yield a BFS frontier's reference answers, pipelined when on.
-
-        The sequential path (``pipeline`` off, or an engine without the
-        submit/collect hooks' async support) yields the whole frontier's
-        answers in one :meth:`traverse_refs_many` call — the exact
-        pre-pipeline call sequence, touching none of the pool machinery.
-
-        The pipelined path splits the frontier into chunks and keeps
-        exactly one chunk's read in flight ahead of the consumer: chunk
-        *i+1* is submitted through the engine's
-        ``submit_traverse_refs_many`` *before* chunk *i*'s answers are
-        yielded, so the caller's filtering of chunk *i* (visited-set
-        updates, membership checks) overlaps the engine-side execution
-        of chunk *i+1*.  Chunks are contiguous runs of the frontier
-        order, so consuming the yielded answers in order visits every
-        (oid, targets) pair in exactly the sequential order — traversal
-        results are byte-identical across modes.
-        """
-        frontier = list(frontier)
-        submit = getattr(self.store, "submit_traverse_refs_many", None)
-        if not self.pipeline or submit is None \
-                or len(frontier) <= _PIPELINE_CHUNK:
-            yield self.traverse_refs_many(frontier)
-            return
-        chunks = [frontier[start:start + _PIPELINE_CHUNK]
-                  for start in range(0, len(frontier), _PIPELINE_CHUNK)]
-        handle: "ReadHandle" = submit(chunks[0])
-        for index in range(len(chunks)):
-            ahead = submit(chunks[index + 1]) \
-                if index + 1 < len(chunks) else None
-            yield handle.result()
-            if ahead is not None:
-                handle = ahead
 
     def end_transaction(self) -> None:
         """Close one transaction: notify the policy, drop the prefetch

@@ -52,14 +52,11 @@ SCHEMA_VERSION = 1
 #: latency split + DES-predicted waits); ``decode_fastpath`` is the
 #: ``bench_decode.py`` A/B — decoded vs lazy vs structure-only cells
 #: over the same mix, with the decode counters alongside the latency
-#: tail; ``pipeline_fanout`` is the ``bench_pipeline.py`` A/B —
-#: sequential vs concurrent shard fan-out vs pipelined BFS cells with
-#: the overlap counters (``max_inflight_reads``, ``concurrent_batches``,
-#: ``pool_wait_seconds``) alongside the wall clock; the other shapes
-#: belong to the pre-existing harnesses.
+#: tail; the other three are the unified shapes of the pre-existing
+#: harnesses.
 KINDS = ("matrix", "scale_sweep", "parallel_scaling",
          "scenario_contention", "shard_scaling", "load_sweep",
-         "decode_fastpath", "pipeline_fanout")
+         "decode_fastpath")
 
 #: Keys every ``system`` mapping must carry.
 _SYSTEM_KEYS = ("git_rev", "platform", "python", "cpu_count", "hostname")

@@ -111,21 +111,6 @@ class ParallelReport:
                        .get("decodes_avoided", 0) or 0)
                    for worker in self.workers)
 
-    @property
-    def max_inflight_reads(self) -> int:
-        """Widest concurrent read fan-out any worker's engine reached."""
-        return max((int((worker.backend_stats or {})
-                        .get("max_inflight_reads", 0) or 0)
-                    for worker in self.workers), default=0)
-
-    @property
-    def pool_wait_seconds(self) -> float:
-        """Time read batches spent blocked on exhausted connection
-        pools, summed over every worker's engine."""
-        return sum(float((worker.backend_stats or {})
-                         .get("pool_wait_seconds", 0.0) or 0.0)
-                   for worker in self.workers)
-
     # -- scenario-mix aggregates (zero for classic read-only runs) ------- #
 
     @property

@@ -106,8 +106,7 @@ class ParallelRunner:
                  backend_options: Optional[Dict[str, object]] = None,
                  batch: Optional[bool] = None,
                  mix: "Optional[object]" = None,
-                 lazy: bool = False,
-                 pipeline: bool = False) -> None:
+                 lazy: bool = False) -> None:
         if not isinstance(backend, str):
             raise WorkloadError(
                 "ParallelRunner needs a registered backend name; live "
@@ -126,11 +125,9 @@ class ParallelRunner:
         #: declarative scenario (possibly mutating) instead of the
         #: classic read-only transaction protocol.
         self.mix = mix
-        #: Decode-free reads / pipelined BFS for every worker's session
-        #: (``Scenario.lazy`` / ``Scenario.pipeline`` threaded across the
-        #: process boundary).
+        #: Decode-free reads for every worker's session (``Scenario.lazy``
+        #: threaded across the process boundary).
         self.lazy = bool(lazy)
-        self.pipeline = bool(pipeline)
         path = self.backend_options.get("path")
         capabilities = _backend_capabilities(self.backend)
         self.shared = ("concurrent" in capabilities and path != ":memory:")
@@ -178,8 +175,7 @@ class ParallelRunner:
                                 home_shard=self._home_shard(client),
                                 rate=rate_share,
                                 arrival_mode=self.config.arrival_mode,
-                                lazy=self.lazy,
-                                pipeline=self.pipeline)
+                                lazy=self.lazy)
                      for client in range(self.parameters.clients)]
             pool = ProcessPool(
                 processes=self.config.max_workers or len(specs),

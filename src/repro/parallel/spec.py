@@ -149,10 +149,6 @@ class WorkerSpec:
     #: layer's ``Scenario.lazy`` threaded across the fork); the merged
     #: ``decodes_avoided`` lands on :attr:`WorkerResult.backend_stats`.
     lazy: bool = False
-    #: Pipelined BFS for the worker's session (``Scenario.pipeline``
-    #: threaded across the fork) — effective only on engines declaring
-    #: ``supports_async_reads``.
-    pipeline: bool = False
 
     def __post_init__(self) -> None:
         if self.client_id < 0:

@@ -77,8 +77,7 @@ def _run_worker(spec: WorkerSpec) -> WorkerResult:
         backend_options=backend_options,
         batch=spec.batch,
         load=not spec.shared,
-        lazy=spec.lazy,
-        pipeline=spec.pipeline)
+        lazy=spec.lazy)
     if trace.enabled:
         trace.emit("worker.setup", time.perf_counter() - setup_start,
                    client=spec.client_id, shared=spec.shared)

@@ -119,7 +119,7 @@ class TestLazySession:
     def test_run_processes_carries_lazy_mode(self, small_database):
         """Process runs no longer refuse lazy scenarios: the flag rides
         every WorkerSpec into the worker's session (the fuller coverage
-        lives in ``tests/parallel/test_pipeline_parallel.py``)."""
+        lives in ``tests/parallel/test_parallel_runner.py``)."""
         from repro.parallel.spec import ParallelConfig
 
         scenario = _structure_scenario(lazy=True, clients=2)

@@ -176,9 +176,11 @@ class TestScenario:
         assert clone == scenario
 
     def test_unknown_spec_keys_rejected(self):
-        with pytest.raises(ParameterError, match="unknown"):
-            Scenario.from_json(json.dumps(
-                {"mix": {"entries": [{"kind": "set"}]}, "threads": 4}))
+        # ``pipeline`` selected a removed concurrent BFS mode.
+        for extra in ({"threads": 4}, {"pipeline": True}):
+            with pytest.raises(ParameterError, match="unknown"):
+                Scenario.from_json(json.dumps(
+                    {"mix": {"entries": [{"kind": "set"}]}, **extra}))
 
 
 class TestScenarioPresets:

@@ -36,8 +36,10 @@ class TestBuild:
             assert key in document["system"]
 
     def test_build_rejects_unknown_kind(self):
-        with pytest.raises(ParameterError, match="kind"):
-            results.build_document(kind="nonsense", cells=[{}])
+        # ``pipeline_fanout`` was the retired concurrent-read A/B.
+        for kind in ("nonsense", "pipeline_fanout"):
+            with pytest.raises(ParameterError, match="kind"):
+                results.build_document(kind=kind, cells=[{}])
 
     def test_non_matrix_cells_are_free_form(self):
         document = results.build_document(

@@ -16,9 +16,13 @@ import pytest
 
 from repro.core.generation import generate_database
 from repro.core.parameters import DatabaseParameters, WorkloadParameters
+from repro.core.presets import default_database_parameters
+from repro.core.scenario import MixEntry, Scenario, ScenarioRunner, \
+    WorkloadMix
 from repro.errors import WorkloadError
 from repro.multiuser.runner import MultiClientRunner, MultiUserReport
-from repro.parallel import ParallelConfig, ParallelRunner
+from repro.parallel import ParallelConfig, ParallelReport, ParallelRunner, \
+    WorkerResult
 
 PARAMS = WorkloadParameters(clients=3, cold_n=2, hot_n=8,
                             set_depth=2, simple_depth=2,
@@ -295,3 +299,38 @@ class TestParallelReport:
         assert report.busy_retries == \
             sum(worker.busy_retries for worker in report.workers)
         assert report.busy_wait_seconds >= 0.0
+
+    def test_decodes_avoided_sums_over_workers(self):
+        def worker(client_id, stats):
+            return WorkerResult(client_id=client_id, pid=1000 + client_id,
+                                report=None, wall_seconds=0.1,
+                                setup_seconds=0.01, backend_stats=stats)
+
+        assert ParallelReport(workers=[]).decodes_avoided == 0
+        report = ParallelReport(workers=[
+            worker(0, {"decodes_avoided": 30}),
+            worker(1, {"decodes_avoided": 12}),
+            worker(2, {}),  # an engine without decode accounting
+        ])
+        assert report.decodes_avoided == 42
+
+
+def test_run_processes_accepts_lazy_scenarios(tmp_path):
+    """Lazy scenarios run as processes: the flag rides the WorkerSpec
+    and the merged report carries the avoided decodes."""
+    database, _ = generate_database(
+        default_database_parameters(scale=0.02, seed=11))
+    scenario = Scenario(
+        mix=WorkloadMix(name="walk", entries=(
+            MixEntry("structure_traversal", weight=1.0, depth=4),)),
+        clients=2, cold_ops=1, warm_ops=6, seed=11, lazy=True,
+        backend="sqlite",
+        backend_options={"path": str(tmp_path / "walk.db"),
+                         "ref_index": True})
+    # Sequential fallback: same specs and worker code path, no fork —
+    # deterministic in CI while still exercising the spec plumbing.
+    report = ScenarioRunner(database, scenario).run_processes(
+        config=ParallelConfig(parallel=False))
+    assert report.decodes_avoided > 0
+    assert report.records_decoded == 0
+    assert report.total_operations == 2 * 7

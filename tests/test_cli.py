@@ -261,6 +261,34 @@ class TestScenarioCommand:
         document = json.loads(capsys.readouterr().out)
         assert document["scenario"] == "write_heavy"
 
+    def test_backend_override_drops_the_presets_engine_options(self,
+                                                               capsys):
+        # hot_spot's ``shards`` option belongs to sharded-sqlite.
+        assert main(["scenario", "hot_spot", "--backend", "sqlite",
+                     "--warm", "5", "--cold", "1", "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["backend"] == "sqlite"
+        assert document["operations"] == 6
+
+    def test_same_backend_keeps_the_presets_engine_options(self):
+        from repro.cli import _configure_scenario, _load_scenario
+
+        args = build_parser().parse_args(
+            ["scenario", "hot_spot", "--backend", "sharded-sqlite"])
+        scenario = _configure_scenario(_load_scenario("hot_spot"), args,
+                                       {}, for_processes=False)
+        assert scenario.backend_options["shards"] == 4
+
+    def test_loadtest_backend_override_drops_the_presets_engine_options(
+            self, tmp_path):
+        out = str(tmp_path / "sweep.json")
+        assert main(["loadtest", "hot_spot", "--backend", "sqlite",
+                     "--rate", "200", "--ops", "4", "--seed", "3",
+                     "--out", out]) == 0
+        document = json.loads(open(out).read())
+        assert document["config"]["backend"] == "sqlite"
+        assert [cell["backend"] for cell in document["cells"]] == ["sqlite"]
+
 
 class TestMachineReadableRunAndOps:
     def test_run_json_matches_scale_convention(self, capsys):
