@@ -21,8 +21,7 @@ from repro.core.scenario import MixEntry, Scenario, ScenarioRunner, \
     WorkloadMix
 from repro.errors import WorkloadError
 from repro.multiuser.runner import MultiClientRunner, MultiUserReport
-from repro.parallel import ParallelConfig, ParallelReport, ParallelRunner, \
-    WorkerResult
+from repro.parallel import ParallelConfig, ParallelRunner
 
 PARAMS = WorkloadParameters(clients=3, cold_n=2, hot_n=8,
                             set_depth=2, simple_depth=2,
@@ -299,20 +298,6 @@ class TestParallelReport:
         assert report.busy_retries == \
             sum(worker.busy_retries for worker in report.workers)
         assert report.busy_wait_seconds >= 0.0
-
-    def test_decodes_avoided_sums_over_workers(self):
-        def worker(client_id, stats):
-            return WorkerResult(client_id=client_id, pid=1000 + client_id,
-                                report=None, wall_seconds=0.1,
-                                setup_seconds=0.01, backend_stats=stats)
-
-        assert ParallelReport(workers=[]).decodes_avoided == 0
-        report = ParallelReport(workers=[
-            worker(0, {"decodes_avoided": 30}),
-            worker(1, {"decodes_avoided": 12}),
-            worker(2, {}),  # an engine without decode accounting
-        ])
-        assert report.decodes_avoided == 42
 
 
 def test_run_processes_accepts_lazy_scenarios(tmp_path):

@@ -1,20 +1,17 @@
-"""Lazy and pipelined flags across the process boundary.
+"""Engine-side counters folded into the merged process report.
 
-``Scenario.lazy`` / ``Scenario.pipeline`` must survive the trip through
-:class:`WorkerSpec` into every worker's session — process runs used to
-refuse lazy mode outright — and the merged :class:`ParallelReport`
-must surface what only the engines saw: decodes avoided, the widest
-concurrent fan-out, the pooled wait time.
+:class:`ParallelReport` must surface what only the engines saw — the
+record decodes avoided by lazy reads and structure-only frontier
+answers — summed over every worker's engine stats. The concurrent read
+layer's counters (widest fan-out, pooled wait time) are gone with it.
 """
 
 from __future__ import annotations
 
-from repro.core.generation import generate_database
-from repro.core.presets import default_database_parameters
-from repro.core.scenario import MixEntry, Scenario, ScenarioRunner, \
-    WorkloadMix
 from repro.parallel.report import ParallelReport
-from repro.parallel.spec import ParallelConfig, WorkerSpec, WorkerResult
+from repro.parallel.spec import WorkerResult
+
+REMOVED_COUNTERS = ("max_inflight_reads", "pool_wait_seconds")
 
 
 def _worker_result(client_id, stats):
@@ -27,77 +24,17 @@ def test_parallel_report_folds_the_concurrency_counters():
     report = ParallelReport(workers=[
         _worker_result(0, {"decodes_avoided": 30, "max_inflight_reads": 2,
                            "pool_wait_seconds": 0.25}),
-        _worker_result(1, {"decodes_avoided": 12, "max_inflight_reads": 4,
-                           "pool_wait_seconds": 0.5}),
-        _worker_result(2, {}),  # an engine without the concurrent layer
+        _worker_result(1, {"decodes_avoided": 12}),
+        _worker_result(2, {}),  # an engine without decode accounting
     ])
     assert report.decodes_avoided == 42
-    assert report.max_inflight_reads == 4  # widest single worker, not a sum
-    assert report.pool_wait_seconds == 0.75
+    # Stale keys from an older engine's stats are not folded any more.
+    for counter in REMOVED_COUNTERS:
+        assert not hasattr(report, counter)
 
 
 def test_parallel_report_counters_default_to_zero():
     report = ParallelReport(workers=[])
     assert report.decodes_avoided == 0
-    assert report.max_inflight_reads == 0
-    assert report.pool_wait_seconds == 0.0
-
-
-def test_worker_spec_carries_the_session_flags():
-    spec = WorkerSpec(client_id=0, database=None, parameters=None,
-                      backend="sqlite")
-    assert spec.lazy is False and spec.pipeline is False
-    spec = WorkerSpec(client_id=0, database=None, parameters=None,
-                      backend="sqlite", lazy=True, pipeline=True)
-    assert spec.lazy is True and spec.pipeline is True
-
-
-def _walk_scenario(tmp_path, **flags):
-    return Scenario(
-        mix=WorkloadMix(name="walk", entries=(
-            MixEntry("structure_traversal", weight=1.0, depth=4),)),
-        clients=2, cold_ops=1, warm_ops=6, seed=11,
-        backend="sqlite",
-        backend_options={"path": str(tmp_path / "walk.db"),
-                         "ref_index": True},
-        **flags)
-
-
-def test_run_processes_accepts_lazy_scenarios(tmp_path):
-    """The old lazy refusal is gone: the flag rides the WorkerSpec and
-    the merged report carries the avoided decodes."""
-    database, _ = generate_database(
-        default_database_parameters(scale=0.02, seed=11))
-    runner = ScenarioRunner(database,
-                            _walk_scenario(tmp_path, lazy=True))
-    # Sequential fallback: same specs and worker code path, no fork —
-    # deterministic in CI while still exercising the spec plumbing.
-    report = runner.run_processes(config=ParallelConfig(parallel=False))
-    assert report.decodes_avoided > 0
-    assert report.records_decoded == 0
-    assert report.total_operations == 2 * 7
-
-
-def test_run_processes_threads_the_pipeline_flag(tmp_path):
-    database, _ = generate_database(
-        default_database_parameters(scale=0.02, seed=11))
-    scenario = Scenario(
-        mix=WorkloadMix(name="walk", entries=(
-            MixEntry("structure_traversal", weight=1.0, depth=4),)),
-        clients=2, cold_ops=1, warm_ops=6, seed=11,
-        backend="pipelined-sqlite", pipeline=True,
-        backend_options={"path": str(tmp_path / "pipe.db"),
-                         "ref_index": True, "pool_size": 2})
-    runner = ScenarioRunner(database, scenario)
-    report = runner.run_processes(config=ParallelConfig(parallel=False))
-    assert report.total_operations == 2 * 7
-    baseline = ScenarioRunner(
-        database, Scenario(mix=scenario.mix, clients=2, cold_ops=1,
-                           warm_ops=6, seed=11, backend="sqlite",
-                           backend_options={"ref_index": True})).run()
-    # Pipelined process run and plain in-process run visit the same
-    # objects per class — the traversal results are mode-invariant.
-    def visits(scenario_report):
-        return [(row["class"], row["count"], row["objects"])
-                for row in scenario_report.merged_warm.to_dict()["per_class"]]
-    assert visits(report) == visits(baseline)
+    for counter in REMOVED_COUNTERS:
+        assert not hasattr(report, counter)
