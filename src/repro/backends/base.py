@@ -93,7 +93,7 @@ class Backend(abc.ABC):
         #: Records fully decoded from their byte form on a read path.
         self.records_decoded = 0
         #: Records (or frontier answers) served *without* a full decode —
-        #: lazy header-only reads and link-index traversal answers.
+        #: lazy header-only reads and structure-only traversal answers.
         self.decodes_avoided = 0
         self.clock = SimClock()
         self.cost_model = CostModel()
@@ -175,9 +175,10 @@ class Backend(abc.ABC):
         """
         return self.read_object(oid).non_null_refs()
 
-    #: Whether :meth:`traverse_refs_many` is answered by a native
-    #: link-structure query (no record decode) rather than the loop
-    #: fallback.  SQLite sets it when constructed with ``ref_index=True``.
+    #: Whether the engine maintains a ``links`` index of the reference
+    #: graph alongside the records (SQLite and sharded SQLite built with
+    #: ``ref_index=True``).  The index is kept current on every mutation
+    #: and diffed on rewrite; :meth:`traverse_refs_many` does not read it.
     supports_ref_index: bool = False
 
     def traverse_refs_many(self, oids: Sequence[int]
@@ -185,12 +186,13 @@ class Backend(abc.ABC):
         """Non-NIL forward references of a whole batch, keyed by oid.
 
         The structure-only answer to "where does this BFS frontier go
-        next": engines with a link index resolve the entire batch in one
-        set-oriented query without decoding a single record blob (and
-        set :attr:`supports_ref_index`); the fallback loops over
-        :meth:`traverse_refs` in first-occurrence order.  Duplicate oids
-        are answered once; any missing oid raises
-        :class:`~repro.errors.UnknownObject`, exactly like the loop.
+        next": engines with batched reads resolve the entire batch in
+        one set-oriented query that decodes only each record's reference
+        vector (SQLite reads the blob whether or not it maintains a link
+        index); the fallback loops over :meth:`traverse_refs` in
+        first-occurrence order.  Duplicate oids are answered once; any
+        missing oid raises :class:`~repro.errors.UnknownObject`, exactly
+        like the loop.
         """
         refs: Dict[int, Tuple[int, ...]] = {}
         for oid in oids:

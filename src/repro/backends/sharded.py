@@ -17,9 +17,10 @@ protocol by fan-out over per-shard :class:`SQLiteBackend` instances:
 * :meth:`read_many` / :meth:`write_many` group oids by shard and issue
   one ``IN``-clause / ``executemany`` batch per *touched* shard, the
   home shard first;
-* :meth:`traverse_refs_many` answers each shard's slice through that
-  shard's link index (``ref_index`` is on by default here) and counts
-  frontier edges that leave the home shard as ``remote_reads``;
+* :meth:`traverse_refs_many` answers each shard's slice from that
+  shard's blobs and counts frontier edges that leave the home shard as
+  ``remote_reads``; each shard maintains its own link index
+  (``ref_index`` is on by default here), diffed on write;
 * :meth:`bulk_load` stages once, partitions, and loads each shard
   (the parallel coordinator loads the shard files concurrently — see
   :meth:`repro.parallel.runner.ParallelRunner._load_shared`).
@@ -43,7 +44,8 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, \
+    Tuple
 
 from repro.backends.base import Backend
 from repro.backends.sqlite import SQLiteBackend
@@ -299,7 +301,7 @@ class ShardedSQLiteBackend(Backend):
 
     def traverse_refs_many(self, oids: Sequence[int]
                            ) -> Dict[int, Tuple[int, ...]]:
-        """Each shard's slice through that shard's link index.
+        """Each shard's slice, one batched blob query per shard.
 
         Beyond the lookups themselves, every frontier edge that leaves
         the home shard is counted as a ``remote_reads`` unit — that edge
@@ -334,6 +336,14 @@ class ShardedSQLiteBackend(Backend):
                         and src_shard == self.home_shard \
                         and dst_shard != self.home_shard:
                     self.remote_reads += 1
+
+    def link_index_drift(self) -> Set[Tuple[int, int, int]]:
+        """Every shard's :meth:`SQLiteBackend.link_index_drift`, merged
+        (a link row lives in the shard of its source oid)."""
+        drift: Set[Tuple[int, int, int]] = set()
+        for engine in self._engines:
+            drift |= engine.link_index_drift()
+        return drift
 
     # -- cache / durability --------------------------------------------- #
 

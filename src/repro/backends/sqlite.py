@@ -34,10 +34,17 @@ Three kernel hooks make the engine first-class under the unified
   :meth:`SQLiteBackend.traverse_refs_many` answers a whole BFS
   frontier's outgoing references with one ``IN``-clause query and a
   structure-only decode (:func:`~repro.store.serializer.decode_refs`:
-  header + reference vector, **no record decode**); constructed with
-  ``ref_index=True`` the engine additionally maintains a ``links`` side
-  table (src, idx, dst) — at the classic secondary-index price of extra
-  (counted) statements on every mutation;
+  header + reference vector, **no record decode**) — always from the
+  blob;
+* **link index** — constructed with ``ref_index=True`` the engine also
+  maintains a ``links`` side table (src, idx, dst), the classic
+  secondary index of the reference graph.  Traversal does not read it;
+  its cost is the write path's.  A rewrite reads the stored slot
+  vectors first and touches only the ``links`` rows whose slot changed
+  (a record whose forward refs are unchanged costs no link statement);
+  every statement is counted in ``sql_round_trips``, and
+  :meth:`SQLiteBackend.link_index_drift` audits the table against the
+  blobs;
 * **concurrent connections** — :meth:`SQLiteBackend.connect_worker`
   opens an independent connection to the same database file (its own
   pager cache, its own locks), which is how each process of a
@@ -53,15 +60,16 @@ from __future__ import annotations
 
 import sqlite3
 import time
+from itertools import zip_longest
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
-    Sequence, Tuple, TypeVar
+    Sequence, Set, Tuple, TypeVar
 
 from repro.backends.base import Backend
 from repro.errors import BackendError, StorageError, UnknownObject
 from repro.obs import trace
 from repro.store.costs import DEFAULT_PAGE_SIZE
 from repro.store.serializer import StoredObject, decode_object, \
-    decode_object_lazy, decode_refs, encode_object
+    decode_object_lazy, decode_ref_slots, decode_refs, encode_object
 from repro.store.storage import stage_bulk_load
 
 __all__ = ["SQLiteBackend"]
@@ -120,10 +128,9 @@ class SQLiteBackend(Backend):
         self.synchronous = synchronous
         self.journal_mode = journal_mode
         self.busy_timeout_ms = busy_timeout_ms
-        #: Opt-in secondary link index (``links`` table): answers
-        #: :meth:`traverse_refs_many` for a whole BFS frontier with one
-        #: ``IN``-clause query, no blob decode — at the usual secondary-
-        #: index price of extra statements on every mutation.
+        #: Opt-in secondary link index (``links`` table), maintained on
+        #: every mutation and diffed against the stored slots on rewrite.
+        #: :meth:`traverse_refs_many` reads the blob, not this table.
         self.ref_index = bool(ref_index)
         self.supports_ref_index = self.ref_index
         self.sql_round_trips = 0
@@ -304,38 +311,98 @@ class SQLiteBackend(Backend):
         return records
 
     def write_object(self, record: StoredObject) -> None:
-        self.sql_round_trips += 1
-        cur = self._execute(
-            "UPDATE objects SET cid = ?, data = ? WHERE oid = ?",
-            (record.cid, encode_object(record), record.oid))
-        if cur.rowcount == 0:
-            raise UnknownObject(record.oid)
-        self._reindex_links([record])
+        self._rewrite((record,))
         self.object_accesses += 1
 
     def write_many(self, records: Sequence[StoredObject]) -> None:
-        """A single ``executemany`` round trip for the whole batch."""
+        """One ``executemany`` UPDATE for the whole batch (see
+        :meth:`_rewrite` for the link-index statements around it)."""
         if not records:
             return
         started = time.perf_counter() if trace.enabled else 0.0
-        self.sql_round_trips += 1
-        cur = self._executemany(
-            "UPDATE objects SET cid = ?, data = ? WHERE oid = ?",
-            ((r.cid, encode_object(r), r.oid) for r in records))
-        if cur.rowcount != len(records):
-            missing = next((r.oid for r in records if r.oid not in self),
-                           None)
-            if missing is not None:
-                # The rows before the miss were still updated; reindex
-                # them so the link table never diverges from the blobs.
-                self._reindex_links([r for r in records
-                                     if r.oid in self])
-                raise UnknownObject(missing)
-        self._reindex_links(records)
+        self._rewrite(records)
         self.object_accesses += len(records)
         if trace.enabled:
             trace.emit("sqlite.write_many",
                        time.perf_counter() - started, records=len(records))
+
+    def _rewrite(self, records: Sequence[StoredObject]) -> None:
+        """UPDATE existing rows — and, with ``ref_index``, diff their links.
+
+        The one write path of :meth:`write_object` and
+        :meth:`write_many`.  Rows the batch names but the table lacks
+        match no UPDATE; the rest of the batch is still written (links
+        included) before :class:`UnknownObject` names the first miss.
+        """
+        stored = self._stored_slots(records) if self.ref_index else None
+        self.sql_round_trips += 1
+        cur = self._executemany(
+            "UPDATE objects SET cid = ?, data = ? WHERE oid = ?",
+            [(r.cid, encode_object(r), r.oid) for r in records])
+        if stored is not None:
+            self._diff_links(records, stored)
+        if cur.rowcount != len(records):
+            # The stored-slot read already knows which rows exist.
+            present = self if stored is None else stored
+            missing = next((r.oid for r in records if r.oid not in present),
+                           None)
+            if missing is not None:
+                raise UnknownObject(missing)
+
+    def _stored_slots(self, records: Sequence[StoredObject]
+                      ) -> Dict[int, Tuple[Optional[int], ...]]:
+        """The stored ref-slot vectors of *records*' rows, keyed by oid.
+
+        Read inside the write transaction (``BEGIN IMMEDIATE`` unless
+        one is already open), so no concurrent writer can change a row
+        between this read and the UPDATE the link diff is taken for.
+        """
+        if not self._conn.in_transaction:
+            self._retrying(self._conn.execute, "BEGIN IMMEDIATE")
+        unique: List[int] = list(dict.fromkeys(r.oid for r in records))
+        slots: Dict[int, Tuple[Optional[int], ...]] = {}
+        for start in range(0, len(unique), _MAX_BATCH_VARIABLES):
+            chunk = unique[start:start + _MAX_BATCH_VARIABLES]
+            placeholders = ",".join("?" * len(chunk))
+            self.sql_round_trips += 1
+            for oid, data in self._execute(
+                    f"SELECT oid, data FROM objects "
+                    f"WHERE oid IN ({placeholders})", chunk):
+                slots[oid] = decode_ref_slots(data)
+        return slots
+
+    def _diff_links(self, records: Sequence[StoredObject],
+                    stored: Dict[int, Tuple[Optional[int], ...]]) -> None:
+        """Touch only the ``links`` rows whose slot changed.
+
+        A slot that became NULL (or fell off the end of a shorter
+        vector) is deleted; one that gained or changed its target is
+        upserted; a record whose slots are unchanged costs nothing.
+        """
+        deletes: List[Tuple[int, int]] = []
+        upserts: List[Tuple[int, int, int]] = []
+        # The last record of an oid is the one its row ends up holding.
+        for oid, record in {r.oid: r for r in records}.items():
+            old = stored.get(oid)
+            if old is None or old == record.refs:
+                continue
+            for index, (before, after) in enumerate(
+                    zip_longest(old, record.refs)):
+                if before == after:
+                    continue
+                if after is None:
+                    deletes.append((oid, index))
+                else:
+                    upserts.append((oid, index, after))
+        if deletes:
+            self.sql_round_trips += 1
+            self._executemany(
+                "DELETE FROM links WHERE src = ? AND idx = ?", deletes)
+        if upserts:
+            self.sql_round_trips += 1
+            self._executemany(
+                "INSERT OR REPLACE INTO links (src, idx, dst) "
+                "VALUES (?, ?, ?)", upserts)
 
     def insert_object(self, record: StoredObject) -> None:
         self.sql_round_trips += 1
@@ -366,23 +433,6 @@ class SQLiteBackend(Backend):
             self._execute("DELETE FROM links WHERE src = ?", (oid,))
         self.object_accesses += 1
 
-    def _reindex_links(self, records: Sequence[StoredObject]) -> None:
-        """Replace the link rows of rewritten records (no-op unless the
-        engine was built with ``ref_index=True``)."""
-        if not self.ref_index or not records:
-            return
-        self.sql_round_trips += 1
-        self._executemany("DELETE FROM links WHERE src = ?",
-                          [(record.oid,) for record in records])
-        rows = [(record.oid, index, target)
-                for record in records
-                for index, target in enumerate(record.refs)
-                if target is not None]
-        if rows:
-            self.sql_round_trips += 1
-            self._executemany(
-                "INSERT INTO links (src, idx, dst) VALUES (?, ?, ?)", rows)
-
     def traverse_refs_many(self, oids: Sequence[int]
                            ) -> Dict[int, Tuple[int, ...]]:
         """A whole frontier's outgoing references, no record decode.
@@ -394,13 +444,12 @@ class SQLiteBackend(Backend):
         the loop fallback.
 
         This deliberately reads the blob *instead of* the ``links``
-        index: profiling showed the one-row-per-edge ``LEFT JOIN``
-        spends ~3x the wall time of this path in the driver's per-row
-        overhead, while ``decode_refs`` touches only the first
-        ``22 + 8*nref`` bytes of each blob.  The narrow ``links`` rows
-        remain a maintained physical index (and stay pinned by the
-        protocol tests) for engines and experiments that cannot afford
-        blob I/O at all.
+        index, whatever ``ref_index`` is: profiling showed the
+        one-row-per-edge ``LEFT JOIN`` spends ~3x the wall time of this
+        path in the driver's per-row overhead, while ``decode_refs``
+        touches only the first ``22 + 8*nref`` bytes of each blob.  The
+        narrow ``links`` rows remain a maintained physical index,
+        audited by :meth:`link_index_drift`.
         """
         started = time.perf_counter() if trace.enabled else 0.0
         unique: List[int] = list(dict.fromkeys(oids))
@@ -424,6 +473,25 @@ class SQLiteBackend(Backend):
             trace.emit("sqlite.traverse_refs_many",
                        time.perf_counter() - started, oids=len(unique))
         return refs
+
+    def link_index_drift(self) -> Set[Tuple[int, int, int]]:
+        """``(src, idx, dst)`` rows on which ``links`` and the blobs disagree.
+
+        The symmetric difference of the ``links`` table and the non-NULL
+        slots of every stored record, decoded with the full record
+        decoder (not the write path's slot decoder) so a decoding bug
+        cannot hide itself.  Empty when the index is consistent — and
+        always empty on an engine built without ``ref_index``.
+        """
+        if not self.ref_index:
+            return set()
+        slots = {(oid, index, target)
+                 for oid, data in self._execute(
+                     "SELECT oid, data FROM objects")
+                 for index, target in enumerate(decode_object(data).refs)
+                 if target is not None}
+        links = set(self._execute("SELECT src, idx, dst FROM links"))
+        return slots ^ links
 
     def drop_caches(self) -> bool:
         """Cold restart: drop the pager cache (and any OS-visible state).

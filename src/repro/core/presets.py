@@ -385,13 +385,14 @@ def _scan_heavy_scenario() -> Scenario:
 
 
 def _graph_walk_scenario() -> Scenario:
-    """Structure-only graph expansion over the SQLite link index.
+    """Structure-only graph expansion on SQLite.
 
     Dominated by ``structure_traversal`` operations, which answer BFS
-    frontiers from the ``refs`` table alone — with ``ref_index`` enabled
-    the engine never decodes a record body, so this preset is the
-    canonical way to exercise (and CI-assert) a non-zero
-    ``decodes_avoided`` count."""
+    frontiers from each blob's reference vector alone — the engine never
+    decodes a record body, so this preset is the canonical way to
+    exercise (and CI-assert) a non-zero ``decodes_avoided`` count.  The
+    ``links`` index ``ref_index`` enables is maintained (and diffed on
+    write) but not read by the traversal."""
     return Scenario(
         mix=WorkloadMix(name="graph_walk", entries=(
             MixEntry("structure_traversal", weight=0.80, depth=5),

@@ -815,7 +815,7 @@ class ScenarioReport:
     sql_round_trips: int = 0
     #: Engine-level decode accounting: records fully decoded from bytes,
     #: and reads/frontier answers served without a decode (lazy records
-    #: and link-index traversals).  Summed over workers for processes.
+    #: and structure-only traversals).  Summed over workers for processes.
     records_decoded: int = 0
     decodes_avoided: int = 0
     #: Per-worker resource usage mappings when the scenario ran as
@@ -1315,13 +1315,14 @@ class ClientExecutor:
     def op_structure_traversal(self, entry: MixEntry) -> OperationResult:
         """BFS from a DIST5 root through the link structure, zero decode.
 
-        Frontiers expand via :meth:`Session.traverse_refs_many`: engines
-        with a link index answer each hop in one set-oriented round trip
-        without decoding a single record blob (counted under the
-        engine's ``decodes_avoided``); everywhere else the backend's
-        read-and-filter loop runs.  Depth and ``max_visits`` bound the
-        walk exactly like the transaction classes; the touched count is
-        the number of distinct objects whose structure was visited.
+        Frontiers expand via :meth:`Session.traverse_refs_many`: the
+        SQLite engines answer each hop in one set-oriented round trip
+        that decodes only each blob's reference vector, never a full
+        record (counted under the engine's ``decodes_avoided``);
+        everywhere else the backend's read-and-filter loop runs.  Depth
+        and ``max_visits`` bound the walk exactly like the transaction
+        classes; the touched count is the number of distinct objects
+        whose structure was visited.
         """
         def body() -> int:
             live = self._live_sorted()

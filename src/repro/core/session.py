@@ -280,12 +280,13 @@ class Session:
                            ) -> Dict[int, Tuple[int, ...]]:
         """A batch of objects' outgoing references, keyed by oid.
 
-        Structure-only frontier expansion: engines with a link index
-        (SQLite built with ``ref_index=True``) answer the whole batch in
-        one set-oriented round trip without decoding records; everywhere
-        else the backend's loop fallback runs.  No policy observations
-        are made — callers that *visit* the targets still go through
-        :meth:`access`.
+        Structure-only frontier expansion: the SQLite engines answer the
+        whole batch in one set-oriented round trip that decodes only the
+        reference vector of each blob, never a full record (their
+        ``links`` index, when built, is maintained but not read here);
+        everywhere else the backend's loop fallback runs.  No policy
+        observations are made — callers that *visit* the targets still
+        go through :meth:`access`.
         """
         batched = getattr(self.store, "traverse_refs_many", None)
         if batched is not None:

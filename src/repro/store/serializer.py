@@ -44,7 +44,9 @@ Two decode strategies share the wire format:
   for decoding it.
 * :func:`decode_refs` skips record construction entirely and returns just
   the non-null reference vector — the structure-only decode batched
-  frontier expansion (``traverse_refs_many``) runs on.
+  frontier expansion (``traverse_refs_many``) runs on;
+  :func:`decode_ref_slots` is its slot-preserving twin (NULLs kept in
+  place), which the SQLite write path diffs link rows against.
 
 :func:`encode_object` is the mirror image: the ref vector goes out in one
 precompiled ``pack`` and each back-ref pair through ``Struct.pack``.
@@ -62,7 +64,7 @@ from repro.errors import StorageError
 
 __all__ = ["StoredObject", "LazyStoredObject", "encode_object",
            "decode_object", "decode_object_lazy", "decode_refs",
-           "encoded_size",
+           "decode_ref_slots", "encoded_size",
            "HEADER_SIZE", "REF_SIZE", "BACKREF_SIZE", "MAGIC"]
 
 MAGIC = 0x0CB1
@@ -334,3 +336,26 @@ def decode_refs(data, offset: int = 0) -> Tuple[int, ...]:
     if 0 in refs:
         return tuple(ref for ref in refs if ref)
     return refs
+
+
+def decode_ref_slots(data, offset: int = 0) -> Tuple[Optional[int], ...]:
+    """The full forward-reference slot vector of one encoded record.
+
+    Like :func:`decode_refs` (same header, magic and length checks, no
+    record object), but NULL slots stay in place as ``None`` — slot *i*
+    of the result is ``refs[i]`` of the record, so two vectors can be
+    compared slot by slot.
+    """
+    try:
+        magic, oid, _cid, nref, _nback, _filler = _HEADER.unpack_from(
+            data, offset)
+    except struct.error as exc:
+        raise StorageError(f"truncated object header at offset {offset}") from exc
+    if magic != MAGIC:
+        raise StorageError(
+            f"bad magic 0x{magic:04X} at offset {offset} (corrupt store?)")
+    try:
+        return _unpack_refs(data, offset + HEADER_SIZE, nref)
+    except struct.error as exc:
+        raise StorageError(
+            f"truncated object body for oid {oid} at offset {offset}") from exc

@@ -440,6 +440,6 @@ class TestTraverseRefsMany:
         assert backend.sql_round_trips == before + 1  # objects INSERT only
         before = backend.sql_round_trips
         backend.write_object(leaf)
-        # objects UPDATE + links DELETE; no empty links INSERT counted.
+        # stored-refs SELECT + objects UPDATE
         assert backend.sql_round_trips == before + 2
         backend.close()

@@ -19,6 +19,7 @@ from repro.store.serializer import (
     StoredObject,
     decode_object,
     decode_object_lazy,
+    decode_ref_slots,
     decode_refs,
     encode_object,
 )
@@ -127,17 +128,22 @@ class TestDecodeRefs:
         record = make_record()
         data = b"\xAA" * 7 + encode_object(record)
         assert decode_refs(data, offset=7) == (3, 5)
+        assert decode_ref_slots(data, offset=7) == (3, None, 5)
 
     def test_bad_magic(self):
         data = bytearray(encode_object(make_record()))
         data[0] ^= 0xFF
         with pytest.raises(StorageError, match="magic"):
             decode_refs(bytes(data))
+        with pytest.raises(StorageError, match="magic"):
+            decode_ref_slots(bytes(data))
 
     def test_body_shorter_than_ref_vector(self):
         record = StoredObject(oid=1, cid=1, refs=(2, 3, 4))
         with pytest.raises(StorageError, match="truncated"):
             decode_refs(encode_object(record)[:HEADER_SIZE + 5])
+        with pytest.raises(StorageError, match="truncated"):
+            decode_ref_slots(encode_object(record)[:HEADER_SIZE + 5])
 
 
 @settings(max_examples=200, deadline=None)
@@ -156,6 +162,7 @@ def test_lazy_equals_eager_on_every_surface(record):
     assert lazy == eager and eager == lazy
     assert lazy.materialize() == eager
     assert decode_refs(encoded) == eager.non_null_refs()
+    assert decode_ref_slots(encoded) == eager.refs
 
 
 @settings(max_examples=50, deadline=None)

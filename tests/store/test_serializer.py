@@ -17,6 +17,7 @@ from repro.store.serializer import (
     StoredObject,
     decode_object,
     decode_object_lazy,
+    decode_ref_slots,
     decode_refs,
     encode_object,
     encoded_size,
@@ -229,6 +230,7 @@ def test_kernels_match_the_reference(records, prefix, as_view):
         refs = decode_refs(buffer, offset)
         assert type(refs) is tuple
         assert refs == _reference_decode_refs(data, offset)
+        assert decode_ref_slots(buffer, offset) == record.refs
         offset += len(blob)
 
 
