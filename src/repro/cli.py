@@ -17,17 +17,11 @@ Subcommands::
                                   against shared WAL storage)
     ocb scale     [--workers ...] worker-count sweep: throughput scaling
                                   + contention table
-    ocb bench     [--spec FILE]   run the resource-monitored experiment
-                                  matrix, persist BENCH_<date>.json and
-                                  optionally --compare BASELINE.json
-                                  (exit code 2 on regression)
     ocb loadtest  [NAME]          open-loop offered-rate sweep against a
                                   scenario (--rate A,B,C): coordinated-
                                   omission-correct response vs service
                                   latency, saturation-knee detection,
-                                  DES predicted-vs-measured waits;
-                                  persists a load_sweep document with
-                                  the same --compare regression gate
+                                  DES predicted-vs-measured waits
     ocb tables --id {1,2,3}       print the paper's parameter tables
     ocb fig4                      reproduce Figure 4 (creation time)
     ocb table4                    reproduce Table 4 (DSTC-CluB vs OCB)
@@ -42,20 +36,20 @@ cold phase is honest on engines that can evict state.  All experiment
 commands accept ``--scale``-style size flags so the full paper-scale
 runs (slow in pure Python) remain one flag away.
 
-``run``, ``ops`` and ``scenario`` accept ``--json`` to emit a single
-machine-readable JSON document instead of the tables (flat metric
-mappings, the same emission convention as ``ocb scale --json``).
+``run``, ``ops``, ``scenario``, ``scale`` and ``loadtest`` accept
+``--json`` to print one machine-readable JSON object (flat metric
+mappings) instead of the tables; no command writes a file unless a flag
+names one.
 
-``run``, ``ops``, ``scenario`` and ``bench`` accept ``--trace FILE`` to
-stream per-operation trace records (:mod:`repro.obs.trace`) to a JSONL
-file; a per-name summary lands on stderr after the run.  ``run``,
-``ops``, ``scenario`` and ``loadtest`` accept ``--profile FILE`` to
-cProfile the whole command (:mod:`repro.obs.profiler`): a JSON report
-of per-function cumulative times goes to FILE and the top functions to
-stderr — the tool that shows ``decode_object`` falling off the hot
-path under the lazy record mode (``ocb scenario --lazy``).  ``ocb scale
---json`` and ``ocb bench`` emit the one schema-versioned document shape
-of :mod:`repro.obs.results` (see ``docs/bench_schema.md``).
+``run``, ``ops``, ``scenario`` and ``loadtest`` accept ``--trace FILE``
+to stream
+per-operation trace records (:mod:`repro.obs.trace`) to a JSONL file; a
+per-name summary lands on stderr after the run.  ``run``, ``ops``,
+``scenario`` and ``loadtest`` accept ``--profile FILE`` to cProfile the
+whole command (:mod:`repro.obs.profiler`): a JSON report of
+per-function cumulative times goes to FILE and the top functions to
+stderr — the tool that shows ``decode_object`` falling off the hot path
+under the lazy record mode (``ocb scenario --lazy``).
 """
 
 from __future__ import annotations
@@ -289,43 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-connection busy budget in ms "
                             "(default: 5000)")
     scale.add_argument("--json", action="store_true",
-                       help="also emit the sweep as one schema-versioned "
-                            "BENCH document (kind 'scale_sweep')")
-
-    bench = sub.add_parser(
-        "bench", help="run the resource-monitored experiment matrix and "
-                      "persist the perf trajectory (BENCH_<date>.json)")
-    bench.add_argument("--spec", default=None, metavar="FILE",
-                       help="JSON MatrixSpec file (default: the built-in "
-                            "2-cell tiny matrix)")
-    bench.add_argument("--shard-counts", type=int, nargs="+", default=None,
-                       metavar="N",
-                       help="add a shard axis: run every cell of a "
-                            "'sharded'-capable backend once per count "
-                            "(cell keys gain a /sN segment)")
-    bench.add_argument("--out", default=None, metavar="FILE",
-                       help="output path (default: BENCH_<date>.json in "
-                            "the current directory)")
-    bench.add_argument("--compare", default=None, metavar="BASELINE",
-                       help="diff the result against a committed "
-                            "BENCH_*.json; exit code 2 on regression")
-    bench.add_argument("--current", default=None, metavar="FILE",
-                       help="compare/render an existing document instead "
-                            "of running the matrix")
-    bench.add_argument("--tolerance", type=float, default=0.5,
-                       help="relative tolerance band for the perf gates "
-                            "(default: 0.5 = 50%%)")
-    bench.add_argument("--json", action="store_true",
-                       help="print the document to stdout as well")
-    bench.add_argument("--trace", default=None, metavar="FILE",
-                       help="stream per-operation trace records to a "
-                            "JSONL file (summary on stderr)")
+                       help="emit one machine-readable JSON document "
+                            "instead of the table")
 
     loadtest = sub.add_parser(
         "loadtest", help="open-loop offered-rate sweep against a "
                          "scenario: coordinated-omission-correct "
                          "latency, saturation knee, DES-predicted "
-                         "waits (persists a load_sweep document)")
+                         "waits")
     loadtest.add_argument("name", nargs="?", default="mixed_oltp",
                           metavar="NAME|SPEC.json",
                           help="scenario preset name or JSON spec file "
@@ -370,20 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "saturates (default: 3.0)")
     loadtest.add_argument("--no-predict", action="store_true",
                           help="skip the DES predicted-wait replay")
-    loadtest.add_argument("--out", default=None, metavar="FILE",
-                          help="output path (default: BENCH_<date>.json "
-                               "in the current directory)")
-    loadtest.add_argument("--current", default=None, metavar="FILE",
-                          help="render/compare an existing load_sweep "
-                               "document instead of running the sweep")
-    loadtest.add_argument("--compare", default=None, metavar="BASELINE",
-                          help="diff against a committed load_sweep "
-                               "document; exit code 2 on regression")
-    loadtest.add_argument("--tolerance", type=float, default=0.5,
-                          help="relative tolerance band for the perf "
-                               "gates (default: 0.5 = 50%%)")
     loadtest.add_argument("--json", action="store_true",
-                          help="print the document to stdout as well")
+                          help="emit one machine-readable JSON document "
+                               "instead of the report")
     loadtest.add_argument("--trace", default=None, metavar="FILE",
                           help="stream per-operation trace records "
                                "(loadgen.arrival / loadgen.late_start "
@@ -862,82 +816,19 @@ def _cmd_scale(args: argparse.Namespace) -> str:
     finally:
         if tempdir is not None:
             shutil.rmtree(tempdir, ignore_errors=True)
-    out = [render_scaling_sweep(points)]
     if args.json:
-        from repro.obs import results
-        document = results.build_document(
-            kind="scale_sweep",
-            cells=[point.to_dict() for point in points],
-            config={"preset": args.preset, "backend": args.backend,
-                    "workers": list(args.workers),
-                    "journal_mode": args.journal_mode,
-                    "busy_timeout_ms": args.busy_timeout},
-            name="scale")
-        out.append("")
-        out.append(json.dumps(document, indent=2))
-    return "\n".join(out)
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run (or load) a matrix document, render it, gate on a baseline."""
-    import json
-
-    from repro.errors import ParameterError
-    from repro.obs import results
-    from repro.obs.matrix import MatrixSpec, compare_documents, \
-        run_matrix, tiny_spec
-    from repro.reporting import render_bench_cells, render_bench_comparison
-
-    if args.current is not None:
-        document = results.load_document(args.current)
-        if args.out is not None:
-            written = results.write_document(document, path=args.out)
-            print(f"ocb bench: wrote {written}", file=sys.stderr)
-    else:
-        if args.spec is not None:
-            try:
-                with open(args.spec, "r", encoding="utf-8") as handle:
-                    spec = MatrixSpec.from_json(handle.read())
-            except OSError as exc:
-                raise ParameterError(
-                    f"cannot read matrix spec {args.spec!r}: {exc}") from exc
-        else:
-            spec = tiny_spec()
-        if args.shard_counts is not None:
-            from dataclasses import replace as _replace
-            spec = _replace(spec, shard_counts=tuple(args.shard_counts))
-        document = run_matrix(
-            spec, progress=lambda line: print(line, file=sys.stderr))
-        written = results.write_document(document, path=args.out)
-        print(f"ocb bench: wrote {written}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(document, indent=2))
-    else:
-        system = document.get("system", {})
-        print(render_bench_cells(
-            document["cells"],
-            title=f"Experiment matrix {document.get('name')!r} "
-                  f"@ {system.get('git_rev') or 'unknown rev'}"))
-    if args.compare is None:
-        return 0
-    baseline = results.load_document(args.compare)
-    comparison = compare_documents(document, baseline,
-                                   tolerance=args.tolerance)
-    rows = [{"key": row.key, "status": row.status,
-             "throughput_ratio": row.throughput_ratio,
-             "problems": row.problems}
-            for row in comparison.rows]
-    print()
-    print(render_bench_comparison(
-        rows, title=f"vs baseline {args.compare}"))
-    print(comparison.describe())
-    if comparison.ok:
-        return 0
-    for row in comparison.regressions:
-        problems = "; ".join(row.problems) or "cell missing"
-        print(f"ocb bench: regression in {row.key}: {problems}",
-              file=sys.stderr)
-    return 2
+        from repro.obs.monitor import system_info
+        return json.dumps({
+            "command": "scale",
+            "preset": args.preset,
+            "backend": args.backend,
+            "workers": list(args.workers),
+            "journal_mode": args.journal_mode,
+            "busy_timeout_ms": args.busy_timeout,
+            "system": system_info(),
+            "points": [point.to_dict() for point in points],
+        }, indent=2)
+    return render_scaling_sweep(points)
 
 
 def _parse_rates(chunks: Sequence[str]) -> List[float]:
@@ -960,81 +851,49 @@ def _parse_rates(chunks: Sequence[str]) -> List[float]:
     return rates
 
 
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    """Run (or load) an offered-rate sweep, render it, gate a baseline."""
+def _cmd_loadtest(args: argparse.Namespace) -> str:
+    """Run an offered-rate sweep and render it (or its JSON document)."""
     import json
 
     from repro.core.loadgen import run_load_sweep
-    from repro.obs import results
-    from repro.obs.matrix import compare_documents
-    from repro.reporting import render_bench_comparison, render_load_report
+    from repro.reporting import render_load_report
 
-    if args.current is not None:
-        document = results.load_document(args.current)
-        if args.out is not None:
-            written = results.write_document(document, path=args.out)
-            print(f"ocb loadtest: wrote {written}", file=sys.stderr)
-    else:
-        rates = _parse_rates(args.rate)
-        scenario = _load_scenario(args.name)
-        overrides = {}
-        if args.clients is not None:
-            overrides["clients"] = args.clients
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        scenario = _configure_scenario(scenario, args, overrides,
-                                       for_processes=False)
-        db_params, _ = preset(args.preset)
-        database, _report = generate_database(db_params)
-        sweep = run_load_sweep(
-            database, scenario, rates, operations=args.ops,
-            mode=args.arrivals, seed=args.seed,
-            divergence=args.divergence, blowup=args.blowup,
-            predict=not args.no_predict,
-            progress=lambda line: print(f"ocb loadtest: {line}",
-                                        file=sys.stderr))
-        config = {
-            "scenario": scenario.mix.name,
-            "backend": scenario.backend,
-            "clients": scenario.clients,
-            "database_preset": args.preset,
-            "rates": sorted(rates),
-            "operations": args.ops,
-            "arrival_mode": args.arrivals,
-            "seed": sweep["seed"],
-            "divergence": sweep["divergence"],
-            "blowup": sweep["blowup"],
-            "knee": sweep["knee"],
-        }
-        document = results.build_document(
-            "load_sweep", sweep["cells"], config=config,
-            name=f"loadtest-{scenario.mix.name}")
-        written = results.write_document(document, path=args.out)
-        print(f"ocb loadtest: wrote {written}", file=sys.stderr)
+    rates = _parse_rates(args.rate)
+    scenario = _load_scenario(args.name)
+    overrides = {}
+    if args.clients is not None:
+        overrides["clients"] = args.clients
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    scenario = _configure_scenario(scenario, args, overrides,
+                                   for_processes=False)
+    db_params, _ = preset(args.preset)
+    database, _report = generate_database(db_params)
+    sweep = run_load_sweep(
+        database, scenario, rates, operations=args.ops,
+        mode=args.arrivals, seed=args.seed,
+        divergence=args.divergence, blowup=args.blowup,
+        predict=not args.no_predict,
+        progress=lambda line: print(f"ocb loadtest: {line}",
+                                    file=sys.stderr))
+    document = {
+        "command": "loadtest",
+        "scenario": scenario.mix.name,
+        "backend": scenario.backend,
+        "clients": scenario.clients,
+        "database_preset": args.preset,
+        "rates": sorted(rates),
+        "operations": args.ops,
+        "arrival_mode": args.arrivals,
+        "seed": sweep["seed"],
+        "divergence": sweep["divergence"],
+        "blowup": sweep["blowup"],
+        "knee": sweep["knee"],
+        "cells": sweep["cells"],
+    }
     if args.json:
-        print(json.dumps(document, indent=2))
-    else:
-        print(render_load_report(document))
-    if args.compare is None:
-        return 0
-    baseline = results.load_document(args.compare)
-    comparison = compare_documents(document, baseline,
-                                   tolerance=args.tolerance)
-    rows = [{"key": row.key, "status": row.status,
-             "throughput_ratio": row.throughput_ratio,
-             "problems": row.problems}
-            for row in comparison.rows]
-    print()
-    print(render_bench_comparison(
-        rows, title=f"vs baseline {args.compare}"))
-    print(comparison.describe())
-    if comparison.ok:
-        return 0
-    for row in comparison.regressions:
-        problems = "; ".join(row.problems) or "cell missing"
-        print(f"ocb loadtest: regression in {row.key}: {problems}",
-              file=sys.stderr)
-    return 2
+        return json.dumps(document, indent=2)
+    return render_load_report(document)
 
 
 def _cmd_tables(args: argparse.Namespace) -> str:
@@ -1177,10 +1036,8 @@ def _dispatch_command(parser: argparse.ArgumentParser,
         print(_cmd_multiuser(args))
     elif args.command == "scale":
         print(_cmd_scale(args))
-    elif args.command == "bench":
-        return _cmd_bench(args)
     elif args.command == "loadtest":
-        return _cmd_loadtest(args)
+        print(_cmd_loadtest(args))
     elif args.command == "tables":
         print(_cmd_tables(args))
     elif args.command == "fig4":

@@ -189,9 +189,8 @@ class OpenLoopReport:
         return self.operations / self.elapsed_seconds
 
     def cell(self) -> Dict[str, object]:
-        """One flat ``load_sweep`` document cell for this rate."""
+        """One flat sweep cell (a JSON-ready mapping) for this rate."""
         report = self.scenario
-        service_p95_ms = self.latency.service.percentile(95.0) * 1e3
         cell: Dict[str, object] = {
             "key": (f"{report.backend_name}/{report.scenario_name}"
                     f"/r{self.offered_rate:g}"),
@@ -203,11 +202,6 @@ class OpenLoopReport:
             "operations": self.operations,
             "elapsed_seconds": self.elapsed_seconds,
             "throughput": self.achieved_throughput,
-            # The cross-document regression gate compares wall_p95_ms;
-            # service time is the engine-only number that should stay
-            # stable run-over-run (response blows up near the knee by
-            # design, so it must not be the gated field).
-            "wall_p95_ms": service_p95_ms,
             "write_operations": report.write_operations,
             "busy_retries": report.busy_retries,
         }
@@ -387,14 +381,13 @@ def run_load_sweep(database: OCBDatabase, scenario: Scenario,
     """Sweep offered rates, detect the knee, predict waits with the DES.
 
     Each rate runs against a pristine deepcopy of *database* (mutating
-    mixes must not let one rate's inserts warp the next rate's graph —
-    the same discipline the bench matrix uses).  When ``predict`` is
-    set, every measured rate is replayed through
+    mixes must not let one rate's inserts warp the next rate's graph).
+    When ``predict`` is set, every measured rate is replayed through
     :func:`repro.multiuser.des.simulate_open_arrivals` — identical
     arrival schedule, service times inverse-sampled from the *measured*
     service histogram — and the predicted mean/P95 wait lands next to
-    the measured one in each cell.  Returns ``{"cells": [...], "knee":
-    rate-or-None, ...}`` ready for ``results.build_document``.
+    the measured one in each cell.  Returns a JSON-ready ``{"cells":
+    [...], "knee": rate-or-None, ...}`` mapping.
     """
     if not rates:
         raise ParameterError("at least one offered rate is required")

@@ -818,9 +818,6 @@ class ScenarioReport:
     #: and structure-only traversals).  Summed over workers for processes.
     records_decoded: int = 0
     decodes_avoided: int = 0
-    #: Per-worker resource usage mappings when the scenario ran as
-    #: monitored OS processes (see :class:`repro.obs.ResourceMonitor`).
-    worker_resources: List[Dict[str, object]] = field(default_factory=list)
     #: Open-loop provenance: the offered arrival rate (ops/s, summed
     #: over clients) and arrival process ("poisson"/"fixed") when the
     #: scenario ran under the load generator; ``None`` for closed loops.
@@ -1606,10 +1603,6 @@ class ScenarioRunner:
             return sum(int((worker.backend_stats or {}).get(counter, 0) or 0)
                        for worker in parallel_report.workers)
 
-        worker_resources = [
-            dict(worker.resource_usage, worker=worker.worker_id)
-            for worker in parallel_report.workers
-            if worker.resource_usage]
         return ScenarioReport(
             scenario_name=self.mix.name,
             clients=clients,
@@ -1619,5 +1612,4 @@ class ScenarioRunner:
             executed_parallel=parallel_report.executed_parallel,
             sql_round_trips=total("sql_round_trips"),
             records_decoded=total("records_decoded"),
-            decodes_avoided=total("decodes_avoided"),
-            worker_resources=worker_resources)
+            decodes_avoided=total("decodes_avoided"))

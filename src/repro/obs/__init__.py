@@ -1,58 +1,34 @@
-"""Observability: tracing, resource monitoring, persisted benchmarks.
+"""Observability: tracing, profiling, latency histograms, run context.
 
-Three pieces, deliberately dependency-light so the hot paths can import
+Four pieces, deliberately dependency-light so the hot paths can import
 them without cycles:
 
 * :mod:`repro.obs.trace` — a span/event tracer with a ring-buffered
   in-process collector and an optional JSONL sink.  Emission is guarded
   by a module flag (``trace.enabled``) so a traced-off run executes no
-  tracer code at all on the paths PR 2/4 optimized.
+  tracer code at all on the hot paths.
 * :mod:`repro.obs.profiler` — :mod:`cProfile` behind the same
   off-by-default module switch: ``--profile FILE`` wraps a whole CLI
   command and answers *which functions* burned the time (the tracer
   answers *which spans*).
-* :mod:`repro.obs.monitor` — a background resource sampler (CPU time
-  via :func:`os.times`, RSS via ``/proc/self/status`` with a
-  ``getrusage`` fallback — no psutil dependency) plus
-  :func:`~repro.obs.monitor.system_info` (git rev, platform, CPU count).
-* :mod:`repro.obs.results` — the one schema-versioned ``BENCH_*.json``
-  writer every benchmark emission path shares.
 * :mod:`repro.obs.latency` — the memory-bounded log-bucketed
   :class:`~repro.obs.latency.LatencyHistogram` and the
   coordinated-omission-correct
   :class:`~repro.obs.latency.LatencyCollector` (response vs service
   time against *intended* arrivals) the open-loop driver records into.
-
-:mod:`repro.obs.matrix` (the declarative experiment matrix behind
-``ocb bench``) imports the execution layers and therefore must be
-imported explicitly — it is *not* pulled in here, so backends and the
-kernel can import ``repro.obs`` without a cycle.
+* :mod:`repro.obs.monitor` — :func:`~repro.obs.monitor.system_info`,
+  the run context (git rev, platform, CPU count) a recorded result
+  carries.
 """
 
 from repro.obs import profiler, trace
 from repro.obs.latency import LatencyCollector, LatencyHistogram
-from repro.obs.monitor import ResourceMonitor, ResourceUsage, system_info
-from repro.obs.results import (
-    SCHEMA_VERSION,
-    build_document,
-    default_filename,
-    load_document,
-    validate_document,
-    write_document,
-)
+from repro.obs.monitor import system_info
 
 __all__ = [
     "profiler",
     "trace",
     "LatencyCollector",
     "LatencyHistogram",
-    "ResourceMonitor",
-    "ResourceUsage",
     "system_info",
-    "SCHEMA_VERSION",
-    "build_document",
-    "default_filename",
-    "load_document",
-    "validate_document",
-    "write_document",
 ]

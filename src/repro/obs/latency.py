@@ -323,7 +323,7 @@ class LatencyCollector:
         return collector
 
     def cell_fields(self) -> Dict[str, object]:
-        """The flat latency fields of one ``load_sweep`` cell."""
+        """The flat latency fields of one load-sweep cell."""
         fields: Dict[str, object] = {
             "late_starts": self.late_starts,
             "max_backlog": self.max_backlog,

@@ -1,19 +1,7 @@
-"""Resource monitoring without psutil: CPU time, RSS, system context.
+"""Run context for a recorded benchmark result.
 
-:class:`ResourceMonitor` is a background sampler thread any runner can
-wrap around a measured section: CPU time comes from :func:`os.times`
-(user + system, *including reaped children* — so a coordinator's
-monitor accounts its worker processes once they are joined), RSS from
-``/proc/self/status`` (``VmRSS``) with a
-:func:`resource.getrusage` fallback where procfs is unavailable.  The
-result folds into every report as peak/mean RSS and CPU utilisation
-alongside the latency percentiles — the methodology Darmont's survey
-asks of a trustworthy benchmark: resource usage recorded *next to*
-response time, not in a separate terminal.
-
-:func:`system_info` collects the run context a persisted result needs
-to be comparable later: git revision, platform, Python version, CPU
-count, hostname.
+:func:`system_info` collects what a result needs to be comparable
+later: git revision, platform, Python version, CPU count, hostname.
 """
 
 from __future__ import annotations
@@ -22,154 +10,10 @@ import os
 import platform
 import socket
 import subprocess
-import threading
-import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-__all__ = ["ResourceUsage", "ResourceMonitor", "system_info"]
+__all__ = ["system_info"]
 
-try:
-    import resource as _resource
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    _resource = None  # type: ignore[assignment]
-
-
-def _rss_kb() -> Optional[int]:
-    """Current RSS in kB, or the process peak when only that is known."""
-    try:
-        with open("/proc/self/status", "r", encoding="ascii") as handle:
-            for line in handle:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1])
-    except (OSError, ValueError, IndexError):
-        pass
-    if _resource is not None:
-        usage = _resource.getrusage(_resource.RUSAGE_SELF)
-        # Linux reports kB; macOS reports bytes.
-        divisor = 1024 if platform.system() == "Darwin" else 1
-        return int(usage.ru_maxrss // divisor) or None
-    return None
-
-
-def _cpu_seconds() -> float:
-    """This process's CPU time, children included once reaped."""
-    times = os.times()
-    return times.user + times.system + times.children_user \
-        + times.children_system
-
-
-@dataclass(frozen=True)
-class ResourceUsage:
-    """What one monitored section consumed."""
-
-    wall_seconds: float
-    cpu_seconds: float
-    peak_rss_kb: int
-    mean_rss_kb: float
-    samples: int
-
-    @property
-    def cpu_utilization(self) -> float:
-        """CPU seconds per wall second (can exceed 1.0 with children)."""
-        if self.wall_seconds <= 0.0:
-            return 0.0
-        return self.cpu_seconds / self.wall_seconds
-
-    def to_dict(self) -> dict:
-        """Flat JSON-ready mapping (the report emission shape)."""
-        return {
-            "wall_seconds": self.wall_seconds,
-            "cpu_seconds": self.cpu_seconds,
-            "cpu_utilization": self.cpu_utilization,
-            "peak_rss_kb": self.peak_rss_kb,
-            "mean_rss_kb": self.mean_rss_kb,
-            "samples": self.samples,
-        }
-
-
-class ResourceMonitor:
-    """Background sampler: start, run the workload, stop, read usage.
-
-    Usable as a context manager::
-
-        with ResourceMonitor() as monitor:
-            run_the_benchmark()
-        print(monitor.usage.peak_rss_kb)
-
-    The sampler thread is a daemon and wakes every ``interval`` seconds;
-    one synchronous sample is always taken at :meth:`start` and one at
-    :meth:`stop`, so even a section shorter than the interval reports a
-    real peak.
-    """
-
-    def __init__(self, interval: float = 0.05) -> None:
-        if interval <= 0.0:
-            raise ValueError(f"interval must be > 0, got {interval}")
-        self.interval = interval
-        self.usage: Optional[ResourceUsage] = None
-        self._samples: List[int] = []
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._started_wall = 0.0
-        self._started_cpu = 0.0
-
-    # -- lifecycle ------------------------------------------------------- #
-
-    def start(self) -> "ResourceMonitor":
-        """Begin sampling (idempotent start is an error)."""
-        if self._thread is not None:
-            raise RuntimeError("monitor already started")
-        self._stop.clear()
-        self._samples = []
-        self.usage = None
-        self._started_wall = time.perf_counter()
-        self._started_cpu = _cpu_seconds()
-        self._sample()
-        self._thread = threading.Thread(target=self._loop, daemon=True,
-                                        name="ocb-resource-monitor")
-        self._thread.start()
-        return self
-
-    def stop(self) -> ResourceUsage:
-        """End sampling and fold the samples into a :class:`ResourceUsage`."""
-        if self._thread is None:
-            raise RuntimeError("monitor was never started")
-        self._stop.set()
-        self._thread.join()
-        self._thread = None
-        self._sample()
-        wall = time.perf_counter() - self._started_wall
-        cpu = max(0.0, _cpu_seconds() - self._started_cpu)
-        samples = [s for s in self._samples if s is not None]
-        peak = max(samples) if samples else 0
-        mean = sum(samples) / len(samples) if samples else 0.0
-        self.usage = ResourceUsage(wall_seconds=wall, cpu_seconds=cpu,
-                                   peak_rss_kb=peak, mean_rss_kb=mean,
-                                   samples=len(samples))
-        return self.usage
-
-    def __enter__(self) -> "ResourceMonitor":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    # -- internals ------------------------------------------------------- #
-
-    def _sample(self) -> None:
-        rss = _rss_kb()
-        if rss is not None:
-            self._samples.append(rss)
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            self._sample()
-
-
-# ---------------------------------------------------------------------- #
-# Run context
-# ---------------------------------------------------------------------- #
 
 def _git_revision() -> Optional[str]:
     """The working tree's git revision, or ``None`` outside a checkout."""
@@ -184,7 +28,7 @@ def _git_revision() -> Optional[str]:
 
 
 def system_info() -> Dict[str, object]:
-    """The context a persisted benchmark result needs to be comparable."""
+    """The context a recorded benchmark result needs to be comparable."""
     try:
         hostname = socket.gethostname()
     except OSError:  # pragma: no cover - degenerate environments

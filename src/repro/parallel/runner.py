@@ -170,8 +170,6 @@ class ParallelRunner:
                                 shared=self.shared,
                                 batch=self.batch,
                                 mix=self.mix,
-                                monitor=self.config.monitor,
-                                monitor_interval=self.config.monitor_interval,
                                 home_shard=self._home_shard(client),
                                 rate=rate_share,
                                 arrival_mode=self.config.arrival_mode,

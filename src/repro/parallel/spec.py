@@ -56,12 +56,6 @@ class ParallelConfig:
     #: honest WAL setting; the single-user default of ``OFF`` would let
     #: one worker's crash corrupt every other worker's database.
     synchronous: str = "NORMAL"
-    #: Sample every worker's CPU time and RSS with a
-    #: :class:`~repro.obs.ResourceMonitor` and return the usage on each
-    #: :class:`WorkerResult` (the ``ocb bench`` matrix sets this).
-    monitor: bool = False
-    #: Sampling period (seconds) of the per-worker monitors.
-    monitor_interval: float = 0.05
     #: Shard count for engines with the ``sharded`` capability: the
     #: coordinator partitions storage into this many files and assigns
     #: every worker the home shard of its mutation lane
@@ -88,9 +82,6 @@ class ParallelConfig:
         if self.max_workers is not None and self.max_workers < 1:
             raise ParameterError(
                 f"max_workers must be >= 1, got {self.max_workers}")
-        if self.monitor_interval <= 0.0:
-            raise ParameterError(
-                f"monitor_interval must be > 0, got {self.monitor_interval}")
         if self.shards is not None and self.shards < 1:
             raise ParameterError(
                 f"shards must be >= 1, got {self.shards}")
@@ -126,10 +117,6 @@ class WorkerSpec:
     #: mixes on shared storage run with tolerant write-backs (see the
     #: scenario module docs).
     mix: Optional[WorkloadMix] = None
-    #: Wrap the protocol in a :class:`~repro.obs.ResourceMonitor` and
-    #: ship the usage back on the result.
-    monitor: bool = False
-    monitor_interval: float = 0.05
     #: Affinity shard of this worker on a sharded engine
     #: (``client_id % shards`` — the residue class its mutation lane
     #: lives in).  ``None`` for non-sharded backends; injected into the
@@ -176,10 +163,6 @@ class WorkerResult:
     #: Per-operation-class scenario breakdown — set when the spec
     #: carried a :class:`~repro.core.scenario.WorkloadMix`.
     scenario_report: Optional[ClientScenarioReport] = None
-    #: This worker's sampled CPU/RSS usage
-    #: (:meth:`repro.obs.ResourceUsage.to_dict` shape) — set when the
-    #: spec asked for monitoring.
-    resource_usage: Optional[Dict[str, object]] = None
 
     @property
     def worker_id(self) -> int:

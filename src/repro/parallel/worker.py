@@ -38,33 +38,14 @@ from repro.core.scenario import ClientExecutor, ClientScenarioReport, \
     ScenarioCollector
 from repro.core.session import Session
 from repro.core.workload import WorkloadReport, WorkloadRunner
-from repro.obs import ResourceMonitor, trace
+from repro.obs import trace
 from repro.parallel.spec import WorkerSpec, WorkerResult
 
 __all__ = ["run_worker"]
 
 
 def run_worker(spec: WorkerSpec) -> WorkerResult:
-    """Execute one client's cold/warm protocol; return its metrics.
-
-    With ``spec.monitor`` set, the whole body (setup + protocol) runs
-    under a :class:`~repro.obs.ResourceMonitor` whose usage comes back
-    on :attr:`~repro.parallel.spec.WorkerResult.resource_usage` — this
-    is the per-worker RSS/CPU sampling of the ``ocb bench`` matrix.
-    """
-    monitor = None
-    if spec.monitor:
-        monitor = ResourceMonitor(interval=spec.monitor_interval).start()
-    try:
-        result = _run_worker(spec)
-    finally:
-        usage = monitor.stop() if monitor is not None else None
-    if usage is not None:
-        result.resource_usage = usage.to_dict()
-    return result
-
-
-def _run_worker(spec: WorkerSpec) -> WorkerResult:
+    """Execute one client's cold/warm protocol; return its metrics."""
     setup_start = time.perf_counter()
     backend_options = dict(spec.backend_options)
     if spec.home_shard is not None:

@@ -1,9 +1,5 @@
 """Reporting helpers: ASCII tables, charts, CSV, backend comparisons."""
 
-from repro.reporting.bench import (
-    render_bench_cells,
-    render_bench_comparison,
-)
 from repro.reporting.comparison import (
     BackendRunSummary,
     render_backend_comparison,
@@ -53,8 +49,6 @@ __all__ = [
     "render_scenario_classes",
     "render_scenario_clients",
     "render_scenario_report",
-    "render_bench_cells",
-    "render_bench_comparison",
     "describe_knee",
     "render_load_chart",
     "render_load_report",

@@ -1,6 +1,6 @@
 """Load-sweep rendering: latency vs offered load, knee, DES validation.
 
-One ``load_sweep`` document (see ``docs/bench_schema.md``) renders as
+One sweep document (the ``ocb loadtest --json`` object) renders as
 three pieces: the per-rate table with the response/service latency
 split and the predicted-vs-measured wait columns, an ASCII chart of the
 latency-vs-offered-load curve (the hockey stick whose bend is the
@@ -80,8 +80,7 @@ def render_load_chart(cells: Sequence[Mapping[str, object]],
 
 def describe_knee(document: Mapping[str, object]) -> str:
     """One headline line for the sweep's saturation verdict."""
-    knee = document.get("config", {}).get("knee",
-                                          document.get("knee"))
+    knee = document.get("knee")
     cells = document["cells"]
     top = max(float(cell["offered_rate"]) for cell in cells)
     if knee is None:
@@ -93,7 +92,7 @@ def describe_knee(document: Mapping[str, object]) -> str:
 
 
 def render_load_report(document: Mapping[str, object]) -> str:
-    """Full console rendering of one ``load_sweep`` document."""
+    """Full console rendering of one sweep document."""
     cells = document["cells"]
     parts = [render_load_sweep(cells)]
     if len(cells) > 1:

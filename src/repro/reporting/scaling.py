@@ -37,7 +37,7 @@ class ScalingPoint:
     busy_wait_seconds: float
 
     def to_dict(self) -> dict:
-        """A JSON-ready mapping (the bench harness's emission shape)."""
+        """A JSON-ready mapping (one ``ocb scale --json`` point)."""
         return asdict(self)
 
 

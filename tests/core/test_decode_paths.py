@@ -48,12 +48,23 @@ class TestStructureTraversal:
         backend = SQLiteBackend()
         records = small_database.to_records()
         backend.bulk_load(records.values(), order=sorted(records))
+        oids = sorted(records)[:40]
         backend.reset_stats()
-        answers = backend.traverse_refs_many(sorted(records)[:40])
+        answers = backend.traverse_refs_many(oids)
         stats = backend.stats()
         assert stats["records_decoded"] == 0
         assert stats["decodes_avoided"] == 40
-        assert set(answers) == set(sorted(records)[:40])
+        assert set(answers) == set(oids)
+        # Decoded and lazy reads answer the same reference sets; only
+        # the decode counters tell the three read modes apart.
+        for lazy, decoded in ((False, 40), (True, 0)):
+            backend.reset_stats()
+            read = backend.read_many(oids, lazy=lazy)
+            assert {oid: read[oid].non_null_refs() for oid in oids} \
+                == answers
+            stats = backend.stats()
+            assert stats["records_decoded"] == decoded
+            assert stats["decodes_avoided"] == 40 - decoded
         backend.close()
 
     def test_visits_respect_max_visits(self, small_database):

@@ -272,8 +272,7 @@ class TestOpenLoopRunner:
         assert cell["key"] == "memory/read_heavy/r800"
         assert cell["clients"] == 2
         assert cell["operations"] == 40
-        # The regression-gated wall number is the service P95.
-        assert cell["wall_p95_ms"] == pytest.approx(
+        assert cell["service_p95_ms"] == pytest.approx(
             report.latency.service.percentile(95.0) * 1e3)
         for field in ("response_p999_ms", "service_p95_ms",
                       "wait_mean_ms", "late_starts", "max_backlog"):
@@ -303,6 +302,13 @@ class TestRunLoadSweep:
             assert cell["scenario"] == "read_heavy"
             assert cell["arrival_mode"] == "fixed"
             assert cell["operations"] == 60
+            assert cell["elapsed_seconds"] > 0.0
+            # Percentiles are ordered, and response time (queueing
+            # included) never undercuts service time.
+            assert cell["response_p50_ms"] <= cell["response_p95_ms"] \
+                <= cell["response_p99_ms"] <= cell["response_p999_ms"]
+            assert cell["service_p50_ms"] <= cell["service_p95_ms"]
+            assert cell["response_p95_ms"] >= cell["service_p95_ms"] * 0.99
             # DES prediction fields land in every measured cell.
             assert cell["predicted_wait_mean_ms"] >= 0.0
             assert cell["predicted_wait_p95_ms"] >= 0.0
@@ -348,24 +354,33 @@ class TestRunLoadSweep:
 
 
 class TestLoadtestCli:
-    def test_end_to_end_document(self, tmp_path):
+    def test_end_to_end_document(self, capsys):
         from repro.cli import main
-        from repro.obs import results
+        from repro.reporting import describe_knee, render_load_report
 
-        out = str(tmp_path / "sweep.json")
         assert main(["loadtest", "read_heavy", "--rate", "100,900",
                      "--ops", "12", "--backend", "memory",
-                     "--seed", "21", "--out", out]) == 0
-        document = json.loads(open(out).read())
-        results.validate_document(document)
-        assert document["kind"] == "load_sweep"
-        assert document["config"]["rates"] == [100.0, 900.0]
+                     "--seed", "21", "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["command"] == "loadtest"
+        assert document["rates"] == [100.0, 900.0]
+        assert "knee" in document
         assert len(document["cells"]) == 2
         for cell in document["cells"]:
             assert cell["backend"] == "memory"
             assert "predicted_wait_mean_ms" in cell
-        # Comparing the document against itself is a clean gate.
-        assert main(["loadtest", "--current", out, "--compare", out]) == 0
+        # The printed object renders like a fresh run.
+        assert describe_knee(document) in render_load_report(document)
+
+    def test_plain_run_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["loadtest", "read_heavy", "--rate", "300",
+                     "--ops", "6", "--backend", "memory",
+                     "--no-predict"]) == 0
+        assert "knee" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_rates_are_a_usage_error(self):
         from repro.cli import main

@@ -251,6 +251,13 @@ class TestScenarioRunnerReadOnly:
         wall = report.merged_warm.wall_percentiles()
         assert wall.count == 16
         assert wall.p50 <= wall.p95 <= wall.p99
+        # Only SQL engines count round trips; the workload is the same.
+        assert report.sql_round_trips == 0
+        on_sqlite = ScenarioRunner(
+            small_database,
+            dataclasses.replace(scenario, backend="sqlite")).run()
+        assert on_sqlite.total_operations == report.total_operations
+        assert on_sqlite.sql_round_trips > 0
 
 
 class TestScenarioRunnerMutating:

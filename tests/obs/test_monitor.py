@@ -1,97 +1,8 @@
-"""Resource monitor: lifecycle, sampling, system info."""
+"""Run context: system info."""
 
 from __future__ import annotations
 
-import time
-
-import pytest
-
-from repro.obs import ResourceMonitor, ResourceUsage, system_info
-from repro.obs.monitor import _cpu_seconds, _rss_kb
-
-
-class TestSampling:
-    def test_rss_is_positive_on_linux(self):
-        rss = _rss_kb()
-        assert rss is not None and rss > 0
-
-    def test_cpu_seconds_monotonic(self):
-        before = _cpu_seconds()
-        sum(i * i for i in range(200_000))
-        assert _cpu_seconds() >= before
-
-
-class TestMonitor:
-    def test_start_stop_produces_usage(self):
-        monitor = ResourceMonitor(interval=0.01)
-        monitor.start()
-        deadline = time.perf_counter() + 0.05
-        while time.perf_counter() < deadline:
-            sum(range(10_000))
-        usage = monitor.stop()
-        assert isinstance(usage, ResourceUsage)
-        assert usage.wall_seconds >= 0.05
-        assert usage.cpu_seconds >= 0.0
-        assert usage.samples >= 2  # start + stop at minimum
-        assert usage.peak_rss_kb > 0
-        assert 0.0 < usage.mean_rss_kb <= usage.peak_rss_kb
-
-    def test_peak_rss_covers_an_allocation(self):
-        """Peak RSS under the monitor is >= RSS before the allocation —
-        monotonic with respect to what the section allocated."""
-        before = _rss_kb()
-        with ResourceMonitor(interval=0.005) as monitor:
-            ballast = bytearray(32 * 1024 * 1024)  # 32 MiB
-            time.sleep(0.03)
-            del ballast
-        assert monitor.usage is not None
-        assert monitor.usage.peak_rss_kb >= before
-
-    def test_context_manager_sets_usage(self):
-        with ResourceMonitor(interval=0.01) as monitor:
-            pass
-        assert monitor.usage is not None
-        assert monitor.usage.samples >= 2
-
-    def test_double_start_raises(self):
-        monitor = ResourceMonitor(interval=0.01)
-        monitor.start()
-        with pytest.raises(RuntimeError):
-            monitor.start()
-        monitor.stop()
-
-    def test_stop_before_start_raises(self):
-        with pytest.raises(RuntimeError):
-            ResourceMonitor().stop()
-
-    def test_monitor_is_restartable(self):
-        monitor = ResourceMonitor(interval=0.01)
-        with monitor:
-            pass
-        first = monitor.usage
-        with monitor:
-            pass
-        assert monitor.usage is not first
-
-    def test_interval_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ResourceMonitor(interval=0.0)
-
-    def test_cpu_utilization(self):
-        usage = ResourceUsage(wall_seconds=2.0, cpu_seconds=1.0,
-                              peak_rss_kb=100, mean_rss_kb=90.0, samples=3)
-        assert usage.cpu_utilization == 0.5
-        zero = ResourceUsage(wall_seconds=0.0, cpu_seconds=1.0,
-                             peak_rss_kb=0, mean_rss_kb=0.0, samples=0)
-        assert zero.cpu_utilization == 0.0
-
-    def test_to_dict_shape(self):
-        with ResourceMonitor(interval=0.01) as monitor:
-            pass
-        spec = monitor.usage.to_dict()
-        assert set(spec) == {"wall_seconds", "cpu_seconds",
-                             "cpu_utilization", "peak_rss_kb",
-                             "mean_rss_kb", "samples"}
+from repro.obs import system_info
 
 
 class TestSystemInfo:

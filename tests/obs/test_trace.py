@@ -165,7 +165,7 @@ class TestZeroOverheadWhenOff:
         assert calls == []
 
     def test_loadtest_off_run_executes_no_tracer_callbacks(
-            self, monkeypatch, tmp_path):
+            self, monkeypatch):
         """The open-loop pacer guards its arrival/late-start emissions
         with ``trace.enabled`` too — a loadtest without --trace must
         execute zero tracer callbacks."""
@@ -179,8 +179,7 @@ class TestZeroOverheadWhenOff:
             trace, "span",
             lambda *args, **kwargs: calls.append(("span", args)))
         assert trace.enabled is False
-        out = str(tmp_path / "sweep.json")
         assert main(["loadtest", "read_heavy", "--rate", "200",
                      "--ops", "5", "--backend", "memory",
-                     "--out", out, "--no-predict"]) == 0
+                     "--no-predict"]) == 0
         assert calls == []

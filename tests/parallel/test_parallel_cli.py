@@ -35,12 +35,11 @@ class TestScale:
     def test_sweep_json(self, capsys):
         assert main(["scale", "--workers", "1", "--json"]) == 0
         out = capsys.readouterr().out
-        document = json.loads(out[out.index("{"):])
-        assert document["schema_version"] == 1
-        assert document["kind"] == "scale_sweep"
+        document = json.loads(out)
+        assert document["command"] == "scale"
         assert document["system"]["python"]
-        assert document["config"]["backend"] == "sqlite"
-        points = document["cells"]
+        assert document["backend"] == "sqlite"
+        points = document["points"]
         assert len(points) == 1
         point = points[0]
         assert point["workers"] == 1

@@ -9,6 +9,7 @@ for a shared SQLite file and for per-worker simulated replicas alike.
 
 from __future__ import annotations
 
+import dataclasses
 import glob
 import os
 
@@ -87,6 +88,17 @@ class TestDeterminism:
         assert sequential.executed_parallel is False
         assert _logical_signature([w.report for w in contended.workers]) \
             == _logical_signature([w.report for w in sequential.workers])
+
+    def test_worker_zero_independent_of_width(self, parallel_database):
+        """Client 0's substream never sees the other processes, so its
+        logical metrics are the same at every sweep width."""
+        signatures = set()
+        for clients in (1, PARAMS.clients):
+            params = dataclasses.replace(PARAMS, clients=clients)
+            report = ParallelRunner(parallel_database, "sqlite", params,
+                                    config=CONFIG).run()
+            signatures.add(_logical_signature([report.workers[0].report]))
+        assert len(signatures) == 1
 
     def test_repeated_runs_identical(self, parallel_database):
         first = ParallelRunner(parallel_database, "sqlite", PARAMS,

@@ -280,13 +280,12 @@ class TestScenarioCommand:
         assert scenario.backend_options["shards"] == 4
 
     def test_loadtest_backend_override_drops_the_presets_engine_options(
-            self, tmp_path):
-        out = str(tmp_path / "sweep.json")
+            self, capsys):
         assert main(["loadtest", "hot_spot", "--backend", "sqlite",
                      "--rate", "200", "--ops", "4", "--seed", "3",
-                     "--out", out]) == 0
-        document = json.loads(open(out).read())
-        assert document["config"]["backend"] == "sqlite"
+                     "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["backend"] == "sqlite"
         assert [cell["backend"] for cell in document["cells"]] == ["sqlite"]
 
 
