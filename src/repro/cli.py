@@ -42,14 +42,11 @@ mappings) instead of the tables; no command writes a file unless a flag
 names one.
 
 ``run``, ``ops``, ``scenario`` and ``loadtest`` accept ``--trace FILE``
-to stream
-per-operation trace records (:mod:`repro.obs.trace`) to a JSONL file; a
-per-name summary lands on stderr after the run.  ``run``, ``ops``,
-``scenario`` and ``loadtest`` accept ``--profile FILE`` to cProfile the
-whole command (:mod:`repro.obs.profiler`): a JSON report of
-per-function cumulative times goes to FILE and the top functions to
-stderr — the tool that shows ``decode_object`` falling off the hot path
-under the lazy record mode (``ocb scenario --lazy``).
+to stream per-operation trace records (:mod:`repro.obs.trace`) to a
+JSONL file.  After the run, stderr gets the record count, each layer's
+share of self time (a layer is a record name's prefix before the first
+dot) and per-name count/total/self/P99.9 rows, all derived from the
+whole file, worker processes' records included.
 """
 
 from __future__ import annotations
@@ -135,10 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "instead of the tables")
     run.add_argument("--trace", default=None, metavar="FILE",
                      help="stream per-operation trace records to a "
-                          "JSONL file (summary on stderr)")
-    run.add_argument("--profile", default=None, metavar="FILE",
-                     help="cProfile the whole command; JSON report to "
-                          "FILE, top functions on stderr")
+                          "JSONL file (per-layer summary on stderr)")
 
     ops = sub.add_parser("ops", help="run the generic operation mix "
                                      "(insert/update/delete/range/scan)")
@@ -157,10 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "instead of the tables")
     ops.add_argument("--trace", default=None, metavar="FILE",
                      help="stream per-operation trace records to a "
-                          "JSONL file (summary on stderr)")
-    ops.add_argument("--profile", default=None, metavar="FILE",
-                     help="cProfile the whole command; JSON report to "
-                          "FILE, top functions on stderr")
+                          "JSONL file (per-layer summary on stderr)")
 
     scenario = sub.add_parser(
         "scenario", help="run a declarative WorkloadMix scenario "
@@ -218,10 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "instead of the tables")
     scenario.add_argument("--trace", default=None, metavar="FILE",
                           help="stream per-operation trace records to a "
-                               "JSONL file (summary on stderr)")
-    scenario.add_argument("--profile", default=None, metavar="FILE",
-                          help="cProfile the whole command; JSON report "
-                               "to FILE, top functions on stderr")
+                               "JSONL file (per-layer summary on stderr)")
 
     multiuser = sub.add_parser(
         "multiuser", help="run CLIENTN clients against one shared engine "
@@ -341,10 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--trace", default=None, metavar="FILE",
                           help="stream per-operation trace records "
                                "(loadgen.arrival / loadgen.late_start "
-                               "spans included) to a JSONL file")
-    loadtest.add_argument("--profile", default=None, metavar="FILE",
-                          help="cProfile the whole command; JSON report "
-                               "to FILE, top functions on stderr")
+                               "events included) to a JSONL file "
+                               "(per-layer summary on stderr)")
 
     tables = sub.add_parser("tables", help="print the paper's parameter tables")
     tables.add_argument("--id", type=int, required=True, choices=(1, 2, 3))
@@ -979,41 +965,30 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
     trace_path = getattr(args, "trace", None)
     if trace_path:
         from repro.obs import trace
-        trace.enable(sink_path=trace_path)
-    profile_path = getattr(args, "profile", None)
-    if profile_path:
-        from repro.obs import profiler
-        # Started last / stopped first, so the profile covers exactly
-        # the command body and none of the trace bookkeeping below.
-        profiler.enable()
+        trace.enable(trace_path)
     try:
         return _dispatch_command(parser, args)
     finally:
-        if profile_path:
-            report = profiler.disable()
-            if report is not None:
-                profiler.write_json(report, profile_path)
-                print(f"profile: {len(report.functions)} functions, "
-                      f"total {report.total_seconds:.3f} s "
-                      f"-> {profile_path}", file=sys.stderr)
-                for name, ncalls, tottime, cumtime \
-                        in profiler.summary(report):
-                    print(f"profile: {name}: {ncalls} x, "
-                          f"self {tottime * 1e3:.1f} ms, "
-                          f"cumulative {cumtime * 1e3:.1f} ms",
-                          file=sys.stderr)
         if trace_path:
-            collector = trace.disable()
-            if collector is not None:
-                print(f"trace: {collector.total} records -> {trace_path} "
-                      f"({collector.dropped} beyond the ring buffer)",
-                      file=sys.stderr)
-                for name, count, total, mean, p999 \
-                        in trace.summary(collector):
-                    print(f"trace: {name}: {count} x, "
-                          f"total {total * 1e3:.1f} ms, "
-                          f"mean {mean * 1e3:.3f} ms, "
-                          f"P99.9 {p999 * 1e3:.3f} ms", file=sys.stderr)
+            trace.disable()
+            _print_trace_summary(trace_path)
+
+
+def _print_trace_summary(path: str) -> None:
+    """The per-layer self-time table, then the per-name rows, on stderr."""
+    from repro.obs import trace
+    summary = trace.summary(path)
+    print(f"trace: {summary.records} records, "
+          f"{summary.root_ns / 1e6:.1f} ms in root records -> {path}",
+          file=sys.stderr)
+    for layer, share in summary.layers:
+        print(f"trace: layer {layer:<10} {share:5.1f}% self",
+              file=sys.stderr)
+    for row in summary.rows:
+        print(f"trace: {row.name}: {row.count} x, "
+              f"total {row.total * 1e3:.1f} ms, "
+              f"self {row.self_time * 1e3:.1f} ms, "
+              f"P99.9 {row.p999 * 1e3:.3f} ms", file=sys.stderr)
 
 
 def _dispatch_command(parser: argparse.ArgumentParser,

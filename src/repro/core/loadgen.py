@@ -40,6 +40,7 @@ from repro.core.scenario import (
     ScenarioCollector,
     ScenarioReport,
     ScenarioRunner,
+    phase_span,
 )
 from repro.errors import ParameterError
 from repro.obs import trace
@@ -158,11 +159,13 @@ def pace(offsets: Sequence[float], execute: Callable[[int], None],
         completed = clock()
         late = latency.record(intended, started, completed)
         if trace.enabled:
-            trace.emit("loadgen.arrival", slept, op=index, late=late,
-                       backlog=backlog)
+            # Zero-length events: the amounts end before emission, so a
+            # span of that length would enclose the operation it follows.
+            trace.emit("loadgen.arrival", op=index, late=late,
+                       backlog=backlog, slept_ms=slept * 1e3)
             if late:
-                trace.emit("loadgen.late_start", started - intended,
-                           op=index, backlog=backlog)
+                trace.emit("loadgen.late_start", op=index, backlog=backlog,
+                           late_ms=(started - intended) * 1e3)
         if observe is not None:
             observe(index, late, backlog)
     return clock() - epoch
@@ -261,13 +264,7 @@ class OpenLoopRunner:
         cold = [ScenarioCollector("cold") for _ in executors]
         warm = [ScenarioCollector("warm") for _ in executors]
         started = self._clock()
-        if trace.enabled:
-            with trace.span("scenario.phase", phase="cold",
-                            scenario=scenario.mix.name):
-                for _ in range(scenario.cold_ops):
-                    for executor, collector in zip(executors, cold):
-                        executor.step(collector)
-        else:
+        with phase_span("cold", scenario.mix.name):
             for _ in range(scenario.cold_ops):
                 for executor, collector in zip(executors, cold):
                     executor.step(collector)

@@ -63,6 +63,7 @@ could not express — partition the object space by client
 from __future__ import annotations
 
 import bisect
+import contextlib
 import copy
 import json
 import time
@@ -70,6 +71,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import (
     Callable,
+    ContextManager,
     Dict,
     List,
     Mapping,
@@ -1436,6 +1438,13 @@ class ClientExecutor:
 # The runner
 # ---------------------------------------------------------------------- #
 
+def phase_span(phase: str, scenario: str) -> ContextManager[None]:
+    """A ``scenario.phase`` trace span when tracing is on, else a no-op."""
+    if trace.enabled:
+        return trace.span("scenario.phase", phase=phase, scenario=scenario)
+    return contextlib.nullcontext()
+
+
 class ScenarioRunner:
     """Executes a :class:`Scenario` — in-process or as OS processes.
 
@@ -1507,24 +1516,12 @@ class ScenarioRunner:
         cold = [ScenarioCollector("cold") for _ in executors]
         warm = [ScenarioCollector("warm") for _ in executors]
         started = time.perf_counter()
-        if trace.enabled:
-            with trace.span("scenario.phase", phase="cold",
-                            scenario=self.mix.name):
-                for _ in range(scenario.cold_ops):
-                    for executor, collector in zip(executors, cold):
+        for phase, ops, collectors in (("cold", scenario.cold_ops, cold),
+                                       ("warm", scenario.warm_ops, warm)):
+            with phase_span(phase, self.mix.name):
+                for _ in range(ops):
+                    for executor, collector in zip(executors, collectors):
                         executor.step(collector)
-            with trace.span("scenario.phase", phase="warm",
-                            scenario=self.mix.name):
-                for _ in range(scenario.warm_ops):
-                    for executor, collector in zip(executors, warm):
-                        executor.step(collector)
-        else:
-            for _ in range(scenario.cold_ops):
-                for executor, collector in zip(executors, cold):
-                    executor.step(collector)
-            for _ in range(scenario.warm_ops):
-                for executor, collector in zip(executors, warm):
-                    executor.step(collector)
         elapsed = time.perf_counter() - started
         clients = [
             ClientScenarioReport(

@@ -86,7 +86,10 @@ class Measurement:
         self.wall = time.perf_counter() - self._start
         self.delta = self._store.snapshot() - self._before
         if trace.enabled:
-            trace.emit("session.measure", self.wall,
+            # The record ends at emission, so report the time up to now
+            # (snapshot included): the record then starts where the
+            # measurement did and encloses every record emitted inside.
+            trace.emit("session.measure", time.perf_counter() - self._start,
                        io_reads=self.delta.io_reads,
                        io_writes=self.delta.io_writes)
 

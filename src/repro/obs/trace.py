@@ -1,4 +1,4 @@
-"""Lightweight per-operation tracing: spans, events, a ring buffer, JSONL.
+"""Per-operation tracing: timed records in a JSONL file, self time by layer.
 
 The tracer answers the question every benchmark report leaves open:
 *where did the wall time actually go* — record decode vs SQL round trip
@@ -28,43 +28,51 @@ Two emission styles
 -------------------
 
 * :func:`emit` — post-hoc: the caller already measured the wall time
-  (usually through :class:`~repro.core.session.Measurement`) and
-  reports it.  The cheap style for hot paths.
+  and reports it; the record ends at the emission instant and starts
+  that wall time earlier, so the caller should measure up to the
+  emission.  The cheap style for hot paths.  With the default wall of
+  zero it is an instantaneous event.
 * :func:`span` — a context manager for structural sections (a protocol
-  phase, one scenario operation, worker setup): it times the body and
-  tracks nesting depth, so records emitted inside carry ``depth + 1``
-  and a JSONL trace reconstructs the call tree.
+  phase, one scenario operation): it times the body.
 
-Collection
-----------
+The file is the store
+---------------------
 
-:func:`enable` installs a ring-buffered :class:`TraceCollector`
-(bounded memory, oldest records dropped) and, optionally, a
-:class:`JsonlSink` that appends every record to a file as one JSON
-object per line — the ``--trace FILE`` flag of the CLI.  :func:`summary`
-folds the collector into per-name count/total/mean rows.
+:func:`enable` truncates the trace file once, in the process that turns
+tracing on; every record is then appended as one JSON line
+``{"name", "pid", "start_ns", "end_ns", "attrs"}`` by a single
+``write()`` on an append-mode descriptor, so forked worker processes
+that inherit it cannot tear or interleave lines.  Nothing is kept in
+memory.
+
+:func:`spans` streams a file back and gives each record its parent: the
+innermost record of the same pid whose interval contains it.  A record's
+self time is its duration minus its children's, so the self times of a
+pid sum exactly to the duration of its root records.  :func:`summary`
+folds that into per-name rows and per-layer self shares, a record's
+layer being the part of its name before the first dot.
 """
 
 from __future__ import annotations
 
 import json
-import threading
+import os
 import time
-from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+
+from repro.obs.latency import LatencyHistogram
 
 __all__ = [
     "enabled",
-    "TraceRecord",
-    "TraceCollector",
-    "JsonlSink",
     "enable",
     "disable",
     "emit",
     "span",
-    "active_collector",
+    "Span",
+    "spans",
+    "Row",
+    "Summary",
     "summary",
 ]
 
@@ -72,161 +80,37 @@ __all__ = [
 #: tracer.  Toggled only by :func:`enable` / :func:`disable`.
 enabled = False
 
-#: Default ring-buffer capacity (records, not bytes).
-DEFAULT_CAPACITY = 4096
+_fd: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One completed span or event."""
-
-    name: str
-    #: Wall-clock duration in seconds (0.0 for instantaneous events).
-    wall_seconds: float
-    #: Nesting depth at emission time (0 = top level).
-    depth: int
-    #: ``time.time()`` at emission — wall timestamps order a JSONL file.
-    timestamp: float
-    attrs: Dict[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        """JSON-ready mapping (the JSONL line format)."""
-        return {
-            "name": self.name,
-            "wall_ms": self.wall_seconds * 1e3,
-            "depth": self.depth,
-            "ts": self.timestamp,
-            "attrs": self.attrs,
-        }
-
-    @classmethod
-    def from_dict(cls, spec: Dict[str, object]) -> "TraceRecord":
-        """Rebuild from a JSONL line's mapping."""
-        return cls(name=str(spec["name"]),
-                   wall_seconds=float(spec["wall_ms"]) / 1e3,  # type: ignore
-                   depth=int(spec["depth"]),  # type: ignore
-                   timestamp=float(spec["ts"]),  # type: ignore
-                   attrs=dict(spec.get("attrs") or {}))  # type: ignore
-
-
-class TraceCollector:
-    """A bounded, thread-safe ring buffer of :class:`TraceRecord`.
-
-    ``capacity`` bounds memory: the collector keeps the newest records
-    and counts what it dropped (``dropped``), so a million-operation run
-    with tracing on cannot exhaust memory — the JSONL sink is the
-    unbounded archive, the ring buffer the live window.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._records: "deque[TraceRecord]" = deque(maxlen=capacity)
-        self._lock = threading.Lock()
-        self.total = 0
-
-    def record(self, record: TraceRecord) -> None:
-        """Append one record (oldest evicted beyond capacity)."""
-        with self._lock:
-            self._records.append(record)
-            self.total += 1
-
-    @property
-    def dropped(self) -> int:
-        """Records evicted by the ring buffer."""
-        return max(0, self.total - len(self._records))
-
-    def records(self) -> List[TraceRecord]:
-        """A snapshot of the buffered records, oldest first."""
-        with self._lock:
-            return list(self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-
-class JsonlSink:
-    """Appends every record to *path*, one JSON object per line."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._handle = open(path, "a", encoding="utf-8")
-        self._lock = threading.Lock()
-        self.written = 0
-
-    def write(self, record: TraceRecord) -> None:
-        """Serialize one record as a JSONL line."""
-        line = json.dumps(record.to_dict(), sort_keys=True)
-        with self._lock:
-            self._handle.write(line + "\n")
-            self.written += 1
-
-    def close(self) -> None:
-        """Flush and release the file handle."""
-        with self._lock:
-            self._handle.close()
-
-
-def read_jsonl(path: str) -> List[TraceRecord]:
-    """Parse a JSONL trace file back into records."""
-    records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(TraceRecord.from_dict(json.loads(line)))
-    return records
-
-
-# ---------------------------------------------------------------------- #
-# Module state
-# ---------------------------------------------------------------------- #
-
-_collector: Optional[TraceCollector] = None
-_sink: Optional[JsonlSink] = None
-_local = threading.local()
-
-
-def _depth() -> int:
-    return getattr(_local, "depth", 0)
-
-
-def enable(collector: Optional[TraceCollector] = None,
-           sink_path: Optional[str] = None) -> TraceCollector:
-    """Turn tracing on; returns the active collector.
-
-    Re-enabling replaces the collector and sink (the previous sink is
-    closed).  ``sink_path`` additionally streams every record to a JSONL
-    file.
-    """
-    global enabled, _collector, _sink
-    if _sink is not None:
-        _sink.close()
-    _collector = collector or TraceCollector()
-    _sink = JsonlSink(sink_path) if sink_path else None
+def enable(path: str) -> None:
+    """Truncate *path* and append every record to it from now on."""
+    global enabled, _fd
+    disable()
+    _fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_APPEND,
+                  0o644)
     enabled = True
-    return _collector
 
 
-def disable() -> Optional[TraceCollector]:
-    """Turn tracing off; returns the collector that was active."""
-    global enabled, _collector, _sink
+def disable() -> None:
+    """Turn tracing off and close the trace file."""
+    global enabled, _fd
     enabled = False
-    collector, _collector = _collector, None
-    if _sink is not None:
-        _sink.close()
-        _sink = None
-    return collector
+    if _fd is not None:
+        os.close(_fd)
+        _fd = None
 
 
-def active_collector() -> Optional[TraceCollector]:
-    """The collector records are flowing into (``None`` when off)."""
-    return _collector
+def _write(name: str, start_ns: int, end_ns: int,
+           attrs: Dict[str, object]) -> None:
+    line = json.dumps({"name": name, "pid": os.getpid(),
+                       "start_ns": start_ns, "end_ns": end_ns,
+                       "attrs": attrs}, sort_keys=True) + "\n"
+    os.write(_fd, line.encode("utf-8"))  # type: ignore[arg-type]
 
 
 def emit(name: str, wall_seconds: float = 0.0, **attrs: object) -> None:
-    """Record one already-measured span (or an instantaneous event).
+    """Record a section that ended now and lasted *wall_seconds*.
 
     Callers on hot paths must guard with ``if trace.enabled:`` — this
     function also no-ops when tracing is off, but the guard is what
@@ -234,65 +118,120 @@ def emit(name: str, wall_seconds: float = 0.0, **attrs: object) -> None:
     """
     if not enabled:
         return
-    record = TraceRecord(name=name, wall_seconds=wall_seconds,
-                         depth=_depth(), timestamp=time.time(),
-                         attrs=attrs)
-    if _collector is not None:
-        _collector.record(record)
-    if _sink is not None:
-        _sink.write(record)
+    end = time.perf_counter_ns()
+    _write(name, end - int(wall_seconds * 1e9), end, attrs)
 
 
 @contextmanager
 def span(name: str, **attrs: object) -> Iterator[None]:
-    """Time a structural section; nested emissions carry ``depth + 1``.
-
-    The record is emitted on exit with the measured wall time and the
-    depth the span was *entered* at, so a JSONL file reconstructs the
-    call tree by depth.
-    """
+    """Time the body as one record (written when the body exits)."""
     if not enabled:
         yield
         return
-    entered = _depth()
-    _local.depth = entered + 1
-    start = time.perf_counter()
+    start = time.perf_counter_ns()
     try:
         yield
     finally:
-        wall = time.perf_counter() - start
-        _local.depth = entered
-        record = TraceRecord(name=name, wall_seconds=wall, depth=entered,
-                             timestamp=time.time(), attrs=attrs)
-        if _collector is not None:
-            _collector.record(record)
-        if _sink is not None:
-            _sink.write(record)
+        _write(name, start, time.perf_counter_ns(), attrs)
 
 
-def summary(collector: Optional[TraceCollector] = None
-            ) -> List[Tuple[str, int, float, float, float]]:
-    """Per-name ``(name, count, total_seconds, mean_seconds,
-    p999_seconds)`` rows.
+class Span(NamedTuple):
+    """One record of a trace file, placed in its pid's call tree."""
 
-    Sorted by total wall time, descending — the "where did the time go"
-    decomposition of a traced run.  The P99.9 column folds each name's
-    durations through a bounded log-bucketed histogram (relative error
-    <= 1 %), so a stall that one mean would average away still shows.
+    name: str
+    pid: int
+    start_ns: int
+    end_ns: int
+    attrs: Dict[str, object]
+    #: Duration minus the durations of the direct children.
+    self_ns: int
+    #: The enclosing record's name (``None`` for a root).
+    parent: Optional[str] = None
+
+
+def spans(path: str) -> Iterator[Span]:
+    """Stream *path*, yielding every record with its parent and self time.
+
+    A process writes each record the moment it ends, so a pid's lines
+    arrive in end order and every child precedes its parent.  Each pid
+    keeps a stack of records still waiting for a parent; a new record
+    adopts the waiting records that start at or after its own start.
+    Records are yielded once their parent is known, so the order is not
+    the file's, and memory holds only the records still waiting.
     """
-    collector = collector or _collector
-    if collector is None:
-        return []
-    from repro.obs.latency import LatencyHistogram
-    totals: Dict[str, Tuple[int, float, LatencyHistogram]] = {}
-    for record in collector.records():
-        count, total, histogram = totals.get(
-            record.name, (0, 0.0, LatencyHistogram()))
-        histogram.record(record.wall_seconds)
-        totals[record.name] = (count + 1, total + record.wall_seconds,
-                               histogram)
-    rows = [(name, count, total, total / count if count else 0.0,
-             histogram.percentile(99.9))
-            for name, (count, total, histogram) in totals.items()]
-    rows.sort(key=lambda row: row[2], reverse=True)
-    return rows
+    waiting: Dict[int, List[Span]] = {}
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            if not line.strip():
+                continue
+            raw = json.loads(line)
+            name, pid = raw["name"], raw["pid"]
+            start, end = raw["start_ns"], raw["end_ns"]
+            stack = waiting.setdefault(pid, [])
+            children = 0
+            if end > start:
+                while stack and stack[-1].start_ns >= start:
+                    child = stack.pop()
+                    children += child.end_ns - child.start_ns
+                    yield child._replace(parent=name)
+            stack.append(Span(name, pid, start, end, raw["attrs"],
+                              end - start - children))
+    for stack in waiting.values():
+        yield from stack
+
+
+class Row(NamedTuple):
+    """Per-name totals of a trace, in seconds."""
+
+    name: str
+    count: int
+    total: float
+    self_time: float
+    p999: float
+
+
+class Summary(NamedTuple):
+    """What :func:`summary` derives from one trace file."""
+
+    records: int
+    #: Summed duration of the root records, over every pid.
+    root_ns: int
+    #: Per-name rows, largest total first (enclosing records lead).
+    rows: List[Row]
+    #: Layer -> percent of ``root_ns`` spent in that layer's own code,
+    #: largest first; the shares sum to 100.
+    layers: List[Tuple[str, float]]
+
+
+def summary(path: str) -> Summary:
+    """Per-name count/total/self/P99.9 rows and per-layer self shares.
+
+    The P99.9 column folds each name's durations through a bounded
+    log-bucketed histogram (relative error <= 1 %), so a stall that a
+    mean would average away still shows.
+    """
+    records = root_ns = 0
+    totals: Dict[str, List[int]] = {}
+    histograms: Dict[str, LatencyHistogram] = {}
+    layer_ns: Dict[str, int] = {}
+    for record in spans(path):
+        records += 1
+        duration = record.end_ns - record.start_ns
+        if record.parent is None:
+            root_ns += duration
+        entry = totals.setdefault(record.name, [0, 0, 0])
+        entry[0] += 1
+        entry[1] += duration
+        entry[2] += record.self_ns
+        histograms.setdefault(record.name, LatencyHistogram()).record(
+            duration / 1e9)
+        layer = record.name.split(".", 1)[0]
+        layer_ns[layer] = layer_ns.get(layer, 0) + record.self_ns
+    rows = [Row(name, count, total / 1e9, own / 1e9,
+                histograms[name].percentile(99.9))
+            for name, (count, total, own) in totals.items()]
+    rows.sort(key=lambda row: row.total, reverse=True)
+    layers = [(layer, 100.0 * own / root_ns if root_ns else 0.0)
+              for layer, own in layer_ns.items()]
+    layers.sort(key=lambda item: item[1], reverse=True)
+    return Summary(records, root_ns, rows, layers)

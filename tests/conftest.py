@@ -15,6 +15,12 @@ from repro.rand.lewis_payne import LewisPayne
 from repro.store.storage import ObjectStore, StoreConfig
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a paper-scale run that takes seconds, not "
+                   "milliseconds (still part of the default run)")
+
+
 @pytest.fixture(scope="session")
 def small_db_params() -> DatabaseParameters:
     """A 300-object, 8-class database — fast but structurally rich."""
