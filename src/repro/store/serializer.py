@@ -27,15 +27,22 @@ Record layout (little endian)::
 The serializer is pure and stateless: ``decode(encode(r)) == r`` for every
 valid record, a property the test-suite checks with Hypothesis.
 
-Two decode strategies share the wire format:
+Three decoders share the wire format:
 
-* :func:`decode_object` materializes an eager :class:`StoredObject`,
-  unpacking the ref vector in one precompiled ``struct`` call and the
-  back refs with ``Struct.iter_unpack`` over a ``memoryview`` slice.  The
-  record is built directly rather than through ``__post_init__``: the
+* :func:`decode_object` returns a :class:`StoredObject`.  It unpacks the
+  header and the ref vector, each in one precompiled ``struct`` call, and
+  builds the record directly rather than through ``__post_init__``: the
   wire format already guarantees tuples and non-negative ``cid`` /
-  ``filler``, so only ``oid >= 1`` is checked explicitly.  No step runs
-  a per-element Python loop unless the ref vector holds a NULL;
+  ``filler``, so only ``oid >= 1`` is checked explicitly.  The back-ref
+  vector is deferred when the source is a whole immutable ``bytes`` blob
+  (what SQLite and the paged store hand back): the record keeps the blob,
+  the vector's position and its count, and unpacks the pairs with
+  ``Struct.iter_unpack`` on the first read of ``back_refs``.  A forward
+  traversal (Table 2's default mix) never reads them.  A ``bytearray``,
+  a ``memoryview`` or an offset into a larger buffer is decoded eagerly,
+  so a later write to that buffer cannot change a record already
+  returned.  No step runs a per-element Python loop unless the ref vector
+  holds a NULL;
 * :func:`decode_object_lazy` returns a zero-copy :class:`LazyStoredObject`
   over a ``memoryview`` — the 22-byte header is parsed up front (so
   corruption still surfaces at read time) but ``refs``, ``back_refs`` and
@@ -91,6 +98,14 @@ class StoredObject:
     ``refs[i] is None`` encodes the paper's NIL reference.  ``back_refs``
     are *(source oid, reference index)* pairs.  ``filler`` is the number of
     payload bytes — the OCB ``InstanceSize``.
+
+    ``back_refs`` is a property (installed below the class) over the
+    ``_back_refs`` attribute.  A record :func:`decode_object` built from a
+    ``bytes`` blob holds ``[blob, position, count]`` there — a ``list``
+    marks "still in the blob" — and the first read replaces it with the
+    unpacked tuple.  Equality, ``repr``, ``dataclasses.replace``, copies
+    and pickling all read through the property, so a deferred record
+    behaves exactly like an eager one.
     """
 
     oid: int
@@ -107,7 +122,7 @@ class StoredObject:
         if self.filler < 0:
             raise StorageError(f"filler must be >= 0, got {self.filler}")
         self.refs = tuple(self.refs)
-        self.back_refs = tuple(tuple(pair) for pair in self.back_refs)
+        self._back_refs = tuple(tuple(pair) for pair in self._back_refs)
 
     @property
     def size(self) -> int:
@@ -128,6 +143,27 @@ class StoredObject:
         """Return a copy with replaced reverse references."""
         return StoredObject(self.oid, self.cid, self.refs,
                             tuple(back_refs), self.filler)
+
+
+def _get_back_refs(record: StoredObject) -> Tuple[Tuple[int, int], ...]:
+    back_refs = record._back_refs
+    if back_refs.__class__ is list:
+        back_refs = record._back_refs = _unpack_back_refs(*back_refs)
+    return back_refs
+
+
+def _set_back_refs(record: StoredObject, back_refs) -> None:
+    # A list would read as "still in the blob"; store a tuple instead.
+    record._back_refs = tuple(back_refs)
+
+
+# Installed after ``@dataclass`` so the field keeps its default and its
+# place in ``__init__``/``__eq__``/``__repr__``, while only reads of
+# ``back_refs`` pay for the descriptor: the other fields stay plain
+# instance attributes (a class-level ``__getattr__`` would slow them all).
+StoredObject.back_refs = property(  # type: ignore[assignment]
+    _get_back_refs, _set_back_refs,
+    doc="Reverse references, unpacked from the blob on first read.")
 
 
 class LazyStoredObject:
@@ -266,7 +302,7 @@ def _unpack_refs(data, pos: int, nref: int) -> Tuple[Optional[int], ...]:
     """
     refs = _ref_vector(nref).unpack_from(data, pos)
     if 0 in refs:
-        return tuple(None if ref == 0 else ref for ref in refs)
+        return tuple([None if ref == 0 else ref for ref in refs])
     return refs
 
 
@@ -279,7 +315,11 @@ def _unpack_back_refs(data, pos: int, nback: int) -> Tuple[Tuple[int, int], ...]
 
 
 def decode_object(data, offset: int = 0) -> StoredObject:
-    """Deserialize one record from *data* starting at *offset*."""
+    """Deserialize one record from *data* starting at *offset*.
+
+    The back refs of a whole ``bytes`` *data* stay in it until first read
+    (see :class:`StoredObject`); any other source is decoded in full.
+    """
     try:
         magic, oid, cid, nref, nback, filler = _HEADER.unpack_from(data, offset)
     except struct.error as exc:
@@ -300,7 +340,14 @@ def decode_object(data, offset: int = 0) -> StoredObject:
     record.oid = oid
     record.cid = cid
     record.refs = _unpack_refs(data, pos, nref)
-    record.back_refs = _unpack_back_refs(data, back, nback)
+    if not nback:
+        record._back_refs = ()
+    elif offset or data.__class__ is not bytes:
+        # Only a whole immutable blob may be kept: a later write to a
+        # mutable or shared buffer must not change this record.
+        record._back_refs = _unpack_back_refs(data, back, nback)
+    else:
+        record._back_refs = [data, back, nback]
     record.filler = filler
     return record
 
@@ -334,7 +381,7 @@ def decode_refs(data, offset: int = 0) -> Tuple[int, ...]:
         raise StorageError(
             f"truncated object body for oid {oid} at offset {offset}") from exc
     if 0 in refs:
-        return tuple(ref for ref in refs if ref)
+        return tuple([ref for ref in refs if ref])
     return refs
 
 
