@@ -92,8 +92,8 @@ class Backend(abc.ABC):
         self.object_accesses = 0
         #: Records fully decoded from their byte form on a read path.
         self.records_decoded = 0
-        #: Records (or frontier answers) served *without* a full decode —
-        #: lazy header-only reads and structure-only traversal answers.
+        #: Frontier answers served *without* a full decode — the
+        #: structure-only answers of :meth:`traverse_refs_many`.
         self.decodes_avoided = 0
         self.clock = SimClock()
         self.cost_model = CostModel()
@@ -112,17 +112,14 @@ class Backend(abc.ABC):
         """
 
     @abc.abstractmethod
-    def read_object(self, oid: int, lazy: bool = False) -> StoredObject:
+    def read_object(self, oid: int) -> StoredObject:
         """Fetch one object; raise :class:`~repro.errors.UnknownObject`
         if *oid* is not stored.
 
-        With ``lazy=True`` an engine that stores encoded records may
-        return a zero-copy
-        :class:`~repro.store.serializer.LazyStoredObject` (header parsed,
-        refs/back-refs deferred) and count it under
-        :attr:`decodes_avoided`.  Engines without a byte-level
-        representation ignore the flag — the record they hand back is
-        already the cheapest form they have.
+        An engine that stores encoded records decodes through
+        :func:`~repro.store.serializer.decode_object`, which leaves the
+        reference vectors in the blob until first read, and counts the
+        record under :attr:`records_decoded`.
         """
 
     @abc.abstractmethod
@@ -139,8 +136,7 @@ class Backend(abc.ABC):
 
     # -- batched access (the kernel's hot path) ------------------------- #
 
-    def read_many(self, oids: Sequence[int],
-                  lazy: bool = False) -> Dict[int, StoredObject]:
+    def read_many(self, oids: Sequence[int]) -> Dict[int, StoredObject]:
         """Fetch a batch of objects, keyed by oid.
 
         Duplicate oids are fetched once.  Raises
@@ -148,13 +144,12 @@ class Backend(abc.ABC):
         The fallback loops over :meth:`read_object` (in first-occurrence
         order, so cost accounting matches a hand-written loop); engines
         with a set-oriented access path override this with one query per
-        batch and set :attr:`supports_batched_reads`.  ``lazy`` has the
-        same meaning as on :meth:`read_object`.
+        batch and set :attr:`supports_batched_reads`.
         """
         records: Dict[int, StoredObject] = {}
         for oid in oids:
             if oid not in records:
-                records[oid] = self.read_object(oid, lazy=lazy)
+                records[oid] = self.read_object(oid)
         return records
 
     def write_many(self, records: Sequence[StoredObject]) -> None:

@@ -46,10 +46,7 @@ class MemoryBackend(Backend):
         self._objects = {record.oid: record for record in sequence}
         return len(self._objects)
 
-    def read_object(self, oid: int, lazy: bool = False) -> StoredObject:
-        # ``lazy`` is accepted for surface compatibility but meaningless
-        # here: the dict already holds decoded records, so there is no
-        # decode to defer (and none to count).
+    def read_object(self, oid: int) -> StoredObject:
         try:
             record = self._objects[oid]
         except KeyError:

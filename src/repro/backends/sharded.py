@@ -202,23 +202,21 @@ class ShardedSQLiteBackend(Backend):
             units += self._engines[shard].bulk_load(partitions[shard])
         return units
 
-    def read_object(self, oid: int, lazy: bool = False) -> StoredObject:
+    def read_object(self, oid: int) -> StoredObject:
         shard = self.shard_of(oid)
-        record = self._engines[shard].read_object(oid, lazy=lazy)
+        record = self._engines[shard].read_object(oid)
         self.object_accesses += 1
         self._count_remote_read(shard)
         return record
 
-    def read_many(self, oids: Sequence[int],
-                  lazy: bool = False) -> Dict[int, StoredObject]:
+    def read_many(self, oids: Sequence[int]) -> Dict[int, StoredObject]:
         """One ``IN``-clause batch per touched shard, home shard first."""
         started = time.perf_counter() if trace.enabled else 0.0
         unique: List[int] = list(dict.fromkeys(oids))
         groups = self._group_by_shard(unique)
         fetched: Dict[int, StoredObject] = {}
         for shard in self._fanout_order(groups):
-            fetched.update(self._engines[shard].read_many(groups[shard],
-                                                          lazy=lazy))
+            fetched.update(self._engines[shard].read_many(groups[shard]))
             self._count_remote_read(shard, len(groups[shard]))
         self.object_accesses += len(unique)
         if trace.enabled:

@@ -200,10 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="MS",
                           help="per-connection busy budget in ms for "
                                "shared storage (default: 5000)")
-    scenario.add_argument("--lazy", action="store_true",
-                          help="serve reads as zero-copy lazy records "
-                               "(identical logical results, no record "
-                               "decode on access)")
     scenario.add_argument("--json", action="store_true",
                           help="emit one machine-readable JSON document "
                                "instead of the tables")
@@ -581,8 +577,6 @@ def _cmd_scenario(args: argparse.Namespace) -> str:
         overrides["warm_ops"] = args.warm
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.lazy:
-        overrides["lazy"] = True
     scenario = _configure_scenario(scenario, args, overrides,
                                    for_processes=args.processes is not None)
 

@@ -497,10 +497,6 @@ class Scenario:
     backend_options: Dict[str, object] = field(default_factory=dict)
     seed: Optional[int] = None
     batch: Optional[bool] = None
-    #: Decode-free read mode: sessions ask the engine for lazy zero-copy
-    #: records (header parsed, refs/back-refs deferred).  Default off so
-    #: goldens and cost accounting stay byte-identical.
-    lazy: bool = False
 
     def __post_init__(self) -> None:
         if self.clients < 1:
@@ -528,8 +524,6 @@ class Scenario:
             spec["seed"] = self.seed
         if self.batch is not None:
             spec["batch"] = self.batch
-        if self.lazy:
-            spec["lazy"] = self.lazy
         return spec
 
     @classmethod
@@ -543,7 +537,7 @@ class Scenario:
             mix = WorkloadMix.from_dict(mix)
         options = dict(spec.pop("backend_options", {}) or {})
         unknown = set(spec) - {"clients", "cold_ops", "warm_ops", "backend",
-                               "seed", "batch", "lazy"}
+                               "seed", "batch"}
         if unknown:
             raise ParameterError(f"unknown Scenario keys {sorted(unknown)}")
         return cls(mix=mix, backend_options=options,
@@ -815,9 +809,9 @@ class ScenarioReport:
     #: Engine-level SQL statements executed (0 for non-SQL backends) —
     #: summed over workers when the scenario ran as processes.
     sql_round_trips: int = 0
-    #: Engine-level decode accounting: records fully decoded from bytes,
-    #: and reads/frontier answers served without a decode (lazy records
-    #: and structure-only traversals).  Summed over workers for processes.
+    #: Engine-level decode accounting: records decoded from bytes, and
+    #: frontier answers served without a decode (structure-only
+    #: traversals).  Summed over workers for processes.
     records_decoded: int = 0
     decodes_avoided: int = 0
     #: Open-loop provenance: the offered arrival rate (ops/s, summed
@@ -1499,8 +1493,7 @@ class ScenarioRunner:
             session = Session(engine, policy=self.policy,
                               tref_table=view.tref_table(),
                               catalog=view.catalog(),
-                              batch=scenario.batch,
-                              lazy=scenario.lazy)
+                              batch=scenario.batch)
             executors.append(ClientExecutor(
                 view, self.mix, session, client_id=client,
                 total_clients=scenario.clients, seed=scenario.seed,
@@ -1589,8 +1582,7 @@ class ScenarioRunner:
         runner = ParallelRunner(
             self.database, scenario.backend, carrier, config=config,
             backend_options=dict(scenario.backend_options),
-            batch=scenario.batch, mix=self.mix,
-            lazy=scenario.lazy)
+            batch=scenario.batch, mix=self.mix)
         parallel_report = runner.run()
         clients = [worker.scenario_report
                    for worker in parallel_report.workers

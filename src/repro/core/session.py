@@ -109,8 +109,7 @@ class Session:
                  policy: Optional[ClusteringPolicy] = None,
                  tref_table: Optional[Mapping[int, Tuple[int, ...]]] = None,
                  catalog: Optional[Mapping[int, int]] = None,
-                 batch: Optional[bool] = None,
-                 lazy: bool = False) -> None:
+                 batch: Optional[bool] = None) -> None:
         self.store = store
         self.policy = policy or NoClustering()
         self._tref_table = dict(tref_table or {})
@@ -120,12 +119,6 @@ class Session:
         self.batch_reads = batch and hasattr(store, "read_many")
         self.batch_writes = self.batch_reads and \
             bool(getattr(store, "supports_batched_writes", False))
-        #: Decode-free read mode: every read asks the engine for a lazy
-        #: zero-copy record (header parsed, refs/back-refs deferred).
-        #: Default off so default-path goldens and cost accounting stay
-        #: byte-identical; engines without a byte representation simply
-        #: ignore the flag.
-        self.lazy = bool(lazy)
         self._prefetched: Dict[int, StoredObject] = {}
 
     # ------------------------------------------------------------------ #
@@ -139,8 +132,7 @@ class Session:
                      policy: Optional[ClusteringPolicy] = None,
                      batch: Optional[bool] = None,
                      backend_options: Optional[dict] = None,
-                     load: bool = True,
-                     lazy: bool = False) -> "Session":
+                     load: bool = True) -> "Session":
         """Build a Session over *store* for a generated *database*.
 
         *store* may be a loaded :class:`ObjectStore`/:class:`Backend`
@@ -170,7 +162,7 @@ class Session:
             store.reset_stats()
         return cls(store, policy=policy,
                    tref_table=database.tref_table(),
-                   catalog=database.catalog(), batch=batch, lazy=lazy)
+                   catalog=database.catalog(), batch=batch)
 
     # ------------------------------------------------------------------ #
     # Catalog lookups (no I/O)
@@ -210,7 +202,7 @@ class Session:
         """
         record = self._prefetched.pop(oid, None) if self.batch_reads else None
         if record is None:
-            record = self._read_object(oid)
+            record = self.store.read_object(oid)
         source_oid = source.oid if source is not None else None
         if source is not None and ref_index is not None:
             if via_back_ref:
@@ -234,20 +226,9 @@ class Session:
         """
         record = self._prefetched.pop(oid, None) if self.batch_reads else None
         if record is None:
-            record = self._read_object(oid)
+            record = self.store.read_object(oid)
         self.policy.observe_access(source_oid, oid, None)
         return record
-
-    def _read_object(self, oid: int) -> StoredObject:
-        """One engine read, lazily decoded when the session is lazy.
-
-        The flag is only *passed* in lazy mode, so default sessions issue
-        the exact call they always have — stub stores in tests (and any
-        engine predating the flag) keep working unchanged.
-        """
-        if self.lazy:
-            return self.store.read_object(oid, lazy=True)
-        return self.store.read_object(oid)
 
     def prefetch(self, oids: Iterable[int]) -> int:
         """Batch-fetch *oids* into the decoded-record cache.
@@ -273,10 +254,7 @@ class Session:
                    if oid not in self._prefetched]
         if not missing:
             return 0
-        if self.lazy:
-            self._prefetched.update(self.store.read_many(missing, lazy=True))
-        else:
-            self._prefetched.update(self.store.read_many(missing))
+        self._prefetched.update(self.store.read_many(missing))
         return len(missing)
 
     def traverse_refs_many(self, oids: Iterable[int]

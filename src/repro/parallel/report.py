@@ -105,8 +105,8 @@ class ParallelReport:
 
     @property
     def decodes_avoided(self) -> int:
-        """Record decodes skipped (lazy reads + structure-only frontier
-        answers), summed over every worker's engine stats."""
+        """Record decodes skipped by structure-only frontier answers,
+        summed over every worker's engine stats."""
         return sum(int((worker.backend_stats or {})
                        .get("decodes_avoided", 0) or 0)
                    for worker in self.workers)

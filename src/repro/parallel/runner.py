@@ -105,8 +105,7 @@ class ParallelRunner:
                  store_config: Optional[StoreConfig] = None,
                  backend_options: Optional[Dict[str, object]] = None,
                  batch: Optional[bool] = None,
-                 mix: "Optional[object]" = None,
-                 lazy: bool = False) -> None:
+                 mix: "Optional[object]" = None) -> None:
         if not isinstance(backend, str):
             raise WorkloadError(
                 "ParallelRunner needs a registered backend name; live "
@@ -125,9 +124,6 @@ class ParallelRunner:
         #: declarative scenario (possibly mutating) instead of the
         #: classic read-only transaction protocol.
         self.mix = mix
-        #: Decode-free reads for every worker's session (``Scenario.lazy``
-        #: threaded across the process boundary).
-        self.lazy = bool(lazy)
         path = self.backend_options.get("path")
         capabilities = _backend_capabilities(self.backend)
         self.shared = ("concurrent" in capabilities and path != ":memory:")
@@ -172,8 +168,7 @@ class ParallelRunner:
                                 mix=self.mix,
                                 home_shard=self._home_shard(client),
                                 rate=rate_share,
-                                arrival_mode=self.config.arrival_mode,
-                                lazy=self.lazy)
+                                arrival_mode=self.config.arrival_mode)
                      for client in range(self.parameters.clients)]
             pool = ProcessPool(
                 processes=self.config.max_workers or len(specs),

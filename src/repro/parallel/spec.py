@@ -132,10 +132,6 @@ class WorkerSpec:
     rate: Optional[float] = None
     #: Arrival process for :attr:`rate`.
     arrival_mode: str = "poisson"
-    #: Decode-free read mode for the worker's session (the scenario
-    #: layer's ``Scenario.lazy`` threaded across the fork); the merged
-    #: ``decodes_avoided`` lands on :attr:`WorkerResult.backend_stats`.
-    lazy: bool = False
 
     def __post_init__(self) -> None:
         if self.client_id < 0:

@@ -57,8 +57,7 @@ def run_worker(spec: WorkerSpec) -> WorkerResult:
         store_config=spec.store_config,
         backend_options=backend_options,
         batch=spec.batch,
-        load=not spec.shared,
-        lazy=spec.lazy)
+        load=not spec.shared)
     if trace.enabled:
         trace.emit("worker.setup", time.perf_counter() - setup_start,
                    client=spec.client_id, shared=spec.shared)

@@ -27,28 +27,23 @@ Record layout (little endian)::
 The serializer is pure and stateless: ``decode(encode(r)) == r`` for every
 valid record, a property the test-suite checks with Hypothesis.
 
-Three decoders share the wire format:
+Two kinds of decoder share the wire format:
 
 * :func:`decode_object` returns a :class:`StoredObject`.  It unpacks the
-  header and the ref vector, each in one precompiled ``struct`` call, and
-  builds the record directly rather than through ``__post_init__``: the
-  wire format already guarantees tuples and non-negative ``cid`` /
-  ``filler``, so only ``oid >= 1`` is checked explicitly.  The back-ref
-  vector is deferred when the source is a whole immutable ``bytes`` blob
-  (what SQLite and the paged store hand back): the record keeps the blob,
-  the vector's position and its count, and unpacks the pairs with
-  ``Struct.iter_unpack`` on the first read of ``back_refs``.  A forward
-  traversal (Table 2's default mix) never reads them.  A ``bytearray``,
-  a ``memoryview`` or an offset into a larger buffer is decoded eagerly,
-  so a later write to that buffer cannot change a record already
-  returned.  No step runs a per-element Python loop unless the ref vector
-  holds a NULL;
-* :func:`decode_object_lazy` returns a zero-copy :class:`LazyStoredObject`
-  over a ``memoryview`` — the 22-byte header is parsed up front (so
-  corruption still surfaces at read time) but ``refs``, ``back_refs`` and
-  ``size`` are only unpacked on first property access.  Scan-style
-  operations that never touch the reference vector therefore never pay
-  for decoding it.
+  header in one precompiled ``struct`` call and runs every check there —
+  magic, body length and ``oid >= 1`` — so a corrupt record fails at read
+  time.  The record is built directly rather than through
+  ``__post_init__``: the wire format already guarantees non-negative
+  ``cid`` / ``filler``.  When the source is a whole immutable ``bytes``
+  blob (what SQLite and the paged store hand back), both reference
+  vectors stay in it: the record keeps the blob, each vector's position
+  and its count, and unpacks a vector on the first read of ``refs`` or
+  ``back_refs``.  The leaves of a traversal never read their ``refs``,
+  and a forward traversal (Table 2's default mix) never reads
+  ``back_refs``.  A ``bytearray``, a ``memoryview`` or an offset into a
+  larger buffer is decoded in full, so a later write to that buffer
+  cannot change a record already returned.  No step runs a per-element
+  Python loop unless the ref vector holds a NULL;
 * :func:`decode_refs` skips record construction entirely and returns just
   the non-null reference vector — the structure-only decode batched
   frontier expansion (``traverse_refs_many``) runs on;
@@ -65,12 +60,11 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import starmap
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from repro.errors import StorageError
 
-__all__ = ["StoredObject", "LazyStoredObject", "encode_object",
-           "decode_object", "decode_object_lazy", "decode_refs",
+__all__ = ["StoredObject", "encode_object", "decode_object", "decode_refs",
            "decode_ref_slots", "encoded_size",
            "HEADER_SIZE", "REF_SIZE", "BACKREF_SIZE", "MAGIC"]
 
@@ -99,13 +93,14 @@ class StoredObject:
     are *(source oid, reference index)* pairs.  ``filler`` is the number of
     payload bytes — the OCB ``InstanceSize``.
 
-    ``back_refs`` is a property (installed below the class) over the
-    ``_back_refs`` attribute.  A record :func:`decode_object` built from a
-    ``bytes`` blob holds ``[blob, position, count]`` there — a ``list``
-    marks "still in the blob" — and the first read replaces it with the
-    unpacked tuple.  Equality, ``repr``, ``dataclasses.replace``, copies
-    and pickling all read through the property, so a deferred record
-    behaves exactly like an eager one.
+    ``refs`` and ``back_refs`` are properties (installed below the class)
+    over the ``_refs`` and ``_back_refs`` attributes.  A record
+    :func:`decode_object` built from a ``bytes`` blob holds
+    ``[blob, position, count]`` there — a ``list`` marks "still in the
+    blob" — and the first read replaces it with the unpacked tuple.
+    Equality, ``repr``, ``dataclasses.replace``, copies and pickling all
+    read through the properties, so a deferred record behaves exactly like
+    an eager one.
     """
 
     oid: int
@@ -121,7 +116,6 @@ class StoredObject:
             raise StorageError(f"cid must be >= 0, got {self.cid}")
         if self.filler < 0:
             raise StorageError(f"filler must be >= 0, got {self.filler}")
-        self.refs = tuple(self.refs)
         self._back_refs = tuple(tuple(pair) for pair in self._back_refs)
 
     @property
@@ -145,6 +139,18 @@ class StoredObject:
                             tuple(back_refs), self.filler)
 
 
+def _get_refs(record: StoredObject) -> Tuple[Optional[int], ...]:
+    refs = record._refs
+    if refs.__class__ is list:
+        refs = record._refs = _unpack_refs(*refs)
+    return refs
+
+
+def _set_refs(record: StoredObject, refs) -> None:
+    # A list would read as "still in the blob"; store a tuple instead.
+    record._refs = tuple(refs)
+
+
 def _get_back_refs(record: StoredObject) -> Tuple[Tuple[int, int], ...]:
     back_refs = record._back_refs
     if back_refs.__class__ is list:
@@ -153,120 +159,20 @@ def _get_back_refs(record: StoredObject) -> Tuple[Tuple[int, int], ...]:
 
 
 def _set_back_refs(record: StoredObject, back_refs) -> None:
-    # A list would read as "still in the blob"; store a tuple instead.
     record._back_refs = tuple(back_refs)
 
 
-# Installed after ``@dataclass`` so the field keeps its default and its
-# place in ``__init__``/``__eq__``/``__repr__``, while only reads of
-# ``back_refs`` pay for the descriptor: the other fields stay plain
-# instance attributes (a class-level ``__getattr__`` would slow them all).
+# Installed after ``@dataclass`` so the fields keep their defaults and
+# their places in ``__init__``/``__eq__``/``__repr__``, while only reads of
+# ``refs`` and ``back_refs`` pay for the descriptor: the other fields stay
+# plain instance attributes (a class-level ``__getattr__`` would slow them
+# all).
+StoredObject.refs = property(  # type: ignore[assignment]
+    _get_refs, _set_refs,
+    doc="Forward references, unpacked from the blob on first read.")
 StoredObject.back_refs = property(  # type: ignore[assignment]
     _get_back_refs, _set_back_refs,
     doc="Reverse references, unpacked from the blob on first read.")
-
-
-class LazyStoredObject:
-    """A zero-copy view of one encoded record.
-
-    The header (oid, cid, shape, filler) is parsed eagerly so corrupt
-    records fail at read time exactly like the eager path; ``refs``,
-    ``back_refs`` and everything derived from them are unpacked from the
-    underlying buffer only on first access, then cached.  The instance is
-    equality-comparable with :class:`StoredObject` (and other lazy views),
-    so every call site that only *reads* a record can treat the two
-    interchangeably — a property the test-suite pins with Hypothesis.
-    """
-
-    __slots__ = ("oid", "cid", "filler", "_nref", "_nback", "_buffer",
-                 "_pos", "_refs", "_back_refs")
-
-    def __init__(self, buffer: Union[bytes, memoryview, bytearray],
-                 offset: int = 0) -> None:
-        view = buffer if isinstance(buffer, memoryview) else memoryview(buffer)
-        try:
-            magic, oid, cid, nref, nback, filler = _HEADER.unpack_from(
-                view, offset)
-        except struct.error as exc:
-            raise StorageError(
-                f"truncated object header at offset {offset}") from exc
-        if magic != MAGIC:
-            raise StorageError(
-                f"bad magic 0x{magic:04X} at offset {offset} (corrupt store?)")
-        pos = offset + HEADER_SIZE
-        end = pos + nref * REF_SIZE + nback * BACKREF_SIZE + filler
-        if end > len(view):
-            raise StorageError(
-                f"truncated object body for oid {oid} at offset {offset}")
-        if oid < 1:
-            raise StorageError(
-                f"oid must be >= 1, got {oid} at offset {offset}")
-        self.oid = oid
-        self.cid = cid
-        self.filler = filler
-        self._nref = nref
-        self._nback = nback
-        self._buffer = view
-        self._pos = pos
-        self._refs: Optional[Tuple[Optional[int], ...]] = None
-        self._back_refs: Optional[Tuple[Tuple[int, int], ...]] = None
-
-    @property
-    def refs(self) -> Tuple[Optional[int], ...]:
-        """Forward references, unpacked from the buffer on first access."""
-        if self._refs is None:
-            self._refs = _unpack_refs(self._buffer, self._pos, self._nref)
-        return self._refs
-
-    @property
-    def back_refs(self) -> Tuple[Tuple[int, int], ...]:
-        """Reverse references, unpacked from the buffer on first access."""
-        if self._back_refs is None:
-            self._back_refs = _unpack_back_refs(
-                self._buffer, self._pos + self._nref * REF_SIZE, self._nback)
-        return self._back_refs
-
-    @property
-    def size(self) -> int:
-        """Encoded size in bytes (computed from the header shape alone)."""
-        return encoded_size(self._nref, self._nback, self.filler)
-
-    @property
-    def materialized(self) -> bool:
-        """Whether any lazy field has been unpacked yet."""
-        return self._refs is not None or self._back_refs is not None
-
-    def non_null_refs(self) -> Tuple[int, ...]:
-        """Forward references with NULLs removed."""
-        return tuple(r for r in self.refs if r is not None)
-
-    def materialize(self) -> StoredObject:
-        """Fully decode into an eager, standalone :class:`StoredObject`."""
-        return StoredObject(oid=self.oid, cid=self.cid, refs=self.refs,
-                            back_refs=self.back_refs, filler=self.filler)
-
-    def with_refs(self, refs: Tuple[Optional[int], ...]) -> StoredObject:
-        """Materialize a copy with replaced forward references."""
-        return self.materialize().with_refs(refs)
-
-    def with_back_refs(
-            self, back_refs: Tuple[Tuple[int, int], ...]) -> StoredObject:
-        """Materialize a copy with replaced reverse references."""
-        return self.materialize().with_back_refs(back_refs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (LazyStoredObject, StoredObject)):
-            return (self.oid == other.oid and self.cid == other.cid
-                    and self.filler == other.filler
-                    and self.refs == other.refs
-                    and self.back_refs == other.back_refs)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        state = "materialized" if self.materialized else "lazy"
-        return (f"LazyStoredObject(oid={self.oid}, cid={self.cid}, "
-                f"nref={self._nref}, nback={self._nback}, "
-                f"filler={self.filler}, {state})")
 
 
 def encoded_size(nref: int, nback: int, filler: int) -> int:
@@ -317,8 +223,9 @@ def _unpack_back_refs(data, pos: int, nback: int) -> Tuple[Tuple[int, int], ...]
 def decode_object(data, offset: int = 0) -> StoredObject:
     """Deserialize one record from *data* starting at *offset*.
 
-    The back refs of a whole ``bytes`` *data* stay in it until first read
-    (see :class:`StoredObject`); any other source is decoded in full.
+    Both reference vectors of a whole ``bytes`` *data* stay in it until
+    first read (see :class:`StoredObject`); any other source is decoded in
+    full.  The header, magic, length and oid checks run here either way.
     """
     try:
         magic, oid, cid, nref, nback, filler = _HEADER.unpack_from(data, offset)
@@ -339,22 +246,16 @@ def decode_object(data, offset: int = 0) -> StoredObject:
     record = object.__new__(StoredObject)
     record.oid = oid
     record.cid = cid
-    record.refs = _unpack_refs(data, pos, nref)
-    if not nback:
-        record._back_refs = ()
-    elif offset or data.__class__ is not bytes:
+    if offset or data.__class__ is not bytes:
         # Only a whole immutable blob may be kept: a later write to a
         # mutable or shared buffer must not change this record.
+        record._refs = _unpack_refs(data, pos, nref)
         record._back_refs = _unpack_back_refs(data, back, nback)
     else:
-        record._back_refs = [data, back, nback]
+        record._refs = [data, pos, nref]
+        record._back_refs = [data, back, nback] if nback else ()
     record.filler = filler
     return record
-
-
-def decode_object_lazy(data, offset: int = 0) -> LazyStoredObject:
-    """Deserialize one record lazily: header now, refs/back-refs on demand."""
-    return LazyStoredObject(data, offset)
 
 
 def decode_refs(data, offset: int = 0) -> Tuple[int, ...]:

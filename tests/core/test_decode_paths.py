@@ -1,11 +1,10 @@
-"""Decode-free hot paths end-to-end: structure traversal, lazy sessions,
-decode counters, and the graph_walk preset.
+"""Decode-free hot paths end-to-end: structure traversal, decode
+counters, and the graph_walk preset.
 
-The serializer-level equivalence lives in ``tests/store/test_lazy.py``;
-this module pins the layers above it — that ``structure_traversal``
-operations really decode nothing, that a lazy session changes no
-logical result, and that the counters every engine now reports tell the
-two apart.
+The serializer-level checks live in ``tests/store/``; this module pins
+the layers above it — that ``structure_traversal`` operations really
+decode nothing, and that the counters every engine reports tell a
+structure-only answer from a decoded read.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ from repro.core.scenario import (
     ScenarioRunner,
     WorkloadMix,
 )
-from repro.core.session import Session
-from repro.store.serializer import LazyStoredObject
+from repro.parallel.spec import ParallelConfig
 
 
 def _structure_scenario(**overrides):
@@ -40,6 +38,13 @@ class TestStructureTraversal:
         assert report.decodes_avoided > 0
         rows = {row[0] for row in report.merged_warm.rows()}
         assert "structure_traversal" in rows
+        # Process runs fold every worker's engine counters into the
+        # report (sequential fallback: same specs and worker code, no
+        # fork).
+        runner = ScenarioRunner(small_database,
+                                _structure_scenario(clients=2))
+        report = runner.run_processes(config=ParallelConfig(parallel=False))
+        assert report.decodes_avoided > 0
 
     def test_traversal_decodes_no_records(self, small_database):
         """The warm phase of a structure-only mix must not decode: only
@@ -55,16 +60,14 @@ class TestStructureTraversal:
         assert stats["records_decoded"] == 0
         assert stats["decodes_avoided"] == 40
         assert set(answers) == set(oids)
-        # Decoded and lazy reads answer the same reference sets; only
-        # the decode counters tell the three read modes apart.
-        for lazy, decoded in ((False, 40), (True, 0)):
-            backend.reset_stats()
-            read = backend.read_many(oids, lazy=lazy)
-            assert {oid: read[oid].non_null_refs() for oid in oids} \
-                == answers
-            stats = backend.stats()
-            assert stats["records_decoded"] == decoded
-            assert stats["decodes_avoided"] == 40 - decoded
+        # A decoded read answers the same reference sets; only the
+        # decode counters tell the two read paths apart.
+        backend.reset_stats()
+        read = backend.read_many(oids)
+        assert {oid: read[oid].non_null_refs() for oid in oids} == answers
+        stats = backend.stats()
+        assert stats["records_decoded"] == 40
+        assert stats["decodes_avoided"] == 0
         backend.close()
 
     def test_visits_respect_max_visits(self, small_database):
@@ -88,56 +91,6 @@ class TestStructureTraversal:
         spec = report.to_dict()
         assert spec["decodes_avoided"] == report.decodes_avoided
         assert spec["records_decoded"] == report.records_decoded
-
-
-class TestLazySession:
-    def test_lazy_session_reads_lazy_records(self, small_database):
-        backend = SQLiteBackend()
-        records = small_database.to_records()
-        backend.bulk_load(records.values(), order=sorted(records))
-        session = Session(backend, lazy=True)
-        oid = sorted(records)[0]
-        record = session.access(oid)
-        assert isinstance(record, LazyStoredObject)
-        assert record == records[oid]
-        session.close()
-
-    def test_lazy_scenario_matches_default_logical_metrics(
-            self, small_database):
-        base = _structure_scenario(mix=WorkloadMix(
-            name="mixed_reads", entries=(
-                MixEntry("simple", weight=0.4, depth=2),
-                MixEntry("range_lookup", weight=0.3, range_width=5),
-                MixEntry("sequential_scan", weight=0.3),)))
-        eager = ScenarioRunner(small_database, base).run()
-        lazy = ScenarioRunner(
-            small_database, replace(base, lazy=True)).run()
-        assert lazy.total_operations == eager.total_operations
-        assert lazy.merged_warm.totals.objects \
-            == eager.merged_warm.totals.objects
-        assert eager.records_decoded > 0
-        assert lazy.records_decoded == 0
-        assert lazy.decodes_avoided > 0
-
-    def test_lazy_spec_round_trips(self):
-        scenario = _structure_scenario(lazy=True)
-        spec = scenario.to_dict()
-        assert spec["lazy"] is True
-        assert Scenario.from_dict(spec).lazy is True
-        # Default mode stays byte-identical: the key is simply absent.
-        assert "lazy" not in _structure_scenario().to_dict()
-
-    def test_run_processes_carries_lazy_mode(self, small_database):
-        """Process runs no longer refuse lazy scenarios: the flag rides
-        every WorkerSpec into the worker's session (the fuller coverage
-        lives in ``tests/parallel/test_parallel_runner.py``)."""
-        from repro.parallel.spec import ParallelConfig
-
-        scenario = _structure_scenario(lazy=True, clients=2)
-        runner = ScenarioRunner(small_database, scenario)
-        report = runner.run_processes(config=ParallelConfig(parallel=False))
-        assert report.decodes_avoided > 0
-        assert report.records_decoded == 0
 
 
 class TestGraphWalkPreset:

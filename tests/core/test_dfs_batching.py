@@ -94,7 +94,7 @@ class RecordingStore:
         self._store = store
         self.reads = []
 
-    def read_object(self, oid, lazy=False):
+    def read_object(self, oid):
         self.reads.append(oid)
         return self._store.read_object(oid)
 

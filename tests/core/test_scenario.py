@@ -176,9 +176,11 @@ class TestScenario:
         assert clone == scenario
 
     def test_unknown_spec_keys_rejected(self):
-        # ``pipeline`` selected a removed concurrent BFS mode.
-        for extra in ({"threads": 4}, {"pipeline": True}):
-            with pytest.raises(ParameterError, match="unknown"):
+        # ``pipeline`` selected a removed concurrent BFS mode, ``lazy`` a
+        # removed zero-copy read mode.
+        for extra in ({"threads": 4}, {"pipeline": True}, {"lazy": True}):
+            with pytest.raises(ParameterError,
+                               match=f"unknown .*'{next(iter(extra))}'"):
                 Scenario.from_json(json.dumps(
                     {"mix": {"entries": [{"kind": "set"}]}, **extra}))
 

@@ -17,9 +17,6 @@ import pytest
 
 from repro.core.generation import generate_database
 from repro.core.parameters import DatabaseParameters, WorkloadParameters
-from repro.core.presets import default_database_parameters
-from repro.core.scenario import MixEntry, Scenario, ScenarioRunner, \
-    WorkloadMix
 from repro.errors import WorkloadError
 from repro.multiuser.runner import MultiClientRunner, MultiUserReport
 from repro.parallel import ParallelConfig, ParallelRunner
@@ -310,24 +307,3 @@ class TestParallelReport:
         assert report.busy_retries == \
             sum(worker.busy_retries for worker in report.workers)
         assert report.busy_wait_seconds >= 0.0
-
-
-def test_run_processes_accepts_lazy_scenarios(tmp_path):
-    """Lazy scenarios run as processes: the flag rides the WorkerSpec
-    and the merged report carries the avoided decodes."""
-    database, _ = generate_database(
-        default_database_parameters(scale=0.02, seed=11))
-    scenario = Scenario(
-        mix=WorkloadMix(name="walk", entries=(
-            MixEntry("structure_traversal", weight=1.0, depth=4),)),
-        clients=2, cold_ops=1, warm_ops=6, seed=11, lazy=True,
-        backend="sqlite",
-        backend_options={"path": str(tmp_path / "walk.db"),
-                         "ref_index": True})
-    # Sequential fallback: same specs and worker code path, no fork —
-    # deterministic in CI while still exercising the spec plumbing.
-    report = ScenarioRunner(database, scenario).run_processes(
-        config=ParallelConfig(parallel=False))
-    assert report.decodes_avoided > 0
-    assert report.records_decoded == 0
-    assert report.total_operations == 2 * 7

@@ -62,14 +62,6 @@ class TestWorkerSpec:
         assert clone.database.catalog() == small_database.catalog()
         assert clone.parameters == small_workload
 
-    def test_carries_the_lazy_flag(self):
-        spec = WorkerSpec(client_id=0, database=None, parameters=None,
-                          backend="sqlite")
-        assert spec.lazy is False
-        spec = WorkerSpec(client_id=0, database=None, parameters=None,
-                          backend="sqlite", lazy=True)
-        assert spec.lazy is True
-
 
 class TestWorkerResult:
     def test_transactions_counts_both_phases(self):

@@ -1,8 +1,8 @@
 """Engine-side counters folded into the merged process report.
 
 :class:`ParallelReport` must surface what only the engines saw — the
-record decodes avoided by lazy reads and structure-only frontier
-answers — summed over every worker's engine stats. The concurrent read
+record decodes avoided by structure-only frontier answers — summed over
+every worker's engine stats. The concurrent read
 layer's counters (widest fan-out, pooled wait time) are gone with it.
 """
 

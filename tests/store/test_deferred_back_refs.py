@@ -1,11 +1,12 @@
-"""A decoded record whose back refs are still in its blob.
+"""A decoded record whose reference vectors are still in its blob.
 
-:func:`decode_object` defers the back-ref vector of a record decoded from
-a whole ``bytes`` blob until ``back_refs`` is first read.  Such a record
-must be indistinguishable from an eagerly built :class:`StoredObject`
-wherever a reader looks: equality, copies, pickling, ``repr``,
-re-encoding.  A record decoded from a mutable or shared buffer is
-unpacked at once, so a later write to that buffer cannot change it.
+:func:`decode_object` defers the ref and back-ref vectors of a record
+decoded from a whole ``bytes`` blob until ``refs`` or ``back_refs`` is
+first read.  Such a record must be indistinguishable from an eagerly
+built :class:`StoredObject` wherever a reader looks: equality, copies,
+pickling, ``repr``, re-encoding.  A record decoded from a mutable or
+shared buffer is unpacked at once, so a later write to that buffer
+cannot change it.
 """
 
 from __future__ import annotations
@@ -24,17 +25,17 @@ from repro.store.serializer import (
     REF_SIZE,
     StoredObject,
     decode_object,
-    decode_object_lazy,
     encode_object,
 )
 from repro.store.storage import ObjectStore
 from test_serializer import record_strategy
 
+REFS = (3, None, 5)
 BACK_REFS = ((7, 0), (8, 2))
 
 
 def make_record(**overrides):
-    defaults = dict(oid=1, cid=2, refs=(3, None, 5), back_refs=BACK_REFS,
+    defaults = dict(oid=1, cid=2, refs=REFS, back_refs=BACK_REFS,
                     filler=10)
     defaults.update(overrides)
     return StoredObject(**defaults)
@@ -43,18 +44,27 @@ def make_record(**overrides):
 BLOB = encode_object(make_record())
 
 
-@pytest.fixture
-def unpacks(monkeypatch):
-    """Count the calls to the back-ref kernel."""
+def _spy(monkeypatch, name):
+    """Count the calls to the serializer kernel *name*."""
     calls = []
-    kernel = serializer._unpack_back_refs
+    kernel = getattr(serializer, name)
 
     def spy(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(serializer, "_unpack_back_refs", spy)
+    monkeypatch.setattr(serializer, name, spy)
     return calls
+
+
+@pytest.fixture
+def unpacks(monkeypatch):
+    return _spy(monkeypatch, "_unpack_back_refs")
+
+
+@pytest.fixture
+def ref_unpacks(monkeypatch):
+    return _spy(monkeypatch, "_unpack_refs")
 
 
 class TestFirstRead:
@@ -69,6 +79,17 @@ class TestFirstRead:
         assert record.back_refs is record.back_refs
         assert len(unpacks) == 1
 
+    def test_decode_defers_refs_and_the_first_read_unpacks_once(
+            self, ref_unpacks, unpacks):
+        record = decode_object(BLOB)
+        assert len(ref_unpacks) == 0
+        assert record.refs == REFS
+        assert len(ref_unpacks) == 1
+        assert record.refs is record.refs
+        assert len(ref_unpacks) == 1
+        # The two vectors are unpacked independently.
+        assert len(unpacks) == 0
+
     def test_empty_back_refs_need_no_unpack(self, unpacks):
         record = decode_object(encode_object(make_record(back_refs=())))
         assert record.back_refs == ()
@@ -80,18 +101,25 @@ class TestFirstRead:
         assert record.back_refs == ((9, 1),)
         assert len(unpacks) == 0
 
+    def test_assigning_refs_replaces_the_pending_vector(self, ref_unpacks):
+        record = decode_object(BLOB)
+        record.refs = [9, None]
+        assert record.refs == (9, None)
+        assert len(ref_unpacks) == 0
+
 
 class TestContract:
     @pytest.mark.parametrize("other", [
         lambda: make_record(),
-        lambda: decode_object_lazy(BLOB),
-    ], ids=["eager", "lazy"])
+        lambda: decode_object(BLOB),
+    ], ids=["eager", "decoded"])
     def test_equality_both_ways(self, other):
         assert decode_object(BLOB) == other()
         assert other() == decode_object(BLOB)
-        changed = make_record(back_refs=((7, 0),))
-        assert decode_object(BLOB) != changed
-        assert changed != decode_object(BLOB)
+        for changed in (make_record(back_refs=((7, 0),)),
+                        make_record(refs=(3, None, 6))):
+            assert decode_object(BLOB) != changed
+            assert changed != decode_object(BLOB)
 
     def test_replace_before_the_first_read(self):
         changed = dataclasses.replace(decode_object(BLOB), cid=9)
@@ -100,22 +128,23 @@ class TestContract:
     def test_copy_before_the_first_read(self):
         record = decode_object(BLOB)
         duplicate = copy.copy(record)
-        assert duplicate.back_refs == BACK_REFS
-        assert record.back_refs == BACK_REFS
+        assert (duplicate.refs, duplicate.back_refs) == (REFS, BACK_REFS)
+        assert (record.refs, record.back_refs) == (REFS, BACK_REFS)
         assert duplicate == record == make_record()
 
     def test_pickle_before_the_first_read(self):
         restored = pickle.loads(pickle.dumps(decode_object(BLOB)))
         assert type(restored) is StoredObject
         assert restored == make_record()
-        assert restored.back_refs == BACK_REFS
+        assert (restored.refs, restored.back_refs) == (REFS, BACK_REFS)
 
     def test_repr_before_the_first_read(self):
         assert repr(decode_object(BLOB)) == repr(make_record())
 
-    def test_with_refs(self):
+    def test_with_refs(self, ref_unpacks):
         changed = decode_object(BLOB).with_refs((4, 4, 4))
         assert changed == make_record(refs=(4, 4, 4))
+        assert len(ref_unpacks) == 0
 
     def test_with_back_refs(self, unpacks):
         changed = decode_object(BLOB).with_back_refs(((1, 1),))
@@ -133,17 +162,20 @@ class TestSnapshot:
 
     @pytest.mark.parametrize("wrap", [bytearray, lambda b: memoryview(
         bytearray(b))], ids=["bytearray", "memoryview"])
-    def test_mutable_buffers_are_decoded_eagerly(self, wrap, unpacks):
+    def test_mutable_buffers_are_decoded_eagerly(self, wrap, unpacks,
+                                                 ref_unpacks):
         buffer = wrap(BLOB)
         record = decode_object(buffer)
-        assert len(unpacks) == 1
+        assert (len(ref_unpacks), len(unpacks)) == (1, 1)
+        buffer[HEADER_SIZE:HEADER_SIZE + 8] = (99).to_bytes(8, "little")
         buffer[self.BACK:self.BACK + 8] = (99).to_bytes(8, "little")
+        assert record.refs == REFS
         assert record.back_refs == BACK_REFS
 
-    def test_an_offset_into_a_shared_buffer_is_decoded_eagerly(self,
-                                                               unpacks):
+    def test_an_offset_into_a_shared_buffer_is_decoded_eagerly(
+            self, unpacks, ref_unpacks):
         record = decode_object(b"\x00\x00\x00" + BLOB, 3)
-        assert len(unpacks) == 1
+        assert (len(ref_unpacks), len(unpacks)) == (1, 1)
         assert record == make_record()
 
     def test_a_store_write_on_the_same_page_leaves_a_read_record(self):
@@ -160,6 +192,13 @@ class TestSnapshot:
         assert first.back_refs == BACK_REFS
         assert store.read_object(1) == records[0]
         assert store.read_object(2).back_refs == ((6, 6),)
+        # Nor does a rewrite of the record itself, read fresh from disk.
+        store.drop_caches()
+        first = store.read_object(1)
+        store.write_object(records[0].with_refs((4, 4, 4)))
+        assert store._directory == placement
+        assert first.refs == REFS
+        assert store.read_object(1).refs == (4, 4, 4)
 
 
 @settings(max_examples=100, deadline=None)
@@ -167,5 +206,6 @@ class TestSnapshot:
 def test_back_refs_read_after_a_whole_batch_decodes(records):
     decoded = [decode_object(encode_object(record)) for record in records]
     for record, copy_ in zip(records, decoded):
+        assert copy_.refs == record.refs
         assert copy_.back_refs == record.back_refs
         assert copy_ == record

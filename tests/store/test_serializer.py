@@ -16,7 +16,6 @@ from repro.store.serializer import (
     REF_SIZE,
     StoredObject,
     decode_object,
-    decode_object_lazy,
     decode_ref_slots,
     decode_refs,
     encode_object,
@@ -77,20 +76,26 @@ class TestRoundTrip:
     def test_basic(self):
         record = make_record()
         assert decode_object(encode_object(record)) == record
+        assert decode_refs(encode_object(record)) == record.non_null_refs()
 
     def test_no_refs(self):
         record = StoredObject(oid=9, cid=3, filler=100)
         assert decode_object(encode_object(record)) == record
+        assert decode_refs(encode_object(record)) == ()
+        assert decode_ref_slots(encode_object(record)) == ()
 
     def test_null_refs_preserved(self):
-        record = StoredObject(oid=9, cid=3, refs=(None, None, 4))
-        decoded = decode_object(encode_object(record))
-        assert decoded.refs == (None, None, 4)
+        for refs in ((None, None, 4), (4, None), (None,)):
+            record = StoredObject(oid=9, cid=3, refs=refs)
+            decoded = decode_object(encode_object(record))
+            assert decoded.refs == refs
 
     def test_offset_decoding(self):
         record = make_record()
         data = b"\xAA" * 13 + encode_object(record)
         assert decode_object(data, offset=13) == record
+        assert decode_refs(data, offset=13) == (3, 5)
+        assert decode_ref_slots(data, offset=13) == (3, None, 5)
 
     def test_concatenated_records(self):
         a = make_record(oid=1)
@@ -104,22 +109,36 @@ class TestRoundTrip:
         assert decode_object(encode_object(record)).oid == 2**60
 
 
+DECODERS = (decode_object, decode_refs, decode_ref_slots)
+
+
 class TestCorruption:
+    """Every check runs when the record is read, not on a later field
+    access: these sources are whole ``bytes`` blobs, the kind
+    :func:`decode_object` leaves the reference vectors in."""
+
     def test_bad_magic(self):
         data = bytearray(encode_object(make_record()))
         data[0] ^= 0xFF
-        with pytest.raises(StorageError, match="magic"):
-            decode_object(bytes(data))
+        for decode in DECODERS:
+            with pytest.raises(StorageError, match="magic"):
+                decode(bytes(data))
 
     def test_truncated_header(self):
         data = encode_object(make_record())[:HEADER_SIZE - 3]
-        with pytest.raises(StorageError):
-            decode_object(data)
+        for decode in DECODERS:
+            with pytest.raises(StorageError):
+                decode(data)
 
     def test_truncated_body(self):
         data = encode_object(make_record())[:-4]
         with pytest.raises(StorageError, match="truncated"):
             decode_object(data)
+        # The structure-only decoders check only the ref vector's length.
+        data = encode_object(make_record())[:HEADER_SIZE + 5]
+        for decode in DECODERS:
+            with pytest.raises(StorageError, match="truncated"):
+                decode(data)
 
     def test_too_many_refs_rejected_on_encode(self):
         record = StoredObject(oid=1, cid=1)
@@ -146,6 +165,15 @@ def test_roundtrip_property(oid, cid, refs, back_refs, filler):
     encoded = encode_object(record)
     assert len(encoded) == record.size
     assert decode_object(encoded) == record
+    # Each surface, read first on a record whose vectors are still in
+    # the blob.
+    assert record == decode_object(encoded)
+    assert decode_object(encoded).size == record.size
+    assert decode_object(encoded).non_null_refs() == record.non_null_refs()
+    assert decode_object(encoded).refs == record.refs
+    assert decode_object(encoded).back_refs == record.back_refs
+    assert decode_refs(encoded) == record.non_null_refs()
+    assert decode_ref_slots(encoded) == record.refs
 
 
 # ---------------------------------------------------------------------- #
@@ -226,7 +254,6 @@ def test_kernels_match_the_reference(records, prefix, as_view):
         assert type(decoded.back_refs) is tuple
         assert all(type(pair) is tuple and len(pair) == 2
                    for pair in decoded.back_refs)
-        assert decode_object_lazy(buffer, offset) == decoded
         refs = decode_refs(buffer, offset)
         assert type(refs) is tuple
         assert refs == _reference_decode_refs(data, offset)
@@ -243,7 +270,3 @@ class TestOidZero:
     def test_decode_object_rejects_oid_zero(self):
         with pytest.raises(StorageError, match="oid must be >= 1"):
             decode_object(self._oid_zero_record())
-
-    def test_lazy_decode_rejects_oid_zero_at_read_time(self):
-        with pytest.raises(StorageError, match="oid must be >= 1"):
-            decode_object_lazy(self._oid_zero_record())

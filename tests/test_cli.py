@@ -28,6 +28,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["tables", "--id", "9"])
 
+    def test_scenario_rejects_the_removed_lazy_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenario", "read_heavy", "--lazy"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --lazy" in capsys.readouterr().err
+
 
 class TestInfoAndPresets:
     def test_info(self, capsys):
