@@ -66,7 +66,8 @@ class SimulatedDisk:
         self._check_page_id(page_id)
         self.stats.reads += 1
         self.clock.advance(self.cost_model.io_read_time)
-        return self._pages.get(page_id, b"\x00" * self.page_size)
+        data = self._pages.get(page_id)
+        return data if data is not None else bytes(self.page_size)
 
     def write_page(self, page_id: int, data: bytes) -> None:
         """Write one page, charging one I/O."""
@@ -83,7 +84,8 @@ class SimulatedDisk:
     def peek(self, page_id: int) -> bytes:
         """Read one page without accounting (bulk load / introspection)."""
         self._check_page_id(page_id)
-        return self._pages.get(page_id, b"\x00" * self.page_size)
+        data = self._pages.get(page_id)
+        return data if data is not None else bytes(self.page_size)
 
     def poke(self, page_id: int, data: bytes) -> None:
         """Write one page without accounting (bulk load / rebuild)."""

@@ -17,6 +17,12 @@ def disk():
 class TestReadWrite:
     def test_unwritten_page_reads_zero(self, disk):
         assert disk.read_page(5) == b"\x00" * 128
+        assert disk.peek(6) == b"\x00" * 128
+
+    def test_written_page_is_returned_as_stored(self, disk):
+        payload = bytes(range(128))
+        disk.poke(2, payload)
+        assert disk.read_page(2) is disk.peek(2)
 
     def test_write_then_read(self, disk):
         payload = bytes(range(128))
