@@ -99,6 +99,11 @@ class BufferPool:
         self._frames: "OrderedDict[int, Frame]" = OrderedDict()
         self._on_evict = on_evict
         self._clock_hand = 0
+        # Frames stay in load order; LRU and MRU move a hit to the end.
+        self._reorder_on_hit = self.policy in (ReplacementPolicy.LRU,
+                                               ReplacementPolicy.MRU)
+        # The victim is the first frame (LRU, FIFO) or the last (MRU).
+        self._evict_last = self.policy is ReplacementPolicy.MRU
 
     # ------------------------------------------------------------------ #
     # Main entry points
@@ -110,27 +115,45 @@ class BufferPool:
         A fault reads the page from disk (one accounted I/O) and may evict
         a victim frame (one more accounted I/O if the victim was dirty).
         """
-        frame = self._frames.get(page_id)
-        if frame is not None:
-            self.stats.hits += 1
-            frame.referenced = True
-            if dirty:
-                frame.dirty = True
-            if self.policy in (ReplacementPolicy.LRU, ReplacementPolicy.MRU):
-                self._frames.move_to_end(page_id)
-            return True
+        if self.hit(page_id) is None:
+            self.fault(page_id, dirty)
+            return False
+        if dirty:
+            self._frames[page_id].dirty = True
+        return True
 
+    def hit(self, page_id: int) -> Optional[bytes]:
+        """Touch a resident page and return its bytes.
+
+        Returns ``None``, with nothing accounted, when the page is not
+        resident; the caller then loads it with :meth:`fault`.
+        """
+        frame = self._frames.get(page_id)
+        if frame is None:
+            return None
+        self.stats.hits += 1
+        frame.referenced = True
+        if self._reorder_on_hit:
+            self._frames.move_to_end(page_id)
+        return frame.data
+
+    def fault(self, page_id: int, dirty: bool = False) -> bytes:
+        """Load a page that is not resident and return its bytes.
+
+        One miss and one disk read, after evicting a victim if the pool
+        is full.
+        """
         self.stats.misses += 1
         if len(self._frames) >= self.capacity:
             self._evict_one()
         data = self.disk.read_page(page_id)
         self._frames[page_id] = Frame(page_id, data, dirty=dirty)
-        return False
+        return data
 
     def get_data(self, page_id: int) -> bytes:
         """Return the bytes of a page, faulting it in if necessary."""
-        self.access(page_id)
-        return self._frames[page_id].data
+        data = self.hit(page_id)
+        return data if data is not None else self.fault(page_id)
 
     def update_data(self, page_id: int, data: bytes) -> None:
         """Replace the in-memory bytes of a page and mark it dirty.
@@ -235,8 +258,11 @@ class BufferPool:
     # ------------------------------------------------------------------ #
 
     def _evict_one(self) -> None:
-        victim_id = self._pick_victim()
-        frame = self._frames.pop(victim_id)
+        if self.policy is ReplacementPolicy.CLOCK:
+            victim_id = self._clock_victim()
+            frame = self._frames.pop(victim_id)
+        else:
+            victim_id, frame = self._frames.popitem(last=self._evict_last)
         self.stats.evictions += 1
         if frame.dirty:
             self.stats.dirty_writebacks += 1
@@ -244,13 +270,9 @@ class BufferPool:
         if self._on_evict is not None:
             self._on_evict(victim_id)
 
-    def _pick_victim(self) -> int:
-        if self.policy in (ReplacementPolicy.LRU, ReplacementPolicy.FIFO):
-            return next(iter(self._frames))
-        if self.policy is ReplacementPolicy.MRU:
-            return next(reversed(self._frames))
-        # CLOCK: sweep frames in insertion order, clearing reference bits,
-        # until an unreferenced frame is found.
+    def _clock_victim(self) -> int:
+        # Sweep frames in insertion order, clearing reference bits, until
+        # an unreferenced frame is found.
         keys = list(self._frames)
         n = len(keys)
         for _ in range(2 * n):

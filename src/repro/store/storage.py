@@ -18,7 +18,11 @@ The store supports the full lifecycle the benchmarks need:
 
 Decoded records are cached (the analogue of Texas' swizzled in-memory
 objects) for as long as their pages are resident; eviction invalidates
-them through the buffer pool's eviction callback.
+them through the buffer pool's eviction callback.  Most objects sit on
+one page, and reading one touches that page once: a hit returns the
+cached record or decodes a slice of the resident page, a miss faults
+the page in, swizzles its objects and decodes the slice.  Only an
+object that straddles a page boundary is assembled page by page.
 """
 
 from __future__ import annotations
@@ -231,42 +235,59 @@ class ObjectStore:
             raise UnknownObject(oid) from None
         self.object_accesses += 1
         self.clock.advance(self.cost_model.cpu_object_time)
+        ps = self.page_size
+        start = offset % ps
+        end = start + length
+        if end > ps:
+            return self._read_straddler(oid, offset, length)
+        pid = offset // ps
+        page = self.buffer.hit(pid)
+        if page is None:
+            page = self._fault(pid)
+        else:
+            cached = self._live.get(oid)
+            if cached is not None:
+                return cached
+        self.records_decoded += 1
+        record = self._live[oid] = decode_object(page[start:end])
+        return record
 
+    def _read_straddler(self, oid: int, offset: int,
+                        length: int) -> StoredObject:
+        """:meth:`read_object` for an object on two or more pages."""
         cached = self._live.get(oid)
         if cached is not None:
-            ps = self.page_size
-            pages = range(offset // ps, (offset + length - 1) // ps + 1)
+            pages = self._page_range((offset, length))
             buffer = self.buffer
             if all(map(buffer.is_resident, pages)):
-                # Fast path still touches the pages so the cache sees the
-                # access.
+                # Still touch the pages so the cache sees the access.
                 for pid in pages:
-                    buffer.access(pid)
+                    buffer.hit(pid)
                 return cached
-
         self.records_decoded += 1
-        record = decode_object(self._fetch_bytes(offset, length))
-        self._live[oid] = record
+        record = self._live[oid] = decode_object(
+            self._fetch_bytes(offset, length))
         return record
 
     def _fetch_bytes(self, offset: int, length: int) -> bytes:
         """Assemble a byte range page by page through the buffer pool."""
         ps = self.page_size
-        first, last = offset // ps, (offset + length - 1) // ps
         chunks: List[bytes] = []
-        for pid in range(first, last + 1):
-            hit = self.buffer.access(pid)
-            if not hit and self.swizzle is not None:
-                self.swizzle.swizzle_in(pid, self._page_objects.get(pid, ()))
-            page = self.buffer.peek_data(pid)
-            if page is None:  # Evicted by a later fault (capacity 1 corner).
-                self.buffer.access(pid)
-                page = self.buffer.peek_data(pid)
-                assert page is not None
+        for pid in range(offset // ps, (offset + length - 1) // ps + 1):
+            page = self.buffer.hit(pid)
+            if page is None:
+                page = self._fault(pid)
             lo = max(offset, pid * ps) - pid * ps
             hi = min(offset + length, (pid + 1) * ps) - pid * ps
             chunks.append(page[lo:hi])
         return b"".join(chunks)
+
+    def _fault(self, pid: int) -> bytes:
+        """Load page *pid* into the buffer and swizzle its objects."""
+        page = self.buffer.fault(pid)
+        if self.swizzle is not None:
+            self.swizzle.swizzle_in(pid, self._page_objects.get(pid, ()))
+        return page
 
     # ------------------------------------------------------------------ #
     # Write path
@@ -564,7 +585,8 @@ class ObjectStore:
     # ------------------------------------------------------------------ #
 
     def _on_page_evicted(self, page_id: int) -> None:
+        live = self._live
         for oid in self._page_objects.get(page_id, ()):
-            self._live.pop(oid, None)
+            live.pop(oid, None)
         if self.swizzle is not None:
             self.swizzle.unswizzle_page(page_id)

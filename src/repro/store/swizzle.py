@@ -8,13 +8,18 @@ objects whose pages are resident; the counters feed the cost model (each
 an additional metric that real persistent stores care about.
 
 An object may straddle several pages, and it stays swizzled while any of
-them is resident.  The table tracks that with a per-object **pin count**:
-the number of resident pages whose bucket holds the object.  The invariant
+them is resident.  ``_addresses`` is the swizzled set itself: an object
+has an address exactly while some resident page's bucket holds it.
+Most objects sit on one page, so the table keeps a **pin count** — the
+number of resident buckets holding the object — only for objects held
+by two or more of them.  The invariant
 
-    ``oid`` has an address  ⇔  ``pins[oid] > 0``  ⇔  a resident bucket holds it
+    ``oid`` in ``_addresses``  ⇔  a resident bucket holds it
+    ``oid`` in ``_shared``     ⇔  two or more resident buckets hold it,
+                                  and ``_shared[oid]`` is how many
 
-is kept by every method, so a page fault or an eviction costs
-O(objects on the page), whatever the number of resident pages.
+is kept by every method, so a page fault or an eviction is one loop over
+the page's objects, whatever the number of resident pages.
 """
 
 from __future__ import annotations
@@ -47,8 +52,10 @@ class SwizzleTable:
     """Tracks which objects currently have in-memory (swizzled) pointers.
 
     ``_by_page`` holds, per resident page, the objects it swizzled in;
-    ``_pins`` counts, per object, the buckets holding it.  An object gets
-    its address on its first pin and loses it with its last, so
+    ``_addresses`` maps every object some bucket holds to its address;
+    ``_shared`` counts the buckets holding an object, for the objects
+    that two or more buckets hold.  An object gets its address when the
+    first bucket takes it and loses it when the last one goes, so
     :meth:`swizzle_in` and :meth:`unswizzle_page` cost O(objects on the
     page) each.
     """
@@ -60,25 +67,30 @@ class SwizzleTable:
         self.stats = SwizzleStats()
         self._addresses: Dict[int, int] = {}
         self._by_page: Dict[int, Set[int]] = {}
-        self._pins: Dict[int, int] = {}
+        self._shared: Dict[int, int] = {}
         self._next_address = 0x1000_0000  # Synthetic VM base, Texas-style.
 
     def swizzle_in(self, page_id: int, oids: Iterable[int]) -> int:
         """Swizzle the objects of a freshly loaded page; return count."""
-        bucket = self._by_page.setdefault(page_id, set())
-        pins = self._pins
-        count = 0
+        held = self._by_page.get(page_id, ())
+        if not held and isinstance(oids, (set, frozenset)):
+            self._by_page[page_id] = set(oids)
+        else:
+            # Keep first-seen order and drop what the bucket already has.
+            oids = [oid for oid in dict.fromkeys(oids) if oid not in held]
+            self._by_page.setdefault(page_id, set()).update(oids)
+        addresses = self._addresses
+        shared = self._shared
+        first = address = self._next_address
         for oid in oids:
-            if oid in bucket:
-                continue
-            bucket.add(oid)
-            pinned = pins.get(oid, 0)
-            pins[oid] = pinned + 1
-            if not pinned:
-                self._addresses[oid] = self._next_address
-                self._next_address += 0x10
-                count += 1
+            if oid in addresses:
+                shared[oid] = shared.get(oid, 1) + 1
+            else:
+                addresses[oid] = address
+                address += 0x10
+        count = (address - first) // 0x10
         if count:
+            self._next_address = address
             self.stats.swizzled += count
             self.clock.advance(count * self.cost_model.swizzle_time)
         return count
@@ -88,16 +100,18 @@ class SwizzleTable:
         bucket = self._by_page.pop(page_id, None)
         if not bucket:
             return 0
-        pins = self._pins
+        addresses = self._addresses
+        shared = self._shared
         count = 0
         for oid in bucket:
-            pinned = pins[oid] - 1
-            if pinned:
-                pins[oid] = pinned  # Still on another resident page.
-                continue
-            del pins[oid]
-            del self._addresses[oid]
-            count += 1
+            held = shared.get(oid)
+            if held is None:
+                del addresses[oid]
+                count += 1
+            elif held == 2:
+                del shared[oid]  # Now on one resident page only.
+            else:
+                shared[oid] = held - 1
         if count:
             self.stats.unswizzled += count
             self.clock.advance(count * self.cost_model.swizzle_time)
@@ -120,7 +134,7 @@ class SwizzleTable:
         """Forget every mapping (store rebuild)."""
         self._addresses.clear()
         self._by_page.clear()
-        self._pins.clear()
+        self._shared.clear()
 
     def reset_stats(self) -> None:
         """Zero the counters."""

@@ -60,6 +60,19 @@ class TestBasics:
         with pytest.raises(ParameterError):
             BufferPool(disk, 0)
 
+    def test_hit_on_absent_page_accounts_nothing(self):
+        pool, disk = make_pool()
+        assert pool.hit(3) is None
+        assert pool.stats.accesses == 0
+        assert disk.stats.reads == 0
+
+    def test_fault_then_hit_return_the_page(self):
+        pool, disk = make_pool()
+        disk.poke(3, b"\x07" * PAGE)
+        assert pool.fault(3) == b"\x07" * PAGE
+        assert pool.hit(3) == b"\x07" * PAGE
+        assert (pool.stats.misses, pool.stats.hits) == (1, 1)
+
     def test_contains_and_resident(self):
         pool, _ = make_pool()
         pool.access(4)
