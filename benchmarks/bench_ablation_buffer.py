@@ -1,4 +1,4 @@
-"""Ablation — clustering gain vs. buffer capacity (DESIGN.md §6.1).
+"""Ablation — clustering gain vs. buffer capacity.
 
 The paper's hardware fixes the RAM/database ratio at roughly 8 MB / 15 MB.
 This ablation sweeps the buffer pool to show the two regimes around it:

@@ -1,4 +1,4 @@
-"""Ablation — workload mix and root-selection skew (DESIGN.md §6.4).
+"""Ablation — workload mix and root-selection skew.
 
 Probes the axes behind the Table 4 → Table 5 gain drop.  At paper scale
 the drop combines two effects: the database loses its RefZone locality

@@ -1,4 +1,4 @@
-"""Ablation — clustering-policy shoot-out (DESIGN.md §6.2).
+"""Ablation — clustering-policy shoot-out.
 
 The paper's stated future work is "the benchmarking of several different
 clustering techniques for the sake of performance comparison".  This

@@ -360,7 +360,7 @@ def _cmd_info() -> str:
         ("paper", "OCB: A Generic Benchmark to Evaluate the Performances "
                   "of OODBs (EDBT '98)"),
         ("authors", "Darmont, Petit, Schneider"),
-        ("experiments", "fig4, table4, table5 (see DESIGN.md)"),
+        ("experiments", "fig4, table4, table5 (see repro.experiments)"),
         ("presets", ", ".join(sorted(PRESETS))),
     ]
     return render_kv(pairs, title="OCB reproduction")

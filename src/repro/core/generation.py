@@ -225,7 +225,7 @@ def _instantiate_references(schema: Schema, objects: Dict[int, OCBObject],
 
     The draw ``l = RAND(DIST4, INFREF, SUPREF)`` happens on the object-id
     range; the drawn id is mapped into the target class's iterator with
-    ``(l - 1) mod population`` (see DESIGN.md §3).
+    ``(l - 1) mod population`` (step 3 of the module docstring).
     """
     if not objects:
         return

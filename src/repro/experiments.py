@@ -1,6 +1,6 @@
 """Reproduction harness for every table and figure of the paper.
 
-One function per experiment (see DESIGN.md §4):
+One function per experiment:
 
 * :func:`run_fig4`   — Figure 4, database creation time vs. size for 1-,
   20- and 50-class schemas;

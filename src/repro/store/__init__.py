@@ -1,7 +1,8 @@
 """Texas-like persistent object store: pages, buffer pool, swizzling.
 
-See DESIGN.md §2 — this package is the reproduction's substitute for the
-Texas persistent store the paper benchmarks (Singhal, Kakkad & Wilson 1992).
+This package is the reproduction's substitute for the Texas persistent
+store the paper benchmarks (Singhal, Kakkad & Wilson 1992); the module
+docstring of :mod:`repro.store.storage` describes the store.
 """
 
 from repro.store.buffer import BufferPool, BufferStats, Frame, ReplacementPolicy
