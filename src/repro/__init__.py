@@ -26,7 +26,6 @@ from repro.errors import (
 from repro.backends import (
     Backend,
     MemoryBackend,
-    SimulatedBackend,
     SQLiteBackend,
     available_backends,
     create_backend,
@@ -69,7 +68,6 @@ __all__ = [
     "ClusteringError",
     "WorkloadError",
     "Backend",
-    "SimulatedBackend",
     "MemoryBackend",
     "SQLiteBackend",
     "available_backends",

@@ -6,8 +6,9 @@ CLI and the benchmark facade resolve (``ocb backends`` lists them):
 ========== ==================================================== ==========
 name       engine                                               metrics
 ========== ==================================================== ==========
-simulated  the Texas-like cost-model store (the default)        simulated
-           — page faults, buffer hits, swizzling, sim clock     + wall
+simulated  the Texas-like paged store (the default),            simulated
+           :class:`~repro.store.storage.ObjectStore` — page     + wall
+           faults, buffer hits, swizzling, sim clock
 memory     plain dict, no serialization — the latency floor     wall only
 sqlite     serialized objects in an indexed SQLite table with   wall only
            configurable page/cache pragmas
@@ -16,7 +17,7 @@ sqlite     files with per-worker home-shard affinity
 ========== ==================================================== ==========
 
 Adding an engine is two steps: subclass
-:class:`~repro.backends.base.Backend`, then
+:class:`~repro.backends.base.Backend` (setting its ``name``), then
 :func:`~repro.backends.registry.register_backend` a factory.
 """
 
@@ -37,7 +38,6 @@ from repro.backends.registry import (
     unregister_backend,
 )
 from repro.backends.sharded import ShardedSQLiteBackend
-from repro.backends.simulated import SimulatedBackend
 from repro.backends.sqlite import SQLiteBackend
 from repro.store.storage import StoreConfig
 
@@ -45,7 +45,6 @@ __all__ = [
     "Backend",
     "BackendInfo",
     "KNOWN_CAPABILITIES",
-    "SimulatedBackend",
     "MemoryBackend",
     "SQLiteBackend",
     "ShardedSQLiteBackend",
@@ -60,7 +59,7 @@ __all__ = [
 
 
 def _make_simulated(store_config: StoreConfig, **options: object) -> Backend:
-    return SimulatedBackend(store_config=store_config)
+    return store_config.build()
 
 
 def _make_memory(store_config: StoreConfig, **options: object) -> Backend:

@@ -24,9 +24,10 @@ multi-user interleaving) runs on it immediately.
 
 Two kinds of metrics coexist:
 
-* **simulated costs** — backends built on the cost-model substrate (the
-  :class:`~repro.backends.simulated.SimulatedBackend`) charge page reads,
-  write backs and swizzling on a :class:`~repro.store.costs.SimClock`;
+* **simulated costs** — the paged store
+  (:class:`~repro.store.storage.ObjectStore`, registered as
+  ``simulated``) charges page reads, write backs and swizzling on a
+  :class:`~repro.store.costs.SimClock`;
 * **wall-clock latency** — every backend, real or simulated, is timed by
   the runner, so cross-backend comparisons quote P50/P95/P99 percentiles
   of real elapsed time.
@@ -43,12 +44,6 @@ import abc
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import BackendError
-from repro.store.buffer import BufferStats
-from repro.store.costs import CostModel, SimClock
-from repro.store.disk import DiskStats
-from repro.store.serializer import StoredObject
-from repro.store.storage import StoreSnapshot
-from repro.store.swizzle import SwizzleStats
 
 __all__ = ["Backend"]
 
@@ -297,3 +292,14 @@ class Backend(abc.ABC):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+# Below the class body: repro.store.storage subclasses Backend, so this
+# module must define it before the store package is imported, whichever
+# of the two modules is imported first.
+from repro.store.buffer import BufferStats
+from repro.store.costs import CostModel, SimClock
+from repro.store.disk import DiskStats
+from repro.store.serializer import StoredObject
+from repro.store.storage import StoreSnapshot
+from repro.store.swizzle import SwizzleStats

@@ -450,7 +450,11 @@ def _cmd_run(args: argparse.Namespace) -> str:
                          initial_placement=args.placement,
                          backend=args.backend,
                          backend_options=_backend_options(args))
-    result = bench.run(cold_start=args.cold_start)
+    try:
+        result = bench.run(cold_start=args.cold_start)
+    finally:
+        if bench.backend is not None:
+            bench.backend.close()
     warm = result.report.warm
     wall = warm.wall_percentiles()
     if args.json:
@@ -722,9 +726,7 @@ def _cmd_multiuser(args: argparse.Namespace) -> str:
         ["client", "warm txns", "objects/txn", "reads/txn", "P95 (ms)"],
         rows, title=f"{args.clients} clients on {report.backend_name!r} "
                     f"(round-robin, shared engine)", precision=3)
-    close = getattr(runner.store, "close", None)
-    if close is not None:
-        close()
+    runner.store.close()
     return "\n".join([
         table, "",
         f"merged warm wall-clock: {merged_wall.describe()}"])

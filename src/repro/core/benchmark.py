@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from repro.backends import Backend, SimulatedBackend, resolve_backend
+from repro.backends import Backend, resolve_backend
 from repro.clustering.base import ClusteringPolicy, NoClustering
 from repro.clustering.placements import placement_from_name
 from repro.core.database import DatabaseStatistics, OCBDatabase
@@ -86,8 +86,8 @@ class OCBBenchmark:
         self.database: Optional[OCBDatabase] = None
         self.generation: Optional[GenerationReport] = None
         self.backend: Optional[Backend] = None
-        #: The underlying simulated store when the backend has one
-        #: (clustering experiments require it); ``None`` for real engines.
+        #: The backend when it is the simulated paged store (clustering
+        #: experiments require it); ``None`` for every other engine.
         self.store: Optional[ObjectStore] = None
 
     # ------------------------------------------------------------------ #
@@ -100,8 +100,8 @@ class OCBBenchmark:
             self.database_parameters, validate=validate)
         self.backend = resolve_backend(self.backend_spec, self.store_config,
                                        **self.backend_options)
-        self.store = self.backend.store \
-            if isinstance(self.backend, SimulatedBackend) else None
+        self.store = self.backend \
+            if isinstance(self.backend, ObjectStore) else None
         records = self.database.to_records()
         strategy = placement_from_name(self.initial_placement)
         order = strategy(records)
@@ -126,15 +126,13 @@ class OCBBenchmark:
         if cold_start:
             runner.session.drop_caches()
         report = runner.run()
-        pages = self.store.page_count if self.store is not None \
-            else int(self.backend.stats().get("pages", 0) or 0)
+        pages = int(self.backend.stats().get("pages", 0) or 0)
         return BenchmarkResult(
             database_statistics=self.database.statistics(),
             generation=self.generation,
             report=report,
             store_pages=pages,
-            backend_name=getattr(self.backend, "name",
-                                 type(self.backend).__name__))
+            backend_name=self.backend.name)
 
     def run_generic_operations(self, operations: int,
                                weights: Optional[dict] = None) -> list:

@@ -47,7 +47,6 @@ from repro.core.scenario import (
 from repro.core.session import Session
 from repro.errors import WorkloadError
 from repro.rand.lewis_payne import LewisPayne
-from repro.store.storage import ObjectStore
 
 __all__ = ["GenericOperation", "OperationResult", "GenericOperationsRunner",
            "attribute_of"]
@@ -60,15 +59,14 @@ _STREAM_GENERIC = STREAM_GENERIC
 class GenericOperationsRunner:
     """Executes the extended operation set against a loaded engine.
 
-    ``store`` accepts everything the other runners do: a loaded
-    :class:`~repro.store.storage.ObjectStore`, any
+    ``store`` accepts everything the other runners do: any loaded
     :class:`~repro.backends.base.Backend`, a registered backend name
     (created and bulk-loaded on the spot), or a ready
     :class:`~repro.core.session.Session`.
     """
 
     def __init__(self, database: OCBDatabase,
-                 store: Union[ObjectStore, Backend, Session, str],
+                 store: Union[Backend, Session, str],
                  policy: Optional[ClusteringPolicy] = None,
                  rng: Optional[LewisPayne] = None,
                  batch: Optional[bool] = None) -> None:

@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.backends.base import Backend
 from repro.core.database import OCBDatabase
 from repro.core.scenario import (
     ClientScenarioReport,
@@ -42,6 +43,7 @@ from repro.core.scenario import (
     ScenarioRunner,
     phase_span,
 )
+from repro.core.session import Session
 from repro.errors import ParameterError
 from repro.obs import trace
 from repro.obs.latency import DEFAULT_LATE_GRACE, LatencyCollector
@@ -221,13 +223,15 @@ class OpenLoopRunner:
     the warm phase's pacing differs.  The cold phase stays closed-loop —
     it is cache priming, not measurement.  An injected ``store`` (e.g. a
     deterministic stalling backend in tests) flows straight through to
-    :meth:`ScenarioRunner._resolve_engine`.
+    :meth:`ScenarioRunner._resolve_engine` and stays the caller's to
+    close; an engine resolved from ``scenario.backend`` is closed when
+    :meth:`run` ends.
     """
 
     def __init__(self, database: OCBDatabase, scenario: Scenario,
                  rate: float, *, operations: Optional[int] = None,
                  mode: str = "poisson", seed: Optional[int] = None,
-                 store: Optional[object] = None,
+                 store: "Backend | Session | None" = None,
                  policy: Optional[object] = None,
                  late_grace: float = DEFAULT_LATE_GRACE,
                  clock: Callable[[], float] = time.perf_counter,
@@ -260,34 +264,38 @@ class OpenLoopRunner:
         """Cold-prime closed-loop, then pace the warm arrivals."""
         scenario = self.scenario
         engine = self._runner._resolve_engine()
-        executors = self._runner.build_executors(engine)
-        cold = [ScenarioCollector("cold") for _ in executors]
-        warm = [ScenarioCollector("warm") for _ in executors]
-        started = self._clock()
-        with phase_span("cold", scenario.mix.name):
-            for _ in range(scenario.cold_ops):
-                for executor, collector in zip(executors, cold):
-                    executor.step(collector)
-        arrivals = self.arrivals()
-        offsets = [offset for offset, _ in arrivals]
-        latency = LatencyCollector(late_grace=self.late_grace)
-        late_by_client = [0] * len(executors)
-        backlog_by_client = [0] * len(executors)
+        try:
+            executors = self._runner.build_executors(engine)
+            cold = [ScenarioCollector("cold") for _ in executors]
+            warm = [ScenarioCollector("warm") for _ in executors]
+            started = self._clock()
+            with phase_span("cold", scenario.mix.name):
+                for _ in range(scenario.cold_ops):
+                    for executor, collector in zip(executors, cold):
+                        executor.step(collector)
+            arrivals = self.arrivals()
+            offsets = [offset for offset, _ in arrivals]
+            latency = LatencyCollector(late_grace=self.late_grace)
+            late_by_client = [0] * len(executors)
+            backlog_by_client = [0] * len(executors)
 
-        def execute(index: int) -> None:
-            client = arrivals[index][1]
-            executors[client].step(warm[client])
+            def execute(index: int) -> None:
+                client = arrivals[index][1]
+                executors[client].step(warm[client])
 
-        def observe(index: int, late: bool, backlog: int) -> None:
-            client = arrivals[index][1]
-            if late:
-                late_by_client[client] += 1
-            if backlog > backlog_by_client[client]:
-                backlog_by_client[client] = backlog
+            def observe(index: int, late: bool, backlog: int) -> None:
+                client = arrivals[index][1]
+                if late:
+                    late_by_client[client] += 1
+                if backlog > backlog_by_client[client]:
+                    backlog_by_client[client] = backlog
 
-        paced = pace(offsets, execute, latency, observe=observe,
-                     clock=self._clock, sleep=self._sleep)
-        elapsed = self._clock() - started
+            paced = pace(offsets, execute, latency, observe=observe,
+                         clock=self._clock, sleep=self._sleep)
+            elapsed = self._clock() - started
+            stats = engine.stats()
+        finally:
+            self._runner._release(engine)
         clients = [
             ClientScenarioReport(
                 client_id=executor.client_id,
@@ -299,8 +307,6 @@ class OpenLoopRunner:
                 max_backlog=backlog_by_client[executor.client_id])
             for executor, cold_collector, warm_collector
             in zip(executors, cold, warm)]
-        backend_name = getattr(engine, "name", type(engine).__name__)
-        stats = engine.stats() if hasattr(engine, "stats") else {}
         if clients and stats.get("busy_retries"):
             clients[0].busy_retries += int(stats["busy_retries"])
             clients[0].busy_wait_seconds += float(
@@ -310,7 +316,7 @@ class OpenLoopRunner:
         report = ScenarioReport(
             scenario_name=scenario.mix.name,
             clients=clients,
-            backend_name=backend_name,
+            backend_name=engine.name,
             mode="open-loop",
             elapsed_seconds=elapsed,
             executed_parallel=False,

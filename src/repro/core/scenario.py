@@ -81,6 +81,7 @@ from typing import (
     Union,
 )
 
+from repro.backends.base import Backend
 from repro.clustering.base import ClusteringPolicy, NoClustering, \
     PlacementContext
 from repro.core.database import OCBDatabase, OCBObject
@@ -1448,10 +1449,14 @@ class ScenarioRunner:
     (:meth:`run_processes`), each client becomes a worker of the
     process-parallel subsystem: shared WAL storage for backends with the
     ``concurrent`` capability, per-worker replicas otherwise.
+
+    An engine passed in as ``store`` stays the caller's to close; one
+    the runner resolves from ``scenario.backend`` is closed at the end
+    of :meth:`run`.
     """
 
     def __init__(self, database: OCBDatabase, scenario: Scenario,
-                 store: Optional[object] = None,
+                 store: "Backend | Session | None" = None,
                  policy: Optional[ClusteringPolicy] = None) -> None:
         self.database = database
         self.scenario = scenario
@@ -1461,13 +1466,13 @@ class ScenarioRunner:
 
     # -- in-process execution --------------------------------------------- #
 
-    def _resolve_engine(self):
+    def _resolve_engine(self) -> Backend:
         """The shared engine every in-process client drives."""
         if self._store is not None:
             store = self._store
             if isinstance(store, Session):
                 store = store.store
-            if getattr(store, "object_count", 0) == 0:
+            if store.object_count == 0:
                 self.database.load_into(store)
                 store.reset_stats()
             return store
@@ -1477,7 +1482,12 @@ class ScenarioRunner:
             policy=self.policy, batch=self.scenario.batch)
         return session.store
 
-    def build_executors(self, engine) -> List[ClientExecutor]:
+    def _release(self, engine: Backend) -> None:
+        """Close *engine* if :meth:`_resolve_engine` created it."""
+        if self._store is None:
+            engine.close()
+
+    def build_executors(self, engine: Backend) -> List[ClientExecutor]:
         """One executor per client over the shared *engine*.
 
         Mutating multi-client scenarios give each client a private
@@ -1505,17 +1515,21 @@ class ScenarioRunner:
         """Round-robin the clients' cold then warm slots in-process."""
         scenario = self.scenario
         engine = self._resolve_engine()
-        executors = self.build_executors(engine)
-        cold = [ScenarioCollector("cold") for _ in executors]
-        warm = [ScenarioCollector("warm") for _ in executors]
-        started = time.perf_counter()
-        for phase, ops, collectors in (("cold", scenario.cold_ops, cold),
-                                       ("warm", scenario.warm_ops, warm)):
-            with phase_span(phase, self.mix.name):
-                for _ in range(ops):
-                    for executor, collector in zip(executors, collectors):
-                        executor.step(collector)
-        elapsed = time.perf_counter() - started
+        try:
+            executors = self.build_executors(engine)
+            cold = [ScenarioCollector("cold") for _ in executors]
+            warm = [ScenarioCollector("warm") for _ in executors]
+            started = time.perf_counter()
+            for phase, ops, collectors in (("cold", scenario.cold_ops, cold),
+                                           ("warm", scenario.warm_ops, warm)):
+                with phase_span(phase, self.mix.name):
+                    for _ in range(ops):
+                        for executor, collector in zip(executors, collectors):
+                            executor.step(collector)
+            elapsed = time.perf_counter() - started
+            stats = engine.stats()
+        finally:
+            self._release(engine)
         clients = [
             ClientScenarioReport(
                 client_id=executor.client_id,
@@ -1525,8 +1539,6 @@ class ScenarioRunner:
                 write_conflicts=executor.write_conflicts)
             for executor, cold_collector, warm_collector
             in zip(executors, cold, warm)]
-        backend_name = getattr(engine, "name", type(engine).__name__)
-        stats = engine.stats() if hasattr(engine, "stats") else {}
         if clients and stats.get("busy_retries"):
             # A single shared connection cannot collide with itself, but
             # surface whatever the engine accounted rather than hide it.
@@ -1540,7 +1552,7 @@ class ScenarioRunner:
         return ScenarioReport(
             scenario_name=self.mix.name,
             clients=clients,
-            backend_name=backend_name,
+            backend_name=engine.name,
             mode="interleaved",
             elapsed_seconds=elapsed,
             executed_parallel=False,

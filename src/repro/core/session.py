@@ -24,12 +24,12 @@ used to wire up separately:
 * **lifecycle** — :meth:`drop_caches` (honest cold runs),
   :meth:`flush`, :meth:`reset_stats`, :meth:`close`.
 
-A Session wraps either the classic :class:`~repro.store.storage.ObjectStore`
-(driven directly, exactly as before the backends subsystem existed) or
-any :class:`~repro.backends.base.Backend`; :meth:`Session.for_database`
-additionally accepts a *registered backend name* and bulk-loads the
-generated database into a fresh engine, which is how every runner lets
-callers say ``backend="sqlite"``.
+A Session drives one :class:`~repro.backends.base.Backend` — the paged
+:class:`~repro.store.storage.ObjectStore` is one like any other — and
+calls its protocol directly.  :meth:`Session.for_database` also accepts
+a *registered backend name* and bulk-loads the generated database into
+a fresh engine, which is how every runner lets callers say
+``backend="sqlite"``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.backends.base import Backend
@@ -52,12 +51,9 @@ from repro.core.database import OCBDatabase
 from repro.errors import WorkloadError
 from repro.obs import trace
 from repro.store.serializer import StoredObject
-from repro.store.storage import ObjectStore, StoreConfig, StoreSnapshot
+from repro.store.storage import StoreConfig, StoreSnapshot
 
 __all__ = ["Measurement", "Session"]
-
-#: Anything a Session can drive.
-StoreLike = Union[ObjectStore, Backend]
 
 
 class Measurement:
@@ -72,7 +68,7 @@ class Measurement:
 
     __slots__ = ("_store", "_before", "_start", "delta", "wall")
 
-    def __init__(self, store: StoreLike) -> None:
+    def __init__(self, store: Backend) -> None:
         self._store = store
         self.delta: Optional[StoreSnapshot] = None
         self.wall: float = 0.0
@@ -95,17 +91,16 @@ class Measurement:
 
 
 class Session:
-    """Store + policy + catalog wiring shared by every execution path.
+    """Engine + policy + catalog wiring shared by every execution path.
 
-    ``store`` may be the classic :class:`ObjectStore` or any
-    :class:`~repro.backends.base.Backend`; only the surface the two
-    share is used.  ``batch`` controls frontier batching: ``None``
-    (default) auto-detects ``supports_batched_reads`` on the engine,
-    ``True``/``False`` force it on or off (forcing it on against an
-    engine without native batching falls back to a read loop).
+    ``store`` is any :class:`~repro.backends.base.Backend`.  ``batch``
+    controls frontier batching: ``None`` (default) follows the engine's
+    ``supports_batched_reads``, ``True``/``False`` force it on or off
+    (forcing it on against an engine without native batching runs the
+    protocol's read loop).
     """
 
-    def __init__(self, store: StoreLike,
+    def __init__(self, store: Backend,
                  policy: Optional[ClusteringPolicy] = None,
                  tref_table: Optional[Mapping[int, Tuple[int, ...]]] = None,
                  catalog: Optional[Mapping[int, int]] = None,
@@ -114,11 +109,9 @@ class Session:
         self.policy = policy or NoClustering()
         self._tref_table = dict(tref_table or {})
         self._catalog = dict(catalog or {})
-        if batch is None:
-            batch = bool(getattr(store, "supports_batched_reads", False))
-        self.batch_reads = batch and hasattr(store, "read_many")
-        self.batch_writes = self.batch_reads and \
-            bool(getattr(store, "supports_batched_writes", False))
+        self.batch_reads = store.supports_batched_reads if batch is None \
+            else batch
+        self.batch_writes = self.batch_reads and store.supports_batched_writes
         self._prefetched: Dict[int, StoredObject] = {}
 
     # ------------------------------------------------------------------ #
@@ -127,7 +120,7 @@ class Session:
 
     @classmethod
     def for_database(cls, database: OCBDatabase,
-                     store: "StoreLike | str | None" = None,
+                     store: "Backend | str | None" = None,
                      store_config: Optional[StoreConfig] = None,
                      policy: Optional[ClusteringPolicy] = None,
                      batch: Optional[bool] = None,
@@ -135,7 +128,7 @@ class Session:
                      load: bool = True) -> "Session":
         """Build a Session over *store* for a generated *database*.
 
-        *store* may be a loaded :class:`ObjectStore`/:class:`Backend`
+        *store* may be a loaded :class:`~repro.backends.base.Backend`
         instance, a registered backend **name** (resolved through the
         registry; ``None`` means ``"simulated"``), or a fresh empty
         engine.  Named and empty engines are bulk-loaded with the
@@ -269,15 +262,7 @@ class Session:
         observations are made — callers that *visit* the targets still
         go through :meth:`access`.
         """
-        batched = getattr(self.store, "traverse_refs_many", None)
-        if batched is not None:
-            return batched(list(oids))
-        # The classic ObjectStore: read-and-filter, one object at a time.
-        refs: Dict[int, Tuple[int, ...]] = {}
-        for oid in oids:
-            if oid not in refs:
-                refs[oid] = self.store.read_object(oid).non_null_refs()
-        return refs
+        return self.store.traverse_refs_many(list(oids))
 
     def end_transaction(self) -> None:
         """Close one transaction: notify the policy, drop the prefetch
@@ -356,20 +341,15 @@ class Session:
     def drop_caches(self) -> bool:
         """Evict engine caches for an honest cold run.
 
-        Returns ``True`` when cached state was actually dropped (the
-        classic store always drops; backends report through the
-        protocol's :meth:`~repro.backends.base.Backend.drop_caches`).
+        Returns ``True`` when cached state was actually dropped (see
+        :meth:`~repro.backends.base.Backend.drop_caches`).
         """
         self._prefetched.clear()
-        result = self.store.drop_caches()
-        return True if result is None else bool(result)
+        return self.store.drop_caches()
 
     def flush(self) -> int:
         """Persist buffered writes (no-op on write-through engines)."""
-        flush = getattr(self.store, "flush", None)
-        if flush is None:
-            return 0
-        return int(flush() or 0)
+        return self.store.flush()
 
     def reset_stats(self) -> None:
         """Zero the engine's accounting counters."""
@@ -377,11 +357,9 @@ class Session:
 
     def close(self) -> None:
         """Release engine resources."""
-        close = getattr(self.store, "close", None)
-        if close is not None:
-            close()
+        self.store.close()
 
     @property
     def backend_name(self) -> str:
-        """Engine name (registry name for backends, class name else)."""
-        return getattr(self.store, "name", type(self.store).__name__)
+        """The engine's registry name."""
+        return self.store.name

@@ -40,7 +40,6 @@ from repro.core.session import Session
 from repro.core.transactions import TransactionSpec
 from repro.errors import WorkloadError
 from repro.rand.lewis_payne import LewisPayne
-from repro.store.storage import ObjectStore
 
 __all__ = ["WorkloadReport", "WorkloadRunner"]
 
@@ -70,8 +69,7 @@ class WorkloadReport:
 class WorkloadRunner:
     """Executes the OCB protocol for a single client.
 
-    ``store`` is the classic :class:`ObjectStore` (the simulated engine,
-    driven directly), any :class:`~repro.backends.base.Backend`, a
+    ``store`` is any :class:`~repro.backends.base.Backend`, a
     registered backend **name** (the engine is created and bulk-loaded
     with the database), or a ready :class:`~repro.core.session.Session`
     — the runner only talks to the kernel, so the same workload, RNG
@@ -79,7 +77,7 @@ class WorkloadRunner:
     """
 
     def __init__(self, database: OCBDatabase,
-                 store: Union[ObjectStore, Backend, Session, str],
+                 store: Union[Backend, Session, str],
                  parameters: WorkloadParameters,
                  policy: Optional[ClusteringPolicy] = None,
                  rng: Optional[LewisPayne] = None,
@@ -107,7 +105,7 @@ class WorkloadRunner:
         self.store = self.session.store
         self.session.require_loaded()
         if not isinstance(self.policy, NoClustering) and \
-                not getattr(self.store, "supports_clustering", True):
+                not self.store.supports_clustering:
             raise WorkloadError(
                 f"backend {self.session.backend_name!r} "
                 f"does not support physical clustering; use the simulated "

@@ -7,9 +7,8 @@ Lewis–Payne substream, interleave transactions round-robin against the
 *shared* store and buffer pool — so clients pollute each other's cache
 exactly as concurrent processes would on the paper's single-machine setup.
 
-The runner executes through the unified kernel, so ``store`` accepts the
-classic :class:`~repro.store.storage.ObjectStore`, any
-:class:`~repro.backends.base.Backend`, or a registered backend **name**
+The runner executes through the unified kernel, so ``store`` accepts
+any :class:`~repro.backends.base.Backend` or a registered backend **name**
 (``MultiClientRunner(db, "sqlite", params)`` creates, bulk-loads and
 shares one SQLite engine between all clients).  Each client gets its own
 :class:`~repro.core.session.Session` over the shared engine — the cache
@@ -34,7 +33,6 @@ from repro.core.scenario import Scenario, ScenarioRunner, WorkloadMix
 from repro.core.session import Session
 from repro.core.workload import WorkloadReport
 from repro.errors import WorkloadError
-from repro.store.storage import ObjectStore
 
 __all__ = ["MultiUserReport", "MultiClientRunner"]
 
@@ -105,7 +103,7 @@ class MultiClientRunner:
     """
 
     def __init__(self, database: OCBDatabase,
-                 store: Union[ObjectStore, Backend, str],
+                 store: Union[Backend, str],
                  parameters: WorkloadParameters,
                  policy: Optional[ClusteringPolicy] = None,
                  batch: Optional[bool] = None,
@@ -137,6 +135,5 @@ class MultiClientRunner:
         reports = [WorkloadReport(cold=client.cold.classic,
                                   warm=client.warm.classic)
                    for client in report.clients]
-        backend_name = getattr(self.store, "name",
-                               type(self.store).__name__)
-        return MultiUserReport(clients=reports, backend_name=backend_name)
+        return MultiUserReport(clients=reports,
+                               backend_name=self.store.name)

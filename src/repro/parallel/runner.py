@@ -237,7 +237,7 @@ class ParallelRunner:
         """
         engine = create_backend(self.backend, self.store_config, **options)
         try:
-            if not getattr(engine, "supports_concurrent_access", False):
+            if not engine.supports_concurrent_access:
                 raise WorkloadError(
                     f"backend {self.backend!r} is registered with the "
                     f"'concurrent' capability but the engine does not "

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.backends.base import Backend
 from repro.errors import ParameterError, StorageError, UnknownObject
 from repro.store.buffer import BufferPool, BufferStats, ReplacementPolicy
 from repro.store.costs import DEFAULT_PAGE_SIZE, CostModel, SimClock
@@ -157,8 +158,19 @@ class ReorganizationStats:
         return self.pages_read + self.pages_written
 
 
-class ObjectStore:
-    """Paged, buffered, swizzling persistent object store."""
+class ObjectStore(Backend):
+    """Paged, buffered, swizzling persistent object store.
+
+    The ``simulated`` engine: the only one that simulates costs and the
+    only one that can physically re-cluster (:meth:`reorganize`).  The
+    batch methods are the :class:`~repro.backends.base.Backend` loop
+    fallbacks, so a batch is charged exactly as a per-object loop is.
+    """
+
+    name = "simulated"
+    supports_clustering = True
+    #: The paged store has no structure-only read path.
+    decodes_avoided = 0
 
     def __init__(self, page_size: int = DEFAULT_PAGE_SIZE,
                  buffer_pages: int = 128,
@@ -166,6 +178,8 @@ class ObjectStore:
                  cost_model: Optional[CostModel] = None,
                  clock: Optional[SimClock] = None,
                  track_swizzling: bool = True) -> None:
+        # Backend.__init__ is not called: the store owns its own clock,
+        # cost model and counters, all wired into the disk and buffer.
         self.cost_model = cost_model or CostModel()
         self.clock = clock or SimClock()
         self.disk = SimulatedDisk(page_size, self.cost_model, self.clock)
@@ -524,12 +538,32 @@ class ObjectStore:
         self.object_accesses = 0
         self.records_decoded = 0
 
-    def drop_caches(self) -> None:
+    def drop_caches(self) -> bool:
         """Empty the buffer pool and decoded cache (a "cold" restart)."""
         self.buffer.clear(write_dirty=True)
         self._live.clear()
         if self.swizzle is not None:
             self.swizzle.clear()
+        return True
+
+    def stats(self) -> Dict[str, object]:
+        """Configuration, sizes and the headline counters."""
+        snap = self.snapshot()
+        return {
+            "page_size": self.page_size,
+            "pages": self.page_count,
+            "objects": self.object_count,
+            "io_reads": snap.io_reads,
+            "io_writes": snap.io_writes,
+            "buffer_hit_ratio": snap.buffer.hit_ratio,
+            "records_decoded": self.records_decoded,
+            "decodes_avoided": self.decodes_avoided,
+            "sim_time": snap.sim_time,
+        }
+
+    def close(self) -> None:
+        """Write back dirty pages (the store holds no other resource)."""
+        self.flush()
 
     def pages_of(self, oid: int) -> Tuple[int, ...]:
         """Page ids an object occupies."""
@@ -576,9 +610,6 @@ class ObjectStore:
 
     def __contains__(self, oid: int) -> bool:
         return oid in self._directory
-
-    def __len__(self) -> int:
-        return len(self._directory)
 
     # ------------------------------------------------------------------ #
     # Eviction plumbing

@@ -15,14 +15,12 @@ from repro.backends import (
     Backend,
     MemoryBackend,
     ShardedSQLiteBackend,
-    SimulatedBackend,
     SQLiteBackend,
 )
-from repro.store.storage import StoreConfig
+from repro.store.storage import ObjectStore
 
 BACKEND_FACTORIES: Dict[str, Callable[[], Backend]] = {
-    "simulated": lambda: SimulatedBackend(
-        store_config=StoreConfig(page_size=512, buffer_pages=16)),
+    "simulated": lambda: ObjectStore(page_size=512, buffer_pages=16),
     "memory": MemoryBackend,
     "sqlite": lambda: SQLiteBackend(page_size=512, cache_pages=16),
     "sharded-sqlite": lambda: ShardedSQLiteBackend(

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backends import SimulatedBackend
+from repro.core.session import Session
 from repro.errors import StorageError, UnknownObject
-from repro.store.serializer import StoredObject
+from repro.store.serializer import StoredObject, encode_object
+from repro.store.storage import ObjectStore
 
 
 def make_records(count, cid=1, filler=20):
@@ -273,25 +274,46 @@ class TestAccounting:
         assert stats["objects"] == loaded_backend.object_count
 
 
-class TestSimulatedDelegation:
-    """The simulated adapter must mirror its wrapped store exactly."""
+class TestProtocolSurface:
+    """The members Session calls on every engine without probing."""
 
-    def test_shares_clock_and_counters(self, small_database):
-        from repro.store.storage import StoreConfig
-        backend = SimulatedBackend(
-            store_config=StoreConfig(page_size=512, buffer_pages=4))
-        records = small_database.to_records()
-        backend.bulk_load(records.values(), order=sorted(records))
-        backend.reset_stats()
-        for oid in sorted(records)[:10]:
-            backend.read_object(oid)
-        assert backend.snapshot() == backend.store.snapshot()
-        assert backend.clock is backend.store.clock
-        assert backend.object_accesses == backend.store.object_accesses
-        assert backend.snapshot().io_reads > 0
+    def test_name_is_the_registry_key(self, backend, request):
+        assert backend.name == request.node.callspec.params["backend"]
+
+    def test_flush_returns_int(self, loaded_backend):
+        assert isinstance(loaded_backend.flush(), int)
+
+    def test_supports_flags_are_bools(self, backend):
+        for flag in ("supports_clustering", "supports_batched_reads",
+                     "supports_batched_writes", "supports_concurrent_access",
+                     "supports_ref_index"):
+            assert isinstance(getattr(backend, flag), bool), flag
+
+
+class TestObjectStoreBackend:
+    """The paged store is the ``simulated`` engine itself."""
 
     def test_supports_clustering_flag(self):
-        assert SimulatedBackend(store_config=None).supports_clustering
+        assert ObjectStore().supports_clustering
+
+    def test_session_reports_the_registry_name(self):
+        assert Session(ObjectStore(page_size=512)).backend_name == \
+            "simulated"
+
+    def test_close_writes_dirty_pages_back(self):
+        store = ObjectStore(page_size=512, buffer_pages=4)
+        records = make_records(10)
+        store.bulk_load(records)
+        changed = records[0].with_refs((5, 6))
+        store.write_object(changed)
+        offset, length = store.location_of(changed.oid)
+        assert offset + length <= store.page_size
+        assert store.disk.peek(0)[offset:offset + length] != \
+            encode_object(changed)
+        store.close()
+        assert store.disk.peek(0)[offset:offset + length] == \
+            encode_object(changed)
+        assert store.flush() == 0
 
 
 class TestTraverseRefsMany:

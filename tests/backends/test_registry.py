@@ -6,7 +6,6 @@ import pytest
 
 from repro.backends import (
     MemoryBackend,
-    SimulatedBackend,
     SQLiteBackend,
     available_backends,
     backend_names,
@@ -16,7 +15,7 @@ from repro.backends import (
     unregister_backend,
 )
 from repro.errors import BackendError
-from repro.store.storage import StoreConfig
+from repro.store.storage import ObjectStore, StoreConfig
 
 
 class TestBuiltins:
@@ -29,7 +28,7 @@ class TestBuiltins:
             assert expected in names
 
     def test_create_each_builtin(self):
-        assert isinstance(create_backend("simulated"), SimulatedBackend)
+        assert isinstance(create_backend("simulated"), ObjectStore)
         assert isinstance(create_backend("memory"), MemoryBackend)
         sqlite = create_backend("sqlite")
         assert isinstance(sqlite, SQLiteBackend)
@@ -54,8 +53,8 @@ class TestStoreConfigForwarding:
     def test_simulated_honours_config(self):
         config = StoreConfig(page_size=1024, buffer_pages=7)
         backend = create_backend("simulated", config)
-        assert backend.store.page_size == 1024
-        assert backend.store.buffer.capacity == 7
+        assert backend.page_size == 1024
+        assert backend.buffer.capacity == 7
 
     def test_sqlite_honours_config(self):
         config = StoreConfig(page_size=1024, buffer_pages=7)
@@ -104,7 +103,7 @@ class TestErrors:
 
 class TestResolve:
     def test_none_means_simulated(self):
-        assert isinstance(resolve_backend(None), SimulatedBackend)
+        assert isinstance(resolve_backend(None), ObjectStore)
 
     def test_instance_passes_through(self):
         instance = MemoryBackend()

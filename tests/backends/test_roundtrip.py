@@ -15,15 +15,13 @@ from hypothesis import strategies as st
 from repro.backends import (
     MemoryBackend,
     ShardedSQLiteBackend,
-    SimulatedBackend,
     SQLiteBackend,
 )
 from repro.store.serializer import StoredObject
-from repro.store.storage import StoreConfig
+from repro.store.storage import ObjectStore
 
 BACKEND_FACTORIES = {
-    "simulated": lambda: SimulatedBackend(
-        store_config=StoreConfig(page_size=512, buffer_pages=8)),
+    "simulated": lambda: ObjectStore(page_size=512, buffer_pages=8),
     "memory": MemoryBackend,
     "sqlite": lambda: SQLiteBackend(page_size=512, cache_pages=8),
     "sharded-sqlite": lambda: ShardedSQLiteBackend(

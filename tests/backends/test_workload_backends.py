@@ -1,8 +1,8 @@
 """The full OCB protocol against every engine, plus the equivalence
 guarantees the tentpole promises:
 
-* driving the simulated store *through* the backend adapter is
-  bit-identical to driving it directly;
+* the registry's ``simulated`` engine is bit-identical to a store
+  built directly from the same configuration;
 * the logical workload (visits, distinct objects, transaction mix) is
   identical across all engines;
 * only the simulated engine reports simulated I/O; everyone reports
@@ -15,7 +15,6 @@ import pytest
 
 from repro.backends import (
     MemoryBackend,
-    SimulatedBackend,
     SQLiteBackend,
     create_backend,
 )
@@ -24,7 +23,7 @@ from repro.core.benchmark import OCBBenchmark
 from repro.core.parameters import DatabaseParameters
 from repro.core.workload import WorkloadRunner
 from repro.errors import WorkloadError
-from repro.store.storage import StoreConfig
+from repro.store.storage import ObjectStore, StoreConfig
 
 
 def _loaded(backend, database):
@@ -50,7 +49,7 @@ class TestBitIdenticalSimulated:
         direct.reset_stats()
         direct_report = _run(small_database, direct, small_workload)
 
-        adapted = _loaded(SimulatedBackend(store_config=config),
+        adapted = _loaded(create_backend("simulated", config),
                           small_database)
         adapted_report = _run(small_database, adapted, small_workload)
 
@@ -123,10 +122,8 @@ class TestClusteringGuard:
 
     def test_simulated_backend_allows_clustering(self, small_database,
                                                  small_workload):
-        backend = _loaded(
-            SimulatedBackend(
-                store_config=StoreConfig(page_size=512, buffer_pages=16)),
-            small_database)
+        backend = _loaded(ObjectStore(page_size=512, buffer_pages=16),
+                          small_database)
         runner = WorkloadRunner(small_database, backend, small_workload,
                                 policy=DSTCPolicy())
         report = runner.run()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backends import MemoryBackend, SQLiteBackend, SimulatedBackend
+from repro.backends import MemoryBackend, SQLiteBackend
 from repro.core.session import Session
 from repro.core.transactions import AccessContext
 from repro.errors import BackendError, WorkloadError
@@ -170,7 +170,7 @@ class TestLifecycle:
         records = small_database.to_records()
 
         for factory, expected in (
-                (lambda: SimulatedBackend(store_config=config), True),
+                (config.build, True),
                 (MemoryBackend, False),
                 (lambda: SQLiteBackend(page_size=512, cache_pages=8), True)):
             backend = factory()

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.backends import MemoryBackend, SimulatedBackend, SQLiteBackend
+from repro.backends import MemoryBackend, SQLiteBackend
 from repro.backends.registry import available_backends
 from repro.errors import BackendError
 from repro.store.serializer import StoredObject
@@ -27,8 +27,7 @@ def _records(n):
 class TestConnectWorker:
     def test_default_refuses(self):
         for backend in (MemoryBackend(),
-                        SimulatedBackend(store_config=StoreConfig(
-                            page_size=512, buffer_pages=16))):
+                        StoreConfig(page_size=512, buffer_pages=16).build()):
             assert backend.supports_concurrent_access is False
             with pytest.raises(BackendError, match="concurrent"):
                 backend.connect_worker()

@@ -312,3 +312,36 @@ class TestMachineReadableRunAndOps:
         assert document["operations"] == 8
         assert document["sql_round_trips"] is not None
         assert sum(row["n"] for row in document["per_operation"]) == 8
+
+
+class TestEngineLifecycle:
+    """Every command closes the engine it opens."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--backend", "sqlite"],
+        ["scenario", "read_heavy", "--backend", "sqlite", "--cold", "1",
+         "--warm", "5"],
+        ["ops", "--backend", "sqlite", "--operations", "8"],
+        ["loadtest", "read_heavy", "--backend", "sqlite", "--rate",
+         "200,400", "--ops", "4", "--no-predict"],
+    ], ids=lambda argv: argv[0])
+    def test_closes_every_sqlite_engine(self, argv, monkeypatch, capsys):
+        from repro.backends.sqlite import SQLiteBackend
+
+        opened, closed = [], []
+        init, close = SQLiteBackend.__init__, SQLiteBackend.close
+
+        def spy_init(self, *args, **kwargs):
+            opened.append(self)
+            init(self, *args, **kwargs)
+
+        def spy_close(self):
+            closed.append(self)
+            close(self)
+
+        monkeypatch.setattr(SQLiteBackend, "__init__", spy_init)
+        monkeypatch.setattr(SQLiteBackend, "close", spy_close)
+        assert main(argv) == 0
+        assert opened
+        assert {id(engine) for engine in opened} <= \
+            {id(engine) for engine in closed}
