@@ -25,7 +25,7 @@ from repro.experiments import render_table4, run_table4
 
 def main() -> None:
     print("Running the native DSTC-CluB benchmark and the OCB mimicry...")
-    print("(reduced scale: 16 000 parts, depth-4 traversals — see")
+    print("(reduced scale: 8 000 parts, depth-4 traversals — see")
     print(" EXPERIMENTS.md for the scale notes)")
     print()
     rows = run_table4(num_objects=8000, transactions=15, buffer_pages=192)
