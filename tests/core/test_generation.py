@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.generation import generate_database, generate_schema
 from repro.core.parameters import DatabaseParameters, ReferenceTypeSpec
-from repro.rand.distributions import ConstantDistribution
+from repro.core.presets import default_database_parameters
+from repro.rand.distributions import (
+    ConstantDistribution,
+    NormalDistribution,
+    SpecialDistribution,
+    ZipfDistribution,
+)
 
 
 def params(**overrides):
@@ -141,6 +150,7 @@ class TestDeterminism:
         assert a.catalog() == b.catalog()
         for oid in a.objects:
             assert a.objects[oid].oref == b.objects[oid].oref
+            assert a.objects[oid].back_refs == b.objects[oid].back_refs
 
     def test_different_seed_different_database(self):
         a, _ = generate_database(params(seed=123))
@@ -156,6 +166,74 @@ class TestDeterminism:
         for cid in schema_small.class_ids():
             assert schema_small.get(cid).tref == schema_large.get(cid).tref
             assert schema_small.get(cid).cref == schema_large.get(cid).cref
+
+
+def _bench_fixed_schema_parameters():
+    """The bench's path: Table 1's schema pinned via fixed_tref/fixed_cref."""
+    schema, _ = generate_schema(default_database_parameters(seed=19980323))
+    return dataclasses.replace(
+        default_database_parameters(seed=7),
+        num_objects=2000,
+        fixed_tref=tuple(tuple(c.tref) for c in schema),
+        fixed_cref=tuple(tuple(target or 0 for target in c.cref)
+                         for c in schema))
+
+
+def _database_digest(database):
+    digest = hashlib.sha256()
+    for oid in sorted(database.objects):
+        obj = database.objects[oid]
+        digest.update(repr((obj.oid, obj.cid, obj.oref,
+                            obj.back_refs)).encode())
+    return digest.hexdigest()
+
+
+class TestGoldenDatabases:
+    """Same parameters, same seed -> the same database, bit for bit.
+
+    The digests pin every object's class, forward and reverse references.
+    Any change to the order or number of random draws changes them.
+    """
+
+    CASES = {
+        "default": (
+            lambda: DatabaseParameters(),
+            "144298d9bce149807c6b282d40ffe8307f795e7f519e254aebe033360f59fc69"),
+        "ref_zone": (
+            lambda: params(num_objects=1500, ref_zone=25),
+            "7639715952663c1ff54630dfbe7177fdae298a4afd1d0a51b9eb4a67e2220371"),
+        "dist4_normal": (
+            lambda: params(num_objects=1500, dist4=NormalDistribution()),
+            "7815e7ee66ad27c8a6e41ed597ddcc1666026f3b059cc7b773ee3cc6b68d7e05"),
+        "dist4_zipf": (
+            lambda: params(num_objects=1500, dist4=ZipfDistribution()),
+            "446dad9b1cb3adcc7f6250cc48ac5529dd9e5c1b89230f27766d588c326bab51"),
+        "dist4_special": (
+            lambda: params(num_objects=1500,
+                           dist4=SpecialDistribution(ref_zone=40)),
+            "ff7ef6d62156c47f3ae3bdee0a08fe99dcf8ef99e0a37146f5f90fdf61a6d897"),
+        "dist3_constant": (
+            lambda: params(num_objects=1500, dist3=ConstantDistribution(3)),
+            "ede45e8c4411f32af97058b166866a182fe2b17dcb34ac63cb9b4f26c5868bfa"),
+        "nc_1": (
+            lambda: params(num_classes=1, num_objects=1500),
+            "12437f987b0fa599d054b738125294feee4450bf87575a687e8491316f51ef5e"),
+        "nc_50": (
+            lambda: params(num_classes=50, max_nref=10, num_objects=3000),
+            "61452e16ffa952f5ea731cf60221c36c49f68e9927b3c2f29dd0dfb47b01f4d1"),
+        "bench_fixed_schema": (
+            _bench_fixed_schema_parameters,
+            "b14f447a42271b6317221e4f6b499c875171b1c97df6194293ac686c0ef43d59"),
+        "no_0": (
+            lambda: params(num_objects=0),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_digest(self, case):
+        make_parameters, expected = self.CASES[case]
+        database, _ = generate_database(make_parameters())
+        assert _database_digest(database) == expected
 
 
 class TestGenerationReport:
