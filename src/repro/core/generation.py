@@ -207,14 +207,13 @@ def _reaches(schema: Schema, type_id: int, start: int, goal: int) -> bool:
 def _instantiate_objects(schema: Schema, parameters: DatabaseParameters,
                          rng: LewisPayne) -> Dict[int, OCBObject]:
     objects: Dict[int, OCBObject] = {}
-    num_classes = parameters.num_classes
-    for oid in range(1, parameters.num_objects + 1):
-        cid = parameters.dist3.draw(rng, 1, num_classes, center=oid)
+    class_ids = parameters.dist3.draws(
+        rng, 1, parameters.num_classes, range(1, parameters.num_objects + 1))
+    for oid, cid in enumerate(class_ids, start=1):
         descriptor = schema.get(cid)
-        obj = OCBObject(oid=oid, cid=cid,
-                        oref=[None] * descriptor.max_nref)
         descriptor.iterator.append(oid)
-        objects[oid] = obj
+        objects[oid] = OCBObject(oid=oid, cid=cid,
+                                 oref=[None] * descriptor.max_nref)
     return objects
 
 
@@ -226,21 +225,31 @@ def _instantiate_references(schema: Schema, objects: Dict[int, OCBObject],
     The draw ``l = RAND(DIST4, INFREF, SUPREF)`` happens on the object-id
     range; the drawn id is mapped into the target class's iterator with
     ``(l - 1) mod population`` (step 3 of the module docstring).
+
+    Each object draws all its live slots in one ``draws`` call, so the
+    stream is consumed in class, iterator and slot order, exactly as one
+    draw per slot would; NIL slots and empty target classes draw nothing.
     """
     if not objects:
         return
+    draws = parameters.dist4.draws
     for descriptor in schema:
+        # The live slots of the class: populations are final after step 3a.
+        slots: List[Tuple[int, List[int], int]] = []
+        for index, _type_id, target_class in descriptor.references():
+            if target_class is None:
+                continue
+            target_iterator = schema.get(target_class).iterator
+            if target_iterator:
+                slots.append((index, target_iterator, len(target_iterator)))
+        if not slots:
+            continue
         for oid in descriptor.iterator:
-            obj = objects[oid]
             low, high = parameters.object_ref_bounds(oid)
-            for index, type_id, target_class in descriptor.references():
-                if target_class is None:
-                    continue
-                target_descriptor = schema.get(target_class)
-                population = target_descriptor.population
-                if population == 0:
-                    continue
-                drawn = parameters.dist4.draw(rng, low, high, center=oid)
-                target_oid = target_descriptor.iterator[(drawn - 1) % population]
-                obj.oref[index] = target_oid
+            drawn = draws(rng, low, high, [oid] * len(slots))
+            oref = objects[oid].oref
+            for (index, target_iterator, population), value in zip(slots,
+                                                                    drawn):
+                target_oid = target_iterator[(value - 1) % population]
+                oref[index] = target_oid
                 objects[target_oid].back_refs.append((oid, index))

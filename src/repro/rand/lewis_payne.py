@@ -188,6 +188,39 @@ class LewisPayne:
             if word < limit:
                 return low + (word % span)
 
+    def randints(self, low: int, high: int, count: int) -> List[int]:
+        """Return *count* successive :meth:`randint` draws on ``[low, high]``.
+
+        The values, the words consumed and the final state are exactly those
+        of *count* calls to :meth:`randint`; the GFSR loop runs inline, which
+        saves two Python calls per draw.
+        """
+        if low > high:
+            raise ParameterError(f"empty range: low={low} > high={high}")
+        span = high - low + 1
+        if span == 1:
+            return [low] * count
+        if span > (1 << _WORD_BITS):
+            raise ParameterError(f"span {span} exceeds 32-bit generator range")
+        limit = (1 << _WORD_BITS) - ((1 << _WORD_BITS) % span)
+        state = self._state
+        taps = self._taps
+        p = self._p
+        i = self._index
+        out: List[int] = []
+        append = out.append
+        while count > 0:
+            value = state[i] ^ state[taps[i]]
+            state[i] = value
+            i += 1
+            if i == p:
+                i = 0
+            if value < limit:
+                append(low + value % span)
+                count -= 1
+        self._index = i
+        return out
+
     # ------------------------------------------------------------------ #
     # Derived draws
     # ------------------------------------------------------------------ #

@@ -232,3 +232,23 @@ def test_all_distributions_respect_bounds(seed, low, span, center, name):
     high = low + span
     for _ in range(10):
         assert low <= dist.draw(rng, low, high, center=center) <= high
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       low=st.integers(min_value=1, max_value=100),
+       span=st.integers(min_value=1, max_value=5000),
+       centers=st.lists(st.one_of(st.none(),
+                                  st.integers(min_value=-50, max_value=5200)),
+                        max_size=40),
+       name=st.sampled_from(DISTRIBUTION_NAMES))
+def test_draws_matches_one_draw_per_center(seed, low, span, centers, name):
+    batched_rng = LewisPayne(seed, warmup=5)
+    looped_rng = LewisPayne(seed, warmup=5)
+    dist = distribution_from_name(name)
+    high = low + span - 1
+    assert dist.draws(batched_rng, low, high, centers) == \
+        [dist.draw(looped_rng, low, high, center=center)
+         for center in centers]
+    assert batched_rng.getstate() == looped_rng.getstate()
+

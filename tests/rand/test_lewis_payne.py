@@ -256,3 +256,47 @@ def test_reproducibility_property(seed):
     b = LewisPayne(seed, warmup=5)
     assert [a.next_word() for _ in range(25)] == \
            [b.next_word() for _ in range(25)]
+
+
+class TestRandints:
+    """``randints`` is ``randint`` in a loop: same values, same end state."""
+
+    @staticmethod
+    def _pair(seed):
+        return LewisPayne(seed, warmup=10), LewisPayne(seed, warmup=10)
+
+    def test_span_of_one_consumes_nothing(self):
+        batched, _ = self._pair(5)
+        state = batched.getstate()
+        assert batched.randints(9, 9, 4) == [9, 9, 9, 9]
+        assert batched.getstate() == state
+
+    def test_full_32_bit_span(self):
+        batched, looped = self._pair(6)
+        high = (1 << 32) - 1
+        assert batched.randints(0, high, 50) == \
+            [looped.randint(0, high) for _ in range(50)]
+        assert batched.getstate() == looped.getstate()
+
+    def test_rejects_empty_range(self, rng):
+        with pytest.raises(ParameterError, match="empty range"):
+            rng.randints(5, 4, 3)
+
+    def test_rejects_span_over_32_bits(self, rng):
+        with pytest.raises(ParameterError, match="exceeds 32-bit"):
+            rng.randints(0, 1 << 32, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**63 - 1),
+       low=st.integers(min_value=-1000, max_value=1000),
+       span=st.one_of(st.integers(min_value=1, max_value=500),
+                      st.integers(min_value=1, max_value=1 << 32)),
+       count=st.integers(min_value=0, max_value=300))
+def test_randints_matches_randint_loop(seed, low, span, count):
+    batched = LewisPayne(seed, warmup=10)
+    looped = LewisPayne(seed, warmup=10)
+    high = low + span - 1
+    assert batched.randints(low, high, count) == \
+        [looped.randint(low, high) for _ in range(count)]
+    assert batched.getstate() == looped.getstate()

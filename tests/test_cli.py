@@ -186,6 +186,20 @@ class TestGenerateAndRun:
         out = capsys.readouterr().out
         assert "log-log" in out
 
+    def test_fig4_keeps_best_of_three(self, capsys, monkeypatch):
+        import repro.cli as cli
+        calls = []
+        real_run_fig4 = cli.run_fig4
+
+        def spy(**kwargs):
+            calls.append(kwargs)
+            return real_run_fig4(**kwargs)
+
+        monkeypatch.setattr(cli, "run_fig4", spy)
+        assert main(["fig4", "--sizes", "10", "--classes", "1"]) == 0
+        assert [call["repeats"] for call in calls] == [3]
+        assert "best of 3" in capsys.readouterr().out
+
     def test_qualitative(self, capsys):
         assert main(["qualitative"]) == 0
         out = capsys.readouterr().out
