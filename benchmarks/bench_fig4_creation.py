@@ -6,13 +6,13 @@ Paper: creation time rises with the number of instances (x axis, 10 to
 inheritance-graph consistency check.
 
 Measured here, the consistency check is a small share and step 3's
-reference instantiation dominates. ``GenerationReport`` at 50 classes and
-5 000 objects (best of 7, 2-vCPU Xeon, Python 3.11): consistency
-0.012 s and references 0.052 s of 0.077 s in total.
-After the consistency step an object keeps about 4 live references with
-1 class and about 9 with 20 or 50 classes, which separates the 1-class
-curve. At 20 000 objects the 20- and 50-class totals are within 2% of
-each other.
+reference instantiation dominates. ``GenerationReport`` at 50 classes
+and 5 000 objects (best of 7, 2-vCPU Xeon, Python 3.11): consistency
+0.012 s and references 0.052 s of 0.077 s in total. After the
+consistency step an object keeps about 4 live references with 1 class
+and about 9 with 20 or 50 classes, which separates the 1-class curve.
+At 20 000 objects the 20- and 50-class totals are within 2% of each
+other.
 
 The bench measures the same grid (the two largest paper sizes are an
 opt-in flag away; the shapes are identical at 5 000 objects) and prints

@@ -251,4 +251,3 @@ def test_draws_matches_one_draw_per_center(seed, low, span, centers, name):
         [dist.draw(looped_rng, low, high, center=center)
          for center in centers]
     assert batched_rng.getstate() == looped_rng.getstate()
-

@@ -261,18 +261,13 @@ def test_reproducibility_property(seed):
 class TestRandints:
     """``randints`` is ``randint`` in a loop: same values, same end state."""
 
-    @staticmethod
-    def _pair(seed):
-        return LewisPayne(seed, warmup=10), LewisPayne(seed, warmup=10)
-
-    def test_span_of_one_consumes_nothing(self):
-        batched, _ = self._pair(5)
-        state = batched.getstate()
-        assert batched.randints(9, 9, 4) == [9, 9, 9, 9]
-        assert batched.getstate() == state
+    def test_span_of_one_consumes_nothing(self, rng):
+        state = rng.getstate()
+        assert rng.randints(9, 9, 4) == [9, 9, 9, 9]
+        assert rng.getstate() == state
 
     def test_full_32_bit_span(self):
-        batched, looped = self._pair(6)
+        batched, looped = LewisPayne(6), LewisPayne(6)
         high = (1 << 32) - 1
         assert batched.randints(0, high, 50) == \
             [looped.randint(0, high) for _ in range(50)]
