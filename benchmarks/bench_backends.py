@@ -53,7 +53,7 @@ def backend_results():
 
 
 def test_backend_comparison_table(backend_results):
-    summaries = [summarize_backend_run(name, result.report)
+    summaries = [summarize_backend_run(name, result.report.warm.classic)
                  for name, result in sorted(backend_results.items())]
     term_print(render_backend_comparison(summaries))
     assert len(summaries) >= 3
@@ -63,7 +63,7 @@ def test_logical_workload_identical_across_backends(backend_results):
     """Same seed + same graph => every engine visits the same objects."""
     reference = None
     for name, result in sorted(backend_results.items()):
-        totals = result.report.warm.totals
+        totals = result.report.warm.classic.totals
         signature = (totals.count, totals.visits, totals.distinct_objects)
         if reference is None:
             reference = (name, signature)
@@ -75,7 +75,7 @@ def test_logical_workload_identical_across_backends(backend_results):
 
 def test_only_simulated_reports_simulated_ios(backend_results):
     for name, result in backend_results.items():
-        totals = result.report.warm.totals
+        totals = result.report.warm.classic.totals
         if name == "simulated":
             assert totals.io_reads > 0
             assert totals.sim_time > 0.0
@@ -86,8 +86,8 @@ def test_only_simulated_reports_simulated_ios(backend_results):
 
 def test_every_backend_reports_wall_percentiles(backend_results):
     for name, result in backend_results.items():
-        wall = result.report.warm.wall_percentiles()
-        assert wall.count == result.report.warm.totals.count
+        wall = result.report.warm.classic.wall_percentiles()
+        assert wall.count == result.report.warm.classic.totals.count
         assert wall.p50 <= wall.p95 <= wall.p99
         assert wall.p99 > 0.0, f"{name} reported zero wall-clock latency"
 
@@ -95,7 +95,7 @@ def test_every_backend_reports_wall_percentiles(backend_results):
 def _run_set_oriented_sqlite(batch: bool):
     """Set-oriented (BFS) workload on SQLite, batched or per-object."""
     from repro.core.generation import generate_database
-    from repro.core.workload import WorkloadRunner
+    from repro.core.scenario import Scenario, ScenarioRunner
 
     database, _ = generate_database(
         default_database_parameters(scale=DB_SCALE, seed=SEED))
@@ -103,13 +103,12 @@ def _run_set_oriented_sqlite(batch: bool):
     from dataclasses import replace
     params = replace(params, p_set=0.7, p_simple=0.1, p_hierarchy=0.1,
                      p_stochastic=0.1, reverse_probability=0.25)
-    runner = WorkloadRunner(database, "sqlite", params, batch=batch)
-    report = runner.run()
-    stats = runner.store.stats()
-    runner.session.close()
-    totals = report.warm.totals
+    scenario = Scenario.from_workload_parameters(
+        params, clients=1, backend="sqlite", batch=batch)
+    report = ScenarioRunner(database, scenario).run()
+    totals = report.clients[0].warm.classic.totals
     return ((totals.count, totals.visits, totals.distinct_objects),
-            stats["sql_round_trips"])
+            report.sql_round_trips)
 
 
 def test_sqlite_frontier_batching_saves_round_trips():

@@ -11,12 +11,12 @@ The script runs 1/2/4 clients twice — on the freshly loaded database and
 on the same database after DSTC reorganizes it — and compares throughput
 and mean response time.
 
-With ``--backend NAME`` the same multi-user workload runs through the
-unified execution kernel against any registered engine instead of the
-queueing model: ``--backend sqlite`` interleaves the clients round-robin
-on one shared SQLite database (with batched frontier fetches) and
-reports merged wall-clock percentiles, the real-engine analogue of the
-simulated response times below.
+With ``--backend NAME`` the same multi-user workload runs as a
+:class:`~repro.core.scenario.Scenario` against any registered engine
+instead of the queueing model: ``--backend sqlite`` interleaves the
+clients round-robin on one shared SQLite database (with batched
+frontier fetches) and reports merged wall-clock percentiles, the
+real-engine analogue of the simulated response times below.
 
 Run:  python examples/multiuser_simulation.py [--backend sqlite]
 """
@@ -30,9 +30,8 @@ from repro.backends import backend_names
 from repro.clustering.base import PlacementContext
 from repro.core.generation import generate_database
 from repro.core.parameters import DatabaseParameters, WorkloadParameters
-from repro.core.workload import WorkloadRunner
+from repro.core.scenario import Scenario, ScenarioRunner
 from repro.multiuser.des import SimulatedMultiUser
-from repro.multiuser.runner import MultiClientRunner
 from repro.reporting.tables import render_table
 
 CLIENT_COUNTS = (1, 2, 4)
@@ -71,8 +70,9 @@ def cluster(database, store):
     policy = DSTCPolicy(DSTCParameters(
         observation_period=20, selection_threshold=1,
         consolidation_weight=1.0, unit_weight_threshold=1.0))
-    runner = WorkloadRunner(database, store, workload(1), policy=policy)
-    runner.run_phase("observe", 20)
+    observe = Scenario.from_workload_parameters(workload(1), cold_ops=0,
+                                                warm_ops=20)
+    ScenarioRunner(database, observe, store=store, policy=policy).run()
     placement = policy.propose_placement(
         store.current_order(),
         PlacementContext(sizes=database.record_sizes(),
@@ -92,10 +92,11 @@ def run_on_backend(backend: str) -> None:
 
     rows = []
     for clients in CLIENT_COUNTS:
-        report = MultiClientRunner(database, backend,
-                                   workload(clients)).run()
-        wall = report.warm_wall_percentiles
-        totals = report.merged_warm.totals
+        scenario = Scenario.from_workload_parameters(workload(clients),
+                                                     backend=backend)
+        warm = ScenarioRunner(database, scenario).run().merged_warm.classic
+        wall = warm.wall_percentiles()
+        totals = warm.totals
         rows.append([clients, totals.count, totals.visits_per_transaction,
                      wall.p50 * 1000, wall.p95 * 1000, wall.p99 * 1000])
 

@@ -5,6 +5,9 @@ Public API highlights:
 * :class:`repro.core.OCBBenchmark` — generate / load / run in three lines,
 * :class:`repro.core.DatabaseParameters` / ``WorkloadParameters`` — the
   paper's Tables 1 and 2,
+* :class:`repro.core.ScenarioRunner` — runs any
+  :class:`~repro.core.Scenario` (a ``WorkloadMix`` plus clients and
+  cold/warm sizes), in-process or as OS processes,
 * :class:`repro.clustering.DSTCPolicy` — the clustering technique the
   paper evaluates,
 * :class:`repro.store.ObjectStore` — the Texas-like persistent store,
@@ -37,16 +40,16 @@ from repro.core import (
     ClusteringExperiment,
     DatabaseParameters,
     ExperimentResult,
-    GenericOperationsRunner,
     OCBBenchmark,
     OCBDatabase,
+    Scenario,
+    ScenarioRunner,
     Session,
+    WorkloadMix,
     WorkloadParameters,
-    WorkloadRunner,
     generate_database,
     preset,
 )
-from repro.multiuser import MultiClientRunner
 from repro.clustering import (
     DROPolicy,
     DSTCParameters,
@@ -81,9 +84,9 @@ __all__ = [
     "DatabaseParameters",
     "WorkloadParameters",
     "Session",
-    "WorkloadRunner",
-    "GenericOperationsRunner",
-    "MultiClientRunner",
+    "WorkloadMix",
+    "Scenario",
+    "ScenarioRunner",
     "ClusteringExperiment",
     "ExperimentResult",
     "generate_database",

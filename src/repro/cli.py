@@ -10,11 +10,11 @@ Subcommands::
     ocb ops       [--preset P]    run the generic operation mix
     ocb scenario  NAME|SPEC.json  run a declarative WorkloadMix scenario
                                   (presets: ocb scenario --list;
-                                  --processes N for real OS processes —
-                                  mutating mixes genuinely contend)
-    ocb multiuser [--preset P]    run CLIENTN clients (in-process, or
-                                  --processes N for real OS processes
-                                  against shared WAL storage)
+                                  --clients N interleaves N clients on
+                                  one engine, --processes N runs them as
+                                  real OS processes against shared WAL
+                                  storage — mutating mixes genuinely
+                                  contend)
     ocb scale     [--workers ...] worker-count sweep: throughput scaling
                                   + contention table
     ocb loadtest  [NAME]          open-loop offered-rate sweep against a
@@ -27,9 +27,10 @@ Subcommands::
     ocb table4                    reproduce Table 4 (DSTC-CluB vs OCB)
     ocb table5                    reproduce Table 5 (OCB defaults)
 
-Every execution command (``run``, ``ops``, ``multiuser``) goes through
-the unified kernel and accepts ``--backend NAME`` (see ``ocb
-backends``) to target any registered storage engine; runs against real
+Every execution command (``run``, ``ops``, ``scenario``) builds a
+:class:`~repro.core.scenario.Scenario`, runs it on the unified kernel
+and accepts ``--backend NAME`` (see ``ocb backends``) to target any
+registered storage engine; runs against real
 engines report wall-clock latency percentiles next to the simulated
 costs, and ``run --cold-start`` drops the engine's caches first so the
 cold phase is honest on engines that can evict state.  All experiment
@@ -206,39 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--trace", default=None, metavar="FILE",
                           help="stream per-operation trace records to a "
                                "JSONL file (per-layer summary on stderr)")
-
-    multiuser = sub.add_parser(
-        "multiuser", help="run CLIENTN clients against one shared engine "
-                          "(round-robin in-process, or --processes for "
-                          "real OS processes)")
-    multiuser.add_argument("--preset", default="default-small",
-                           choices=sorted(PRESETS))
-    multiuser.add_argument("--clients", type=int, default=4)
-    multiuser.add_argument("--backend", default="simulated",
-                           choices=backend_names(),
-                           help="storage engine to drive "
-                                "(default: simulated)")
-    multiuser.add_argument("--sqlite-path", default=":memory:",
-                           help="database file for --backend sqlite, or "
-                                "shard directory for sharded-sqlite "
-                                "(default: in-memory; process runs "
-                                "replace ':memory:' with a temp path)")
-    multiuser.add_argument("--shards", type=int, default=None, metavar="N",
-                           help="shard count for --backend sharded-sqlite "
-                                "(default: the client count)")
-    multiuser.add_argument("--processes", type=int, default=None,
-                           metavar="N",
-                           help="run N clients as real OS processes "
-                                "against shared storage instead of "
-                                "interleaving them in-process "
-                                "(overrides --clients)")
-    multiuser.add_argument("--journal-mode", default="WAL",
-                           help="journal mode for shared SQLite files "
-                                "(default: WAL)")
-    multiuser.add_argument("--busy-timeout", type=int, default=5000,
-                           metavar="MS",
-                           help="per-connection busy budget in ms for "
-                                "shared storage (default: 5000)")
 
     scale = sub.add_parser(
         "scale", help="sweep worker-process counts and print the "
@@ -456,7 +424,7 @@ def _cmd_run(args: argparse.Namespace) -> str:
     finally:
         if bench.backend is not None:
             bench.backend.close()
-    warm = result.report.warm
+    warm = result.report.warm.classic
     wall = warm.wall_percentiles()
     if args.json:
         import json
@@ -493,33 +461,29 @@ def _cmd_run(args: argparse.Namespace) -> str:
 
 
 def _cmd_ops(args: argparse.Namespace) -> str:
-    from collections import defaultdict
-
     db_params, wl_params = preset(args.preset)
     bench = OCBBenchmark(db_params, wl_params,
                          backend=args.backend,
                          backend_options=_backend_options(args))
-    results = bench.run_generic_operations(args.operations)
-    grouped = defaultdict(list)
-    for result in results:
-        grouped[result.operation].append(result)
+    try:
+        warm = bench.run_generic_operations(args.operations).warm
+        stats = bench.backend.stats() if bench.backend is not None else {}
+    finally:
+        if bench.backend is not None:
+            bench.backend.close()
     rows = []
-    for operation, bucket in sorted(grouped.items(),
-                                    key=lambda item: item[0].value):
-        n = len(bucket)
-        rows.append([operation.value, n,
-                     sum(r.objects_touched for r in bucket) / n,
-                     sum(r.io_reads for r in bucket) / n,
-                     sum(r.io_writes for r in bucket) / n,
-                     sum(r.wall_time for r in bucket) / n * 1e3])
+    for operation in sorted(warm.per_class):
+        op = warm.per_class[operation]
+        rows.append([operation, op.count, op.objects / op.count,
+                     op.io_reads / op.count, op.io_writes / op.count,
+                     op.wall_time / op.count * 1e3])
     if args.json:
         import json
-        stats = bench.backend.stats() if bench.backend is not None else {}
         document = {
             "command": "ops",
             "preset": args.preset,
             "backend": args.backend,
-            "operations": len(results),
+            "operations": warm.operation_count,
             "sql_round_trips": stats.get("sql_round_trips"),
             "per_operation": [
                 {"operation": operation, "n": n, "objects_per_op": objects,
@@ -527,18 +491,15 @@ def _cmd_ops(args: argparse.Namespace) -> str:
                  "wall_ms_per_op": wall_ms}
                 for operation, n, objects, reads, writes, wall_ms in rows],
         }
-        bench.backend.close()
         return json.dumps(document, indent=2)
     table = render_table(
         ["operation", "n", "objects/op", "reads/op", "writes/op",
          "wall/op (ms)"],
         rows, title=f"Generic operation mix on {args.backend!r} "
                     f"({args.operations} operations)", precision=3)
-    stats = bench.backend.stats() if bench.backend is not None else {}
     lines = [table]
     if "sql_round_trips" in stats:
         lines.append(f"\nSQL round trips: {stats['sql_round_trips']}")
-    bench.backend.close()
     return "\n".join(lines)
 
 
@@ -688,70 +649,6 @@ def _parallel_options(args: argparse.Namespace) -> dict:
                                       args.busy_timeout,
                                       for_processes=True)
     return options
-
-
-def _cmd_multiuser(args: argparse.Namespace) -> str:
-    from dataclasses import replace
-
-    from repro.multiuser.runner import MultiClientRunner
-
-    db_params, wl_params = preset(args.preset)
-    if args.processes is not None:
-        wl_params = replace(wl_params, clients=args.processes)
-        database, _report = generate_database(db_params)
-        return _run_multiuser_processes(args, database, wl_params)
-    wl_params = replace(wl_params, clients=args.clients)
-    database, _report = generate_database(db_params)
-    options = _backend_options(args)
-    if args.backend in ("sqlite", "sharded-sqlite"):
-        # The journal/busy/synchronous knobs apply on the in-process
-        # path too, so the two execution modes benchmark the same
-        # engine settings.
-        options = _shared_sqlite_options(options, args.journal_mode,
-                                         args.busy_timeout,
-                                         for_processes=False)
-    runner = MultiClientRunner(database, args.backend, wl_params,
-                               backend_options=options)
-    report = runner.run()
-    rows = []
-    for client, client_report in enumerate(report.clients):
-        totals = client_report.warm.totals
-        wall = report.client_wall_percentiles(client)
-        rows.append([client, totals.count, totals.visits_per_transaction,
-                     totals.reads_per_transaction, wall.p95 * 1e3])
-    merged = report.merged_warm.totals
-    merged_wall = report.warm_wall_percentiles
-    rows.append(["all", merged.count, merged.visits_per_transaction,
-                 merged.reads_per_transaction, merged_wall.p95 * 1e3])
-    table = render_table(
-        ["client", "warm txns", "objects/txn", "reads/txn", "P95 (ms)"],
-        rows, title=f"{args.clients} clients on {report.backend_name!r} "
-                    f"(round-robin, shared engine)", precision=3)
-    runner.store.close()
-    return "\n".join([
-        table, "",
-        f"merged warm wall-clock: {merged_wall.describe()}"])
-
-
-def _run_multiuser_processes(args: argparse.Namespace, database,
-                             wl_params) -> str:
-    from repro.parallel import ParallelConfig, ParallelRunner
-    from repro.reporting import render_parallel_workers
-
-    config = ParallelConfig(journal_mode=args.journal_mode,
-                            busy_timeout_ms=args.busy_timeout)
-    runner = ParallelRunner(database, args.backend, wl_params,
-                            config=config,
-                            backend_options=_parallel_options(args))
-    report = runner.run()
-    merged_wall = report.warm_wall_percentiles
-    lines = [render_parallel_workers(report), "",
-             report.describe(),
-             f"merged warm wall-clock: {merged_wall.describe()}"]
-    if not report.executed_parallel and wl_params.clients > 1:
-        lines.append("note: worker processes were unavailable; the "
-                     "workers ran sequentially in-process")
-    return "\n".join(lines)
 
 
 def _cmd_scale(args: argparse.Namespace) -> str:
@@ -1006,8 +903,6 @@ def _dispatch_command(parser: argparse.ArgumentParser,
         print(_cmd_ops(args))
     elif args.command == "scenario":
         print(_cmd_scenario(args))
-    elif args.command == "multiuser":
-        print(_cmd_multiuser(args))
     elif args.command == "scale":
         print(_cmd_scale(args))
     elif args.command == "loadtest":

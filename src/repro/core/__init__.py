@@ -8,11 +8,6 @@ from repro.core.generation import (
     generate_database,
     generate_schema,
 )
-from repro.core.generic_ops import (
-    GenericOperation,
-    GenericOperationsRunner,
-    OperationResult,
-)
 from repro.core.metrics import KindStats, MetricsCollector, PhaseReport
 from repro.core.parameters import (
     DatabaseParameters,
@@ -37,8 +32,10 @@ from repro.core.presets import (
 from repro.core.scenario import (
     ClientExecutor,
     ClientScenarioReport,
+    GenericOperation,
     MixEntry,
     OpClassStats,
+    OperationResult,
     Scenario,
     ScenarioPhase,
     ScenarioReport,
@@ -54,7 +51,6 @@ from repro.core.transactions import (
     TransactionSpec,
     run_transaction,
 )
-from repro.core.workload import WorkloadReport, WorkloadRunner
 
 __all__ = [
     "OCBBenchmark",
@@ -68,7 +64,6 @@ __all__ = [
     "generate_database",
     "generate_schema",
     "GenericOperation",
-    "GenericOperationsRunner",
     "OperationResult",
     "KindStats",
     "MetricsCollector",
@@ -95,8 +90,6 @@ __all__ = [
     "TransactionResult",
     "TransactionSpec",
     "run_transaction",
-    "WorkloadReport",
-    "WorkloadRunner",
     "PRESETS",
     "preset",
     "SCENARIO_PRESETS",

@@ -5,13 +5,13 @@ a chosen initial placement, execute the cold/warm protocol, and package the
 results.  Everything is overridable, nothing is hidden: the pieces used
 here (:func:`~repro.core.generation.generate_database`,
 :class:`~repro.store.storage.ObjectStore`,
-:class:`~repro.core.workload.WorkloadRunner`,
+:class:`~repro.core.scenario.ScenarioRunner`,
 :class:`~repro.core.experiment.ClusteringExperiment`) are public API.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.backends import Backend, resolve_backend
@@ -25,7 +25,8 @@ from repro.core.presets import (
     default_database_parameters,
     default_workload_parameters,
 )
-from repro.core.workload import WorkloadReport, WorkloadRunner
+from repro.core.scenario import ClientScenarioReport, Scenario, \
+    ScenarioRunner, WorkloadMix
 from repro.errors import WorkloadError
 from repro.store.storage import ObjectStore, StoreConfig
 
@@ -38,14 +39,16 @@ class BenchmarkResult:
 
     database_statistics: DatabaseStatistics
     generation: GenerationReport
-    report: WorkloadReport
+    #: The single client's run; ``report.warm.classic`` is the warm
+    #: phase per transaction kind.
+    report: ClientScenarioReport
     store_pages: int
     backend_name: str = "simulated"
 
     def describe(self) -> str:
         """Multi-line human-readable summary."""
-        warm = self.report.warm.totals
-        wall = self.report.warm.wall_percentiles()
+        warm = self.report.warm.classic.totals
+        wall = self.report.warm.classic.wall_percentiles()
         lines = [
             "OCB benchmark result",
             f"  database : {self.database_statistics.describe()}",
@@ -121,34 +124,38 @@ class OCBBenchmark:
             self.setup()
         assert self.database is not None and self.backend is not None
         assert self.generation is not None
-        runner = WorkloadRunner(self.database, self.backend,
-                                self.workload_parameters, policy=self.policy)
         if cold_start:
-            runner.session.drop_caches()
-        report = runner.run()
+            self.backend.drop_caches()
+        scenario = Scenario.from_workload_parameters(
+            self.workload_parameters, clients=1)
+        report = ScenarioRunner(self.database, scenario, store=self.backend,
+                                policy=self.policy).run()
         pages = int(self.backend.stats().get("pages", 0) or 0)
         return BenchmarkResult(
             database_statistics=self.database.statistics(),
             generation=self.generation,
-            report=report,
+            report=report.clients[0],
             store_pages=pages,
             backend_name=self.backend.name)
 
     def run_generic_operations(self, operations: int,
-                               weights: Optional[dict] = None) -> list:
-        """Run the extended operation mix on this benchmark's backend.
+                               weights: Optional[dict] = None
+                               ) -> ClientScenarioReport:
+        """Run *operations* draws of the extended operation mix.
 
-        Returns the list of
-        :class:`~repro.core.generic_ops.OperationResult` — the facade
-        behind ``ocb ops --backend NAME``.
+        The draws form the warm phase of the returned report (per
+        operation class in ``report.warm.per_class``) — the facade
+        behind ``ocb ops --backend NAME``.  ``weights`` maps operations
+        to weights; ``None`` is the default mix.
         """
-        from repro.core.generic_ops import GenericOperationsRunner
+        scenario = Scenario(
+            mix=WorkloadMix.from_operation_weights(weights),
+            cold_ops=0, warm_ops=operations)
         if self.database is None or self.backend is None:
             self.setup()
         assert self.database is not None and self.backend is not None
-        runner = GenericOperationsRunner(self.database, self.backend,
-                                         policy=self.policy)
-        return runner.run_mix(operations, weights=weights)
+        return ScenarioRunner(self.database, scenario, store=self.backend,
+                              policy=self.policy).run().clients[0]
 
     def run_clustering_experiment(self, label: str = "OCB",
                                   io_mode: str = "touched"

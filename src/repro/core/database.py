@@ -142,7 +142,7 @@ class OCBDatabase:
 
         The caller is responsible for the object's references and for the
         matching back references on its targets (see
-        :mod:`repro.core.generic_ops`).
+        :meth:`repro.core.scenario.ClientExecutor.op_insert`).
         """
         if obj.oid in self.objects:
             raise GenerationError(f"object id {obj.oid} already exists")

@@ -17,13 +17,13 @@ The experiment:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.clustering.base import ClusteringPolicy, PlacementContext
 from repro.core.database import OCBDatabase
-from repro.core.metrics import PhaseReport
 from repro.core.parameters import WorkloadParameters
-from repro.core.workload import WorkloadReport, WorkloadRunner
+from repro.core.scenario import ClientScenarioReport, Scenario, \
+    ScenarioRunner
 from repro.errors import WorkloadError
 from repro.store.storage import ObjectStore, ReorganizationStats
 
@@ -36,21 +36,21 @@ class ExperimentResult:
 
     label: str
     policy_name: str
-    before: WorkloadReport
-    after: Optional[WorkloadReport]
+    before: ClientScenarioReport
+    after: Optional[ClientScenarioReport]
     reorganization: Optional[ReorganizationStats]
 
     @property
     def ios_before(self) -> float:
         """Mean page reads per warm transaction, before reclustering."""
-        return self.before.warm_reads_per_transaction
+        return self.before.warm.classic.totals.reads_per_transaction
 
     @property
     def ios_after(self) -> float:
         """Mean page reads per warm transaction, after reclustering."""
         if self.after is None:
             return self.ios_before
-        return self.after.warm_reads_per_transaction
+        return self.after.warm.classic.totals.reads_per_transaction
 
     @property
     def gain_factor(self) -> float:
@@ -96,9 +96,7 @@ class ClusteringExperiment:
         # Phase 1 — observe and measure "before".
         self.store.drop_caches()
         self.store.reset_stats()
-        runner = WorkloadRunner(self.database, self.store, self.workload,
-                                policy=self.policy)
-        before = runner.run()
+        before = self._run_workload()
 
         # Reorganization — the policy proposes, the store applies.
         context = PlacementContext(sizes=self.database.record_sizes(),
@@ -106,7 +104,7 @@ class ClusteringExperiment:
         placement = self.policy.propose_placement(self.store.current_order(),
                                                   context)
         reorganization: Optional[ReorganizationStats] = None
-        after: Optional[WorkloadReport] = None
+        after: Optional[ClientScenarioReport] = None
         if placement is not None:
             if sorted(placement.order) != sorted(self.store.current_order()):
                 raise WorkloadError(
@@ -118,12 +116,18 @@ class ClusteringExperiment:
             # Phase 2 — identical workload, clustered layout.
             self.store.drop_caches()
             self.store.reset_stats()
-            rerunner = WorkloadRunner(self.database, self.store, self.workload,
-                                      policy=self.policy)
-            after = rerunner.run()
+            after = self._run_workload()
 
         return ExperimentResult(label=self.label,
                                 policy_name=self.policy.name,
                                 before=before,
                                 after=after,
                                 reorganization=reorganization)
+
+    def _run_workload(self) -> ClientScenarioReport:
+        """One client's cold + warm run on the store, policy observing."""
+        scenario = Scenario.from_workload_parameters(self.workload,
+                                                     clients=1)
+        report = ScenarioRunner(self.database, scenario, store=self.store,
+                                policy=self.policy).run()
+        return report.clients[0]

@@ -22,24 +22,22 @@ on the unified kernel (:class:`~repro.core.session.Session`) against any
 registered backend — in-process (round-robin interleaving) or as real OS
 processes through :mod:`repro.parallel`.
 
-The legacy runners are thin shims over this layer:
+It is the only execution path.  The OCB cold/warm protocol of Section
+3.3 is the transaction-only mix of
+:meth:`WorkloadMix.from_workload_parameters`
+(:meth:`Scenario.from_workload_parameters` adds the COLDN/HOTN/CLIENTN
+sizes); the paper's Section 5 operation set is the operation-only mix
+of :meth:`WorkloadMix.from_operation_weights`.  The Tables 4-5
+experiment, the :class:`~repro.core.benchmark.OCBBenchmark` facade, the
+queueing model and the worker processes all run one of these mixes.
+Each pure mix draws from its own Lewis–Payne substream
+(:data:`STREAM_WORKLOAD` for transaction-only mixes,
+:data:`STREAM_GENERIC` for operation-only mixes).  The keys and the
+entry draw must not change: ``tests/core/test_shim_equivalence.py``
+pins the reports they produce on fixed seeds against frozen goldens.
 
-* :class:`~repro.core.workload.WorkloadRunner` — a single-client,
-  transaction-only mix built by :meth:`WorkloadMix.from_workload_parameters`;
-* :class:`~repro.core.generic_ops.GenericOperationsRunner` — an
-  operation-only mix built by :meth:`WorkloadMix.from_operation_weights`;
-* :class:`~repro.multiuser.runner.MultiClientRunner` — the transaction
-  mix at ``CLIENTN`` clients.
-
-Their reports are byte-identical to the pre-refactor implementations on
-the same seed (pinned by ``tests/core/test_shim_equivalence.py``): the
-entry draw, the per-kind RNG consumption and the Lewis–Payne substream
-keys (:data:`STREAM_WORKLOAD` for transaction-only mixes,
-:data:`STREAM_GENERIC` for operation-only mixes) are exact ports of the
-legacy code paths.
-
-Multi-client **mutating** mixes — the workload shape the legacy runners
-could not express — partition the object space by client
+Multi-client **mutating** mixes — a workload shape the Table 2 protocol
+cannot express — partition the object space by client
 (``oid % clients == client_id``):
 
 * every client draws its mutation victims from its own partition and
@@ -67,7 +65,7 @@ import contextlib
 import copy
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import (
     Callable,
@@ -76,9 +74,7 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
-    Union,
 )
 
 from repro.backends.base import Backend
@@ -126,9 +122,9 @@ __all__ = [
     "OPERATION_CLASS_ORDER",
 ]
 
-#: Lewis–Payne substream keys.  The first two are the exact keys the
-#: legacy runners used (the shims' byte-identical guarantee depends on
-#: them); the third is the native key for mixes combining both worlds.
+#: Lewis–Payne substream keys.  The first two key the pure transaction
+#: and pure operation mixes (the pinned goldens depend on them); the
+#: third keys mixes combining both worlds.
 STREAM_WORKLOAD = 0x0CB0_0001
 STREAM_GENERIC = 0x0CB0_00FF
 STREAM_SCENARIO = 0x0CB0_05CE
@@ -510,6 +506,26 @@ class Scenario:
         """Whether clients mutate disjoint partitions (see module docs)."""
         return self.clients > 1 and self.mix.mutates
 
+    @classmethod
+    def from_workload_parameters(cls, parameters: WorkloadParameters,
+                                 **fields: object) -> "Scenario":
+        """The OCB protocol of Table 2 as a scenario.
+
+        CLIENTN clients each run COLDN then HOTN transactions of the
+        PSET..PSTOCH mix on the parameters' seed; *fields* override any
+        of these (``clients=1`` for a single-user run) or set the
+        backend binding.
+        """
+        spec: Dict[str, object] = {
+            "mix": WorkloadMix.from_workload_parameters(parameters),
+            "clients": parameters.clients,
+            "cold_ops": parameters.cold_n,
+            "warm_ops": parameters.hot_n,
+            "seed": parameters.seed,
+        }
+        spec.update(fields)
+        return cls(**spec)  # type: ignore[arg-type]
+
     def to_dict(self) -> dict:
         """JSON-ready mapping (the ``ocb scenario`` spec-file format)."""
         spec: Dict[str, object] = {
@@ -605,6 +621,12 @@ class OpClassStats:
         return self.objects / self.count if self.count else 0.0
 
     @property
+    def reads_per_op(self) -> float:
+        """Mean page reads per operation (0 on engines without a cost
+        model)."""
+        return self.io_reads / self.count if self.count else 0.0
+
+    @property
     def sim_time_per_op(self) -> float:
         """Mean simulated cost per operation (seconds)."""
         return self.sim_time / self.count if self.count else 0.0
@@ -635,10 +657,11 @@ class OpClassStats:
 class ScenarioPhase:
     """One protocol phase (cold or warm) of one client, per-class.
 
-    ``classic`` is the legacy per-transaction-kind :class:`PhaseReport`
-    covering the phase's transaction entries — the bridge that lets the
-    shims return byte-identical reports and the multi-user folds reuse
-    the existing percentile machinery.
+    ``classic`` is the per-transaction-kind :class:`PhaseReport`
+    covering the phase's transaction entries — the shape the paper's
+    tables quote (reads/IOs per transaction, per kind).  The Tables 4-5
+    experiment, the benchmark facade and the cross-backend comparison
+    read it, and multi-client folds merge it.
     """
 
     name: str
@@ -957,8 +980,8 @@ class ScenarioReport:
 class ClientExecutor:
     """Executes one client's share of a mix on a kernel session.
 
-    This is where the legacy runners' drawing and execution mechanics
-    now live, generalized along two axes:
+    Every workload's drawing and execution mechanics live here,
+    generalized along two axes:
 
     * **any mix** — one weighted-entry draw per slot (the exact
       cumulative-threshold scheme both legacy runners used), then the
@@ -968,9 +991,8 @@ class ClientExecutor:
       client_id``), fresh oids come from the client's own lane, and the
       logical view (``view``) is this client's private replica.
 
-    With one client, no partitioning and a pure mix, every draw reduces
-    bit-exactly to the legacy runner it replaced — the property the shim
-    equivalence tests pin.
+    With one client, no partitioning and a pure mix, every draw is the
+    one the golden tests pin.
     """
 
     def __init__(self, database: OCBDatabase, mix: WorkloadMix,
@@ -1346,13 +1368,6 @@ class ClientExecutor:
             return len(visited)
         return self._timed(GenericOperation.STRUCTURE_TRAVERSAL, body)
 
-    def run_operation(self, entry: MixEntry) -> OperationResult:
-        """Execute one generic-operation entry."""
-        if entry.is_transaction:
-            raise WorkloadError(
-                f"entry {entry.kind!r} is a transaction class")
-        return self._dispatch[entry.kind](entry)
-
     # -- internals -------------------------------------------------------- #
 
     def _timed(self, operation: GenericOperation,
@@ -1444,8 +1459,8 @@ class ScenarioRunner:
     """Executes a :class:`Scenario` — in-process or as OS processes.
 
     In-process (:meth:`run`), the scenario's clients interleave
-    round-robin against one shared engine, exactly as the legacy
-    multi-user runner did — but over *any* mix.  As processes
+    round-robin against one shared engine over *any* mix, so clients
+    pollute each other's caches as concurrent users would.  As processes
     (:meth:`run_processes`), each client becomes a worker of the
     process-parallel subsystem: shared WAL storage for backends with the
     ``concurrent`` capability, per-worker replicas otherwise.
@@ -1512,10 +1527,21 @@ class ScenarioRunner:
         return executors
 
     def run(self) -> ScenarioReport:
-        """Round-robin the clients' cold then warm slots in-process."""
+        """Round-robin the clients' cold then warm slots in-process.
+
+        A clustering policy needs an engine that can reorganize its
+        physical layout; any other engine is refused before a client
+        executes.
+        """
         scenario = self.scenario
         engine = self._resolve_engine()
         try:
+            if not isinstance(self.policy, NoClustering) and \
+                    not engine.supports_clustering:
+                raise WorkloadError(
+                    f"backend {engine.name!r} does not support physical "
+                    f"clustering; use the simulated backend for "
+                    f"clustering experiments")
             executors = self.build_executors(engine)
             cold = [ScenarioCollector("cold") for _ in executors]
             warm = [ScenarioCollector("warm") for _ in executors]
@@ -1596,9 +1622,7 @@ class ScenarioRunner:
             backend_options=dict(scenario.backend_options),
             batch=scenario.batch, mix=self.mix)
         parallel_report = runner.run()
-        clients = [worker.scenario_report
-                   for worker in parallel_report.workers
-                   if worker.scenario_report is not None]
+        clients = [worker.report for worker in parallel_report.workers]
 
         def total(counter: str) -> int:
             return sum(int((worker.backend_stats or {}).get(counter, 0) or 0)

@@ -1,12 +1,11 @@
 """The unified execution kernel: one Session, every workload, any engine.
 
-:class:`Session` is the single surface through which *all three* OCB
-execution paths — the cold/warm transaction protocol
-(:mod:`repro.core.transactions` / :mod:`repro.core.workload`), the
-extended generic operation set (:mod:`repro.core.generic_ops`) and
-multi-user interleaving (:mod:`repro.multiuser.runner`) — touch storage.
-It grew out of the old ``AccessContext`` and owns everything the paths
-used to wire up separately:
+:class:`Session` is the single surface through which every workload —
+the OCB transactions (:mod:`repro.core.transactions`) and the generic
+operations, run by one
+:class:`~repro.core.scenario.ClientExecutor` per client — touches
+storage.  It grew out of the old ``AccessContext`` and owns everything
+the execution paths used to wire up separately:
 
 * **object access** — :meth:`access` charges the engine and notifies the
   clustering policy of the link crossing (DSTC's observation input);

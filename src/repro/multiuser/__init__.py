@@ -1,15 +1,16 @@
-"""Multi-user OCB: round-robin interleaving + queueing simulation."""
+"""Multi-user OCB: the queueing simulation of clients on a shared disk.
+
+Round-robin interleaving of CLIENTN clients on one engine is a
+:class:`~repro.core.scenario.Scenario` with ``clients > 1``.
+"""
 
 from repro.multiuser.des import (
     ClientTimings,
     SimulatedMultiUser,
     SimulatedRunReport,
 )
-from repro.multiuser.runner import MultiClientRunner, MultiUserReport
 
 __all__ = [
-    "MultiClientRunner",
-    "MultiUserReport",
     "SimulatedMultiUser",
     "SimulatedRunReport",
     "ClientTimings",

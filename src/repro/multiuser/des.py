@@ -1,11 +1,12 @@
 """Queueing model of multi-user OCB on the discrete-event engine.
 
-The round-robin runner (:mod:`repro.multiuser.runner`) captures cache
-*pollution* between clients but not *contention delays*.  This module adds
-the queueing view the paper's QNAP2 port was built for: each client is a
-process that thinks, executes its transaction against the real store (to
-learn how many page I/Os it needs), then queues those I/Os on a shared
-disk server — so response times include waiting behind other clients.
+A multi-client :class:`~repro.core.scenario.Scenario` run in-process
+captures cache *pollution* between clients but not *contention delays*.
+This module adds the queueing view the paper's QNAP2 port was built
+for: each client is a process that thinks, executes its transaction
+against the real store (to learn how many page I/Os it needs), then
+queues those I/Os on a shared disk server — so response times include
+waiting behind other clients.
 
 The model reports per-client response-time statistics, aggregate
 throughput, and disk utilisation, which is what one needs to study how
@@ -20,9 +21,8 @@ from typing import List, Optional
 
 from repro.clustering.base import ClusteringPolicy, NoClustering
 from repro.core.database import OCBDatabase
-from repro.core.metrics import MetricsCollector
 from repro.core.parameters import WorkloadParameters
-from repro.core.workload import WorkloadRunner
+from repro.core.scenario import Scenario, ScenarioCollector, ScenarioRunner
 from repro.errors import WorkloadError
 from repro.sim.engine import Environment
 from repro.store.storage import ObjectStore
@@ -112,21 +112,21 @@ class SimulatedMultiUser:
         busy = [0.0]
         total_ios = [0]
 
-        runners = [
-            WorkloadRunner(self.database, self.store, self.parameters,
-                           policy=self.policy, client_id=i)
-            for i in range(self.parameters.clients)]
+        scenario = Scenario.from_workload_parameters(self.parameters)
+        executors = ScenarioRunner(self.database, scenario,
+                                   policy=self.policy
+                                   ).build_executors(self.store)
 
         def client(index: int):
-            runner = runners[index]
-            collector = MetricsCollector(f"client-{index}")
+            executor = executors[index]
+            collector = ScenarioCollector(f"client-{index}")
             think = self.parameters.think_time
             for _ in range(self.transactions_per_client):
                 if think > 0.0:
                     yield env.timeout(think)
                 started = env.now
                 before = self.store.snapshot()
-                runner.step(collector)
+                executor.step(collector)
                 delta = self.store.snapshot() - before
                 # CPU portion: charged without contention.
                 cpu = delta.object_accesses * cost.cpu_object_time

@@ -1,13 +1,12 @@
 """Merged results of a process-parallel run.
 
-:class:`ParallelReport` folds the per-worker results into the existing
-:class:`~repro.multiuser.runner.MultiUserReport` shape — the same merged
-cold/warm phases, the same wall-clock percentiles — so every table and
-comparison helper in :mod:`repro.reporting` renders a single-process
-interleaved run and a multi-process contended run side by side.  On top
-of that shape it adds what only real parallelism has: harness wall-clock
-(spawn to join), aggregate throughput, and the contention counters
-(busy retries, time spent waiting on locks) the engines accounted.
+:class:`ParallelReport` folds each worker's
+:class:`~repro.core.scenario.ClientScenarioReport` into merged cold/warm
+phases per transaction kind (the reports' ``classic`` phases) with
+wall-clock percentiles, and adds what only real parallelism has:
+harness wall-clock (spawn to join), aggregate throughput, and the
+contention counters (busy retries, time spent waiting on locks) the
+engines accounted.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from functools import cached_property
 from typing import List
 
 from repro.core.metrics import LatencyPercentiles, PhaseReport
-from repro.multiuser.runner import MultiUserReport
 from repro.parallel.spec import WorkerResult
 
 __all__ = ["ParallelReport"]
@@ -38,14 +36,6 @@ class ParallelReport:
     #: sequential fallback executed — identical metrics, no parallelism).
     executed_parallel: bool = True
 
-    # -- the MultiUserReport shape --------------------------------------- #
-
-    def to_multiuser(self) -> MultiUserReport:
-        """The run folded into the in-process multi-user report shape."""
-        return MultiUserReport(
-            clients=[worker.report for worker in self.workers],
-            backend_name=self.backend_name)
-
     @property
     def worker_count(self) -> int:
         """Number of worker processes that ran."""
@@ -57,13 +47,19 @@ class ParallelReport:
 
     @cached_property
     def merged_cold(self) -> PhaseReport:
-        """All workers' cold runs folded together."""
-        return self.to_multiuser().merged_cold
+        """All workers' cold runs folded together, per transaction kind."""
+        merged = PhaseReport(name="cold")
+        for worker in self.workers:
+            merged.merge(worker.report.cold.classic)
+        return merged
 
     @cached_property
     def merged_warm(self) -> PhaseReport:
-        """All workers' warm runs folded together."""
-        return self.to_multiuser().merged_warm
+        """All workers' warm runs folded together, per transaction kind."""
+        merged = PhaseReport(name="warm")
+        for worker in self.workers:
+            merged.merge(worker.report.warm.classic)
+        return merged
 
     @cached_property
     def cold_wall_percentiles(self) -> LatencyPercentiles:
@@ -77,7 +73,7 @@ class ParallelReport:
 
     def worker_wall_percentiles(self, index: int) -> LatencyPercentiles:
         """One worker's warm-phase wall-clock percentiles."""
-        return self.workers[index].report.warm.wall_percentiles()
+        return self.workers[index].report.warm.classic.wall_percentiles()
 
     # -- what only real parallelism measures ----------------------------- #
 
@@ -110,22 +106,6 @@ class ParallelReport:
         return sum(int((worker.backend_stats or {})
                        .get("decodes_avoided", 0) or 0)
                    for worker in self.workers)
-
-    # -- scenario-mix aggregates (zero for classic read-only runs) ------- #
-
-    @property
-    def read_misses(self) -> int:
-        """Tolerated reads of rows a concurrent worker deleted."""
-        return sum(worker.scenario_report.read_misses
-                   for worker in self.workers
-                   if worker.scenario_report is not None)
-
-    @property
-    def write_conflicts(self) -> int:
-        """Tolerated write-backs to rows a concurrent worker deleted."""
-        return sum(worker.scenario_report.write_conflicts
-                   for worker in self.workers
-                   if worker.scenario_report is not None)
 
     def describe(self) -> str:
         """One line: workers, mode, throughput, contention."""

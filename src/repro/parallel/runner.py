@@ -19,8 +19,8 @@ Two execution modes, chosen per backend:
 * **replicated** — the engine's state lives in process memory
   (simulated, memory, ``:memory:`` SQLite).  Every worker bulk-loads a
   private replica; the logical metrics are still exactly those of the
-  in-process :class:`~repro.multiuser.runner.MultiClientRunner`, which
-  is the determinism bridge the test-suite pins.
+  in-process :meth:`~repro.core.scenario.ScenarioRunner.run`, which is
+  the determinism bridge the test-suite pins.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from repro.backends import create_backend
 from repro.backends.registry import backend_info
 from repro.core.database import OCBDatabase
 from repro.core.parameters import WorkloadParameters
+from repro.core.scenario import WorkloadMix
 from repro.errors import BackendError, WorkloadError
 from repro.parallel.pool import ProcessPool
 from repro.parallel.report import ParallelReport
@@ -95,7 +96,8 @@ class ParallelRunner:
     ``backend`` must be a registered backend *name* — the workers
     resolve it through the registry on their side of the process
     boundary, so a live engine instance (unpicklable connections and
-    all) never has to cross it.
+    all) never has to cross it.  Every worker runs ``mix``, by default
+    the Table 2 transaction mix of ``parameters``.
     """
 
     def __init__(self, database: OCBDatabase,
@@ -105,7 +107,7 @@ class ParallelRunner:
                  store_config: Optional[StoreConfig] = None,
                  backend_options: Optional[Dict[str, object]] = None,
                  batch: Optional[bool] = None,
-                 mix: "Optional[object]" = None) -> None:
+                 mix: Optional[WorkloadMix] = None) -> None:
         if not isinstance(backend, str):
             raise WorkloadError(
                 "ParallelRunner needs a registered backend name; live "
@@ -119,11 +121,7 @@ class ParallelRunner:
         self.store_config = store_config
         self.backend_options = dict(backend_options or {})
         self.batch = batch
-        #: Optional :class:`~repro.core.scenario.WorkloadMix` — threaded
-        #: through every :class:`WorkerSpec` so the workers execute a
-        #: declarative scenario (possibly mutating) instead of the
-        #: classic read-only transaction protocol.
-        self.mix = mix
+        self.mix = mix or WorkloadMix.from_workload_parameters(parameters)
         path = self.backend_options.get("path")
         capabilities = _backend_capabilities(self.backend)
         self.shared = ("concurrent" in capabilities and path != ":memory:")

@@ -1,14 +1,14 @@
 """Serializable work descriptions for the process-parallel harness.
 
 Everything a worker process needs crosses the process boundary as one
-picklable :class:`WorkerSpec`: the generated database (the object graph
-is immutable under the traversal workload, so every worker can carry the
-same copy), the workload parameters whose per-client Lewis–Payne
-substream the worker derives from its ``client_id`` — exactly as the
-in-process :class:`~repro.multiuser.runner.MultiClientRunner` does, which
-is what makes the two execution modes logically identical — and the
-backend name + options the worker resolves through the registry on its
-side of the fork.
+picklable :class:`WorkerSpec`: the generated database (the worker's
+logical view), the :class:`~repro.core.scenario.WorkloadMix` it runs,
+the workload parameters whose per-client Lewis–Payne substream the
+worker derives from its ``client_id`` — exactly as an in-process
+:class:`~repro.core.scenario.ScenarioRunner` does, which is what makes
+the two execution modes logically identical — and the backend name +
+options the worker resolves through the registry on its side of the
+fork.
 
 :class:`ParallelConfig` collects the harness-level knobs (journal mode,
 busy budget, start method); :class:`WorkerResult` carries one worker's
@@ -23,7 +23,6 @@ from typing import Dict, Optional
 from repro.core.database import OCBDatabase
 from repro.core.parameters import WorkloadParameters
 from repro.core.scenario import ClientScenarioReport, WorkloadMix
-from repro.core.workload import WorkloadReport
 from repro.errors import ParameterError
 from repro.store.storage import StoreConfig
 
@@ -100,8 +99,15 @@ class WorkerSpec:
 
     client_id: int
     database: OCBDatabase
+    #: The workload parameters: ``clients`` is the partition width,
+    #: ``cold_n``/``hot_n`` the protocol sizes, ``seed`` the substream
+    #: seed.
     parameters: WorkloadParameters
     backend: str
+    #: The operation mix this client runs.  Mutating mixes on shared
+    #: storage run with tolerant write-backs (see the scenario module
+    #: docs).
+    mix: WorkloadMix
     backend_options: Dict[str, object] = field(default_factory=dict)
     store_config: Optional[StoreConfig] = None
     #: ``True``: attach to storage the coordinator already bulk-loaded
@@ -109,14 +115,6 @@ class WorkerSpec:
     #: (engines without the ``concurrent`` capability).
     shared: bool = False
     batch: Optional[bool] = None
-    #: Declarative scenario mix to execute instead of the classic
-    #: transaction protocol.  ``None`` keeps the legacy read-only path;
-    #: a :class:`~repro.core.scenario.WorkloadMix` makes the worker a
-    #: scenario client: ``parameters.clients`` is the partition width,
-    #: ``parameters.cold_n``/``hot_n`` the protocol sizes, and mutating
-    #: mixes on shared storage run with tolerant write-backs (see the
-    #: scenario module docs).
-    mix: Optional[WorkloadMix] = None
     #: Affinity shard of this worker on a sharded engine
     #: (``client_id % shards`` — the residue class its mutation lane
     #: lives in).  ``None`` for non-sharded backends; injected into the
@@ -127,8 +125,8 @@ class WorkerSpec:
     #: This worker's share of an open-loop offered rate (ops/second).
     #: ``None`` keeps the closed-loop warm phase; set, the warm phase is
     #: paced by a seeded arrival schedule on the worker's own lane
-    #: (substream offset = ``client_id``) and the result's scenario
-    #: report carries ``late_starts`` / ``max_backlog``.
+    #: (substream offset = ``client_id``) and the result's report
+    #: carries ``late_starts`` / ``max_backlog``.
     rate: Optional[float] = None
     #: Arrival process for :attr:`rate`.
     arrival_mode: str = "poisson"
@@ -148,7 +146,9 @@ class WorkerResult:
 
     client_id: int
     pid: int
-    report: WorkloadReport
+    #: The client's cold + warm phases per operation class;
+    #: ``report.warm.classic`` is the warm phase per transaction kind.
+    report: ClientScenarioReport
     #: Wall-clock of the cold+warm protocol itself.
     wall_seconds: float
     #: Wall-clock of connecting/loading before the protocol started.
@@ -156,9 +156,6 @@ class WorkerResult:
     busy_retries: int = 0
     busy_wait_seconds: float = 0.0
     backend_stats: Dict[str, object] = field(default_factory=dict)
-    #: Per-operation-class scenario breakdown — set when the spec
-    #: carried a :class:`~repro.core.scenario.WorkloadMix`.
-    scenario_report: Optional[ClientScenarioReport] = None
 
     @property
     def worker_id(self) -> int:
@@ -168,5 +165,5 @@ class WorkerResult:
     @property
     def transactions(self) -> int:
         """Transactions this worker executed (cold + warm)."""
-        return (self.report.cold.transaction_count
-                + self.report.warm.transaction_count)
+        return (self.report.cold.classic.transaction_count
+                + self.report.warm.classic.transaction_count)

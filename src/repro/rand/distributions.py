@@ -84,8 +84,10 @@ class Distribution(ABC):
         return f"{type(self).__name__}()"
 
     def __eq__(self, other: object) -> bool:
-        return type(self) is type(other) and self.__dict__ == getattr(
-            other, "__dict__", None) and self._key() == other._key()  # type: ignore[attr-defined]
+        # Parameters only: draw-time caches (Zipf's CDF) must not make
+        # two equal distributions unequal once one of them has drawn.
+        return type(self) is type(other) and \
+            self._key() == other._key()  # type: ignore[attr-defined]
 
     def __hash__(self) -> int:
         return hash((type(self).__name__, self._key()))

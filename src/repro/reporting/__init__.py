@@ -8,7 +8,6 @@ from repro.reporting.comparison import (
 from repro.reporting.csvout import rows_to_csv, write_csv
 from repro.reporting.scaling import (
     ScalingPoint,
-    render_parallel_workers,
     render_scaling_sweep,
     summarize_parallel_run,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "ScalingPoint",
     "summarize_parallel_run",
     "render_scaling_sweep",
-    "render_parallel_workers",
     "render_scenario_classes",
     "render_scenario_clients",
     "render_scenario_report",

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.core.metrics import LatencyPercentiles
-from repro.core.workload import WorkloadReport
+from repro.core.metrics import LatencyPercentiles, PhaseReport
 from repro.reporting.tables import render_table
 
 __all__ = ["BackendRunSummary", "summarize_backend_run",
@@ -35,9 +34,9 @@ class BackendRunSummary:
 
 
 def summarize_backend_run(backend: str,
-                          report: WorkloadReport) -> BackendRunSummary:
-    """Fold a :class:`WorkloadReport`'s warm phase into one table row."""
-    totals = report.warm.totals
+                          warm: PhaseReport) -> BackendRunSummary:
+    """Fold one backend's warm :class:`PhaseReport` into one table row."""
+    totals = warm.totals
     return BackendRunSummary(
         backend=backend,
         transactions=totals.count,
@@ -45,7 +44,7 @@ def summarize_backend_run(backend: str,
         reads_per_transaction=totals.reads_per_transaction,
         ios_per_transaction=totals.ios_per_transaction,
         sim_time_per_transaction=totals.sim_time_per_transaction,
-        wall=report.warm.wall_percentiles(),
+        wall=warm.wall_percentiles(),
         wall_total_seconds=totals.wall_time)
 
 

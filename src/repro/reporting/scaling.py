@@ -16,7 +16,7 @@ from repro.parallel.report import ParallelReport
 from repro.reporting.tables import render_table
 
 __all__ = ["ScalingPoint", "summarize_parallel_run",
-           "render_scaling_sweep", "render_parallel_workers"]
+           "render_scaling_sweep"]
 
 
 @dataclass(frozen=True)
@@ -88,33 +88,4 @@ def render_scaling_sweep(points: Sequence[ScalingPoint],
     return render_table(
         ["workers", "mode", "txns", "elapsed (s)", "txn/s", "speedup",
          "P95 (ms)", "P99 (ms)", "busy retries"],
-        rows, title=title, precision=3)
-
-
-def render_parallel_workers(report: ParallelReport,
-                            title: Optional[str] = None) -> str:
-    """Per-worker breakdown of one parallel run, with the merged row."""
-    if title is None:
-        title = (f"{report.worker_count} worker processes on "
-                 f"{report.backend_name!r} ({report.mode} storage)")
-    rows: List[List[object]] = []
-    for worker in report.workers:
-        warm = worker.report.warm.totals
-        wall = worker.report.warm.wall_percentiles()
-        rows.append([worker.client_id, worker.pid, warm.count,
-                     warm.visits_per_transaction, wall.p50 * 1e3,
-                     wall.p95 * 1e3, wall.p99 * 1e3,
-                     worker.busy_retries, worker.wall_seconds])
-    merged = report.merged_warm.totals
-    merged_wall = report.warm_wall_percentiles
-    # The merged wall cell sums the workers' protocol walls (same
-    # semantics as the column above it); the harness elapsed — spawn,
-    # pickling and setup included — is reported by describe().
-    rows.append(["all", "-", merged.count, merged.visits_per_transaction,
-                 merged_wall.p50 * 1e3, merged_wall.p95 * 1e3,
-                 merged_wall.p99 * 1e3, report.busy_retries,
-                 sum(worker.wall_seconds for worker in report.workers)])
-    return render_table(
-        ["worker", "pid", "warm txns", "objects/txn", "P50 (ms)",
-         "P95 (ms)", "P99 (ms)", "busy retries", "wall (s)"],
         rows, title=title, precision=3)

@@ -42,7 +42,8 @@ def render_scenario_clients(report: ScenarioReport,
         wall = client.warm.wall_percentiles()
         rows.append([client.client_id,
                      client.pid if client.pid is not None else "-",
-                     warm.count, warm.objects_per_op, wall.p95 * 1e3,
+                     warm.count, warm.objects_per_op, warm.reads_per_op,
+                     wall.p95 * 1e3,
                      client.busy_retries, client.busy_wait_seconds,
                      client.late_starts, client.max_backlog,
                      client.remote_reads,
@@ -50,13 +51,14 @@ def render_scenario_clients(report: ScenarioReport,
     merged = report.merged_warm.totals
     merged_wall = report.merged_warm.wall_percentiles()
     rows.append(["all", "-", merged.count, merged.objects_per_op,
-                 merged_wall.p95 * 1e3, report.busy_retries,
+                 merged.reads_per_op, merged_wall.p95 * 1e3,
+                 report.busy_retries,
                  report.busy_wait_seconds, report.late_starts,
                  report.max_backlog,
                  report.remote_reads, report.write_conflicts,
                  report.read_misses])
     return render_table(
-        ["client", "pid", "warm ops", "objects/op", "P95 (ms)",
+        ["client", "pid", "warm ops", "objects/op", "reads/op", "P95 (ms)",
          "busy retries", "busy wait (s)", "late starts", "backlog",
          "remote reads", "write conflicts", "read misses"],
         rows, title=title, precision=3)

@@ -1,7 +1,7 @@
 """Cross-backend equivalence: same seed => identical logical metrics.
 
-The tentpole guarantee of the unified execution kernel — for every
-execution path (OCB transactions, the extended generic operation set,
+The guarantee of the unified execution kernel — for every workload
+shape (OCB transactions, the extended generic operation set,
 multi-user interleaving), the *logical* workload (objects visited,
 transaction/operation mix, objects touched) is a function of the seed
 and the generated graph alone, never of the storage engine.  These
@@ -14,10 +14,10 @@ import pytest
 
 from repro.backends import available_backends, create_backend
 from repro.core.generation import generate_database
-from repro.core.generic_ops import GenericOperationsRunner
 from repro.core.parameters import DatabaseParameters, WorkloadParameters
-from repro.core.workload import WorkloadRunner
-from repro.multiuser.runner import MultiClientRunner
+from repro.core.scenario import ClientExecutor, Scenario, \
+    ScenarioCollector, ScenarioRunner, WorkloadMix
+from repro.core.session import Session
 from repro.store.storage import StoreConfig
 
 CONFIG = StoreConfig(page_size=512, buffer_pages=16)
@@ -25,6 +25,26 @@ CONFIG = StoreConfig(page_size=512, buffer_pages=16)
 
 def backend_names_under_test():
     return [info.name for info in available_backends()]
+
+
+def _run_protocol(database, store, params, **fields):
+    """One client's cold + warm run of *params*."""
+    scenario = Scenario.from_workload_parameters(params, clients=1,
+                                                 **fields)
+    return ScenarioRunner(database, scenario, store=store).run().clients[0]
+
+
+def _generic_executor(database, name):
+    """A generic-operation client on a freshly loaded *name* engine."""
+    return ClientExecutor(database, WorkloadMix.from_operation_weights(),
+                          Session.for_database(database, name))
+
+
+def _run_generic(executor, operations):
+    collector = ScenarioCollector("warm")
+    for _ in range(operations):
+        executor.step(collector)
+    return collector.operation_results
 
 
 def _loaded(name, database):
@@ -46,10 +66,10 @@ def equivalence_database():
 class TestTransactionEquivalence:
     def _signature(self, name, database, params):
         backend = _loaded(name, database)
-        report = WorkloadRunner(database, backend, params).run()
+        report = _run_protocol(database, backend, params)
         backend.close()
         signature = []
-        for phase in (report.cold, report.warm):
+        for phase in (report.cold.classic, report.warm.classic):
             for kind, stats in sorted(phase.per_kind.items()):
                 signature.append((phase.name, kind.value, stats.count,
                                   stats.visits, stats.distinct_objects,
@@ -79,10 +99,9 @@ class TestTransactionEquivalence:
         params = WorkloadParameters(set_depth=2, simple_depth=2,
                                     hierarchy_depth=2, stochastic_depth=5,
                                     cold_n=1, hot_n=6, max_visits=200)
-        runner = WorkloadRunner(equivalence_database, "memory", params)
-        report = runner.run()
-        assert report.warm.totals.count == 6
-        runner.session.close()
+        report = _run_protocol(equivalence_database, None, params,
+                               backend="memory")
+        assert report.warm.classic.totals.count == 6
 
     def test_sqlite_batched_equals_unbatched(self, equivalence_database):
         params = WorkloadParameters(set_depth=3, simple_depth=2,
@@ -93,9 +112,9 @@ class TestTransactionEquivalence:
         signatures = []
         for batch in (True, False):
             backend = _loaded("sqlite", equivalence_database)
-            report = WorkloadRunner(equivalence_database, backend, params,
-                                    batch=batch).run()
-            totals = report.warm.totals
+            report = _run_protocol(equivalence_database, backend, params,
+                                   batch=batch)
+            totals = report.warm.classic.totals
             signatures.append((totals.count, totals.visits,
                                totals.distinct_objects))
             backend.close()
@@ -108,15 +127,14 @@ class TestGenericOperationEquivalence:
         params = DatabaseParameters(num_classes=5, max_nref=3, base_size=25,
                                     num_objects=120, seed=77)
         database, _ = generate_database(params)
-        runner = GenericOperationsRunner(database, name)
-        results = runner.run_mix(18)
+        executor = _generic_executor(database, name)
+        results = _run_generic(executor, 18)
         database.validate()
-        assert set(runner.store.iter_oids()) == set(database.objects)
+        store = executor.session.store
+        assert set(store.iter_oids()) == set(database.objects)
         signature = tuple((r.operation.value, r.objects_touched)
                           for r in results)
-        close = getattr(runner.store, "close", None)
-        if close is not None:
-            close()
+        store.close()
         return signature
 
     def test_operation_stream_identical(self):
@@ -137,9 +155,9 @@ class TestGenericOperationEquivalence:
                                         base_size=25, num_objects=120,
                                         seed=77)
             database, _ = generate_database(params)
-            runner = GenericOperationsRunner(database, name)
-            runner.run_mix(24)
-            stores[name] = runner.store
+            executor = _generic_executor(database, name)
+            _run_generic(executor, 24)
+            stores[name] = executor.session.store
         single, sharded = stores["sqlite"], stores["sharded-sqlite"]
         assert set(single.iter_oids()) == set(sharded.iter_oids())
         for oid in sorted(single.iter_oids()):
@@ -151,18 +169,19 @@ class TestGenericOperationEquivalence:
         params = DatabaseParameters(num_classes=5, max_nref=3, base_size=25,
                                     num_objects=100, seed=13)
         database, _ = generate_database(params)
-        runner = GenericOperationsRunner(database, "sqlite")
+        executor = _generic_executor(database, "sqlite")
         for _ in range(6):
-            runner.insert()
-            runner.update()
-        runner.delete()
+            executor.op_insert()
+            executor.op_update()
+        executor.op_delete()
         database.validate()
+        store = executor.session.store
         for oid, obj in database.objects.items():
-            record = runner.store.read_object(oid)
+            record = store.read_object(oid)
             assert record.refs == tuple(obj.oref)
             assert sorted(record.back_refs) == \
                 sorted(tuple(p) for p in obj.back_refs)
-        runner.store.close()
+        store.close()
 
 
 class TestMultiUserEquivalence:
@@ -171,14 +190,12 @@ class TestMultiUserEquivalence:
                                     set_depth=2, simple_depth=2,
                                     hierarchy_depth=2, stochastic_depth=5,
                                     max_visits=150)
-        runner = MultiClientRunner(database, name, params)
-        report = runner.run()
-        signature = tuple((c.warm.totals.count, c.warm.totals.visits,
-                           c.warm.totals.distinct_objects)
+        scenario = Scenario.from_workload_parameters(params, backend=name)
+        report = ScenarioRunner(database, scenario).run()
+        signature = tuple((c.warm.classic.totals.count,
+                           c.warm.classic.totals.visits,
+                           c.warm.classic.totals.distinct_objects)
                           for c in report.clients)
-        close = getattr(runner.store, "close", None)
-        if close is not None:
-            close()
         return signature, report
 
     def test_per_client_metrics_identical(self, equivalence_database):
@@ -191,7 +208,8 @@ class TestMultiUserEquivalence:
     def test_merged_percentiles_on_every_backend(self, equivalence_database):
         for name in backend_names_under_test():
             _signature, report = self._signature(name, equivalence_database)
-            wall = report.warm_wall_percentiles
-            assert wall.count == report.merged_warm.transaction_count
+            warm = report.merged_warm.classic
+            wall = warm.wall_percentiles()
+            assert wall.count == warm.transaction_count
             assert 0.0 < wall.p50 <= wall.p95 <= wall.p99
             assert report.backend_name == name

@@ -21,7 +21,7 @@ from repro.backends import (
 from repro.clustering.dstc import DSTCPolicy
 from repro.core.benchmark import OCBBenchmark
 from repro.core.parameters import DatabaseParameters
-from repro.core.workload import WorkloadRunner
+from repro.core.scenario import Scenario, ScenarioRunner
 from repro.errors import WorkloadError
 from repro.store.storage import ObjectStore, StoreConfig
 
@@ -33,9 +33,12 @@ def _loaded(backend, database):
     return backend
 
 
-def _run(database, store_or_backend, params):
-    runner = WorkloadRunner(database, store_or_backend, params)
-    return runner.run()
+def _run(database, backend, params, policy=None):
+    """One client's cold + warm run; the phases per transaction kind."""
+    scenario = Scenario.from_workload_parameters(params, clients=1)
+    client = ScenarioRunner(database, scenario, store=backend,
+                            policy=policy).run().clients[0]
+    return client.cold.classic, client.warm.classic
 
 
 class TestBitIdenticalSimulated:
@@ -53,9 +56,8 @@ class TestBitIdenticalSimulated:
                           small_database)
         adapted_report = _run(small_database, adapted, small_workload)
 
-        for phase_direct, phase_adapted in (
-                (direct_report.cold, adapted_report.cold),
-                (direct_report.warm, adapted_report.warm)):
+        for phase_direct, phase_adapted in zip(direct_report,
+                                               adapted_report):
             t_direct = phase_direct.totals
             t_adapted = phase_adapted.totals
             assert t_direct.count == t_adapted.count
@@ -74,8 +76,8 @@ class TestCrossBackendEquivalence:
         signatures = {}
         for name in ("simulated", "memory", "sqlite"):
             backend = _loaded(create_backend(name, config), small_database)
-            report = _run(small_database, backend, small_workload)
-            totals = report.warm.totals
+            _cold, warm = _run(small_database, backend, small_workload)
+            totals = warm.totals
             signatures[name] = (totals.count, totals.visits,
                                 totals.distinct_objects)
             backend.close()
@@ -86,8 +88,8 @@ class TestCrossBackendEquivalence:
         for factory in (MemoryBackend,
                         lambda: SQLiteBackend(page_size=512, cache_pages=8)):
             backend = _loaded(factory(), small_database)
-            report = _run(small_database, backend, small_workload)
-            totals = report.warm.totals
+            _cold, warm = _run(small_database, backend, small_workload)
+            totals = warm.totals
             assert totals.io_reads == 0
             assert totals.sim_time == 0.0
             assert totals.visits > 0
@@ -96,8 +98,8 @@ class TestCrossBackendEquivalence:
     def test_wall_percentiles_populated(self, small_database,
                                         small_workload):
         backend = _loaded(MemoryBackend(), small_database)
-        report = _run(small_database, backend, small_workload)
-        wall = report.warm.wall_percentiles()
+        _cold, warm = _run(small_database, backend, small_workload)
+        wall = warm.wall_percentiles()
         assert wall.count == small_workload.hot_n
         assert 0.0 < wall.p50 <= wall.p95 <= wall.p99
 
@@ -108,26 +110,29 @@ class TestCrossBackendEquivalence:
                                     cold_n=1, hot_n=5, max_visits=50,
                                     think_time=0.5)
         backend = _loaded(MemoryBackend(), small_database)
-        report = _run(small_database, backend, params)
-        assert report.warm.totals.sim_time == 0.0
+        _cold, warm = _run(small_database, backend, params)
+        assert warm.totals.sim_time == 0.0
 
 
 class TestClusteringGuard:
-    def test_clustering_policy_needs_simulated(self, small_database,
-                                               small_workload):
-        backend = _loaded(MemoryBackend(), small_database)
+    def test_clustering_policy_needs_simulated(self, small_workload):
+        bench = OCBBenchmark(
+            DatabaseParameters(num_classes=5, max_nref=3, base_size=20,
+                               num_objects=150, num_ref_types=3, seed=7),
+            small_workload, backend="sqlite", policy=DSTCPolicy())
         with pytest.raises(WorkloadError, match="clustering"):
-            WorkloadRunner(small_database, backend, small_workload,
-                           policy=DSTCPolicy())
+            bench.run()
+        # Refused before any client executed a statement.
+        assert bench.backend.stats()["sql_round_trips"] == 0
+        bench.backend.close()
 
     def test_simulated_backend_allows_clustering(self, small_database,
                                                  small_workload):
         backend = _loaded(ObjectStore(page_size=512, buffer_pages=16),
                           small_database)
-        runner = WorkloadRunner(small_database, backend, small_workload,
-                                policy=DSTCPolicy())
-        report = runner.run()
-        assert report.warm.totals.count == small_workload.hot_n
+        _cold, warm = _run(small_database, backend, small_workload,
+                           policy=DSTCPolicy())
+        assert warm.totals.count == small_workload.hot_n
 
 
 class TestBenchmarkFacade:
@@ -141,7 +146,8 @@ class TestBenchmarkFacade:
                              backend="sqlite")
         result = bench.run()
         assert result.backend_name == "sqlite"
-        assert result.report.warm.totals.count == small_workload.hot_n
+        assert result.report.warm.classic.totals.count == \
+            small_workload.hot_n
         assert "P95" in result.describe()
         bench.backend.close()
 
@@ -159,7 +165,7 @@ class TestBenchmarkFacade:
         assert result.backend_name == "simulated"
         assert bench.store is not None
         assert result.store_pages == bench.store.page_count
-        assert result.report.warm.totals.io_reads > 0
+        assert result.report.warm.classic.totals.io_reads > 0
 
     def test_clustering_experiment_rejects_real_engines(self, tiny_db_params,
                                                         small_workload):

@@ -11,7 +11,6 @@ import pytest
 from repro.core import database as database_module
 from repro.core import scenario as scenario_module
 from repro.core.generation import generate_database
-from repro.core.generic_ops import GenericOperationsRunner
 from repro.core.parameters import DatabaseParameters, WorkloadParameters
 from repro.core.presets import SCENARIO_PRESETS, scenario_preset
 from repro.core.scenario import (
@@ -26,7 +25,6 @@ from repro.core.scenario import (
     WorkloadMix,
 )
 from repro.core.session import Session
-from repro.core.workload import WorkloadRunner
 from repro.errors import ParameterError
 from repro.store.storage import StoreConfig
 
@@ -170,6 +168,16 @@ class TestScenario:
         assert not Scenario(mix=write, clients=1).partitioned
         assert Scenario(mix=write, clients=4).partitioned
 
+    def test_from_workload_parameters_copies_protocol_sizes(self):
+        params = WorkloadParameters(clients=3, cold_n=4, hot_n=9, seed=5)
+        scenario = Scenario.from_workload_parameters(params)
+        assert scenario.mix == WorkloadMix.from_workload_parameters(params)
+        assert (scenario.clients, scenario.cold_ops, scenario.warm_ops,
+                scenario.seed) == (3, 4, 9, 5)
+        single = Scenario.from_workload_parameters(params, clients=1,
+                                                   backend="sqlite")
+        assert (single.clients, single.backend) == (1, "sqlite")
+
     def test_json_round_trip(self):
         scenario = scenario_preset("write_heavy")
         clone = Scenario.from_json(json.dumps(scenario.to_dict()))
@@ -210,30 +218,6 @@ class TestScenarioPresets:
 
 
 class TestScenarioRunnerReadOnly:
-    def test_single_client_equals_workload_runner(self, small_database):
-        """A transaction-only scenario is the classic protocol."""
-        params = WorkloadParameters(set_depth=2, simple_depth=2,
-                                    hierarchy_depth=2, stochastic_depth=5,
-                                    cold_n=2, hot_n=10, max_visits=200)
-        store = StoreConfig(page_size=512, buffer_pages=16).build()
-        records = small_database.to_records()
-        store.bulk_load(records.values(), order=sorted(records))
-        store.reset_stats()
-        classic = WorkloadRunner(small_database, store, params).run()
-
-        scenario = Scenario(mix=WorkloadMix.from_workload_parameters(params),
-                            cold_ops=2, warm_ops=10)
-        store2 = StoreConfig(page_size=512, buffer_pages=16).build()
-        store2.bulk_load(records.values(), order=sorted(records))
-        store2.reset_stats()
-        report = ScenarioRunner(small_database, scenario,
-                                store=store2).run()
-        warm = report.clients[0].warm
-        assert warm.classic.totals.visits == classic.warm.totals.visits
-        assert warm.classic.totals.io_reads == classic.warm.totals.io_reads
-        # The per-class breakdown covers the same operations.
-        assert warm.operation_count == classic.warm.transaction_count
-
     def test_report_shape(self, small_database):
         scenario = Scenario(mix=WorkloadMix(entries=(
             MixEntry("set", weight=0.5, depth=2, max_visits=100),
@@ -355,11 +339,13 @@ class TestRunProcessesRefusesWhatCannotCross:
 class TestGenericOpsShimStillMutatesSharedDatabase:
     def test_runner_and_database_agree(self):
         database = small_mutating_db()
-        runner = GenericOperationsRunner(database, "memory")
+        session = Session.for_database(database, "memory")
+        executor = ClientExecutor(
+            database, WorkloadMix.from_operation_weights(), session)
         before = database.num_objects
-        runner.insert()
+        executor.op_insert()
         assert database.num_objects == before + 1
-        runner.delete()
+        executor.op_delete()
         database.validate()
 
 

@@ -110,11 +110,13 @@ class TestBatching:
         session.close()
 
     def test_scan_cache_stays_bounded(self, small_database):
-        from repro.core.generic_ops import GenericOperationsRunner
+        from repro.core.scenario import ClientExecutor, WorkloadMix
         backend = loaded_sqlite(small_database)
         session = Session(backend)
-        runner = GenericOperationsRunner(small_database, session)
-        runner.sequential_scan()
+        executor = ClientExecutor(small_database,
+                                  WorkloadMix.from_operation_weights(),
+                                  session)
+        executor.op_sequential_scan()
         assert not session._prefetched  # Every chunk record was consumed.
         session.close()
 
@@ -194,36 +196,17 @@ class TestLifecycle:
 
 
 class TestPolicyOwnership:
-    """A Session owns its policy; conflicting explicit policies error."""
-
-    def test_workload_runner_rejects_conflicting_policy(self, small_database,
-                                                        loaded_store):
-        from repro.clustering.dstc import DSTCPolicy
-        from repro.core.parameters import WorkloadParameters
-        from repro.core.workload import WorkloadRunner
-        session = Session(loaded_store)
-        params = WorkloadParameters(cold_n=0, hot_n=1)
-        with pytest.raises(WorkloadError, match="conflicting"):
-            WorkloadRunner(small_database, session, params,
-                           policy=DSTCPolicy())
-
-    def test_generic_ops_rejects_conflicting_policy(self, small_database,
-                                                    loaded_store):
-        from repro.clustering.dstc import DSTCPolicy
-        from repro.core.generic_ops import GenericOperationsRunner
-        session = Session(loaded_store)
-        with pytest.raises(WorkloadError, match="conflicting"):
-            GenericOperationsRunner(small_database, session,
-                                    policy=DSTCPolicy())
+    """A Session owns its policy; the executor driving it uses that one."""
 
     def test_same_policy_instance_accepted(self, small_database,
                                            loaded_store):
         from repro.core.parameters import WorkloadParameters
-        from repro.core.workload import WorkloadRunner
+        from repro.core.scenario import ClientExecutor, WorkloadMix
         from repro.clustering.base import NoClustering
         policy = NoClustering()
         session = Session(loaded_store, policy=policy)
         params = WorkloadParameters(cold_n=0, hot_n=1)
-        runner = WorkloadRunner(small_database, session, params,
-                                policy=policy)
-        assert runner.policy is policy
+        executor = ClientExecutor(
+            small_database, WorkloadMix.from_workload_parameters(params),
+            session)
+        assert executor.policy is policy

@@ -1,16 +1,16 @@
-"""The shims' byte-identical guarantee, pinned against frozen goldens.
+"""The scenario layer's byte-identical guarantee, pinned by frozen goldens.
 
-The declarative scenario layer replaced the bodies of the three legacy
-runners — ``WorkloadRunner``, ``GenericOperationsRunner`` and
-``MultiClientRunner`` are now thin shims over ``ScenarioRunner`` /
-``ClientExecutor``.  The ``GOLDEN`` constants below were captured by
-running the *pre-refactor* implementations (commit ``6d0f26b``) on
-fixed seeds across the three built-in backends; these tests re-run the
-shims on the same seeds and require exact equality, down to the
-simulated I/O counters and (rounded) simulated clock.
+``ScenarioRunner`` / ``ClientExecutor`` replaced three single-purpose
+runners: the single-client OCB transaction protocol, the generic
+operation mix and the round-robin multi-client protocol.  The
+``GOLDEN`` constants below were captured by running those *original*
+implementations (commit ``6d0f26b``) on fixed seeds across the three
+built-in backends; these tests run the same three workloads through
+the scenario layer on the same seeds and require exact equality, down
+to the simulated I/O counters and (rounded) simulated clock.
 
 If a change to the scenario layer breaks one of these, it changed the
-semantics of a legacy execution path — either fix the regression or
+semantics of a pinned execution path — either fix the regression or
 consciously re-capture the goldens and say so in the commit.
 """
 
@@ -20,10 +20,10 @@ import pytest
 
 from repro.backends import create_backend
 from repro.core.generation import generate_database
-from repro.core.generic_ops import GenericOperationsRunner
 from repro.core.parameters import DatabaseParameters, WorkloadParameters
-from repro.core.workload import WorkloadRunner
-from repro.multiuser.runner import MultiClientRunner
+from repro.core.scenario import ClientExecutor, Scenario, \
+    ScenarioCollector, ScenarioRunner, WorkloadMix
+from repro.core.session import Session
 from repro.store.storage import StoreConfig
 
 CONFIG = StoreConfig(page_size=512, buffer_pages=16)
@@ -522,25 +522,29 @@ def golden_database():
     return database
 
 
+def run_single_client(database, engine, params):
+    """The OCB protocol for one client on a loaded engine."""
+    scenario = Scenario.from_workload_parameters(params, clients=1)
+    report = ScenarioRunner(database, scenario, store=engine).run()
+    engine.close()
+    client = report.clients[0]
+    return phase_signature(client.cold.classic) + \
+        phase_signature(client.warm.classic)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
-class TestWorkloadRunnerShim:
+class TestTransactionGolden:
     def test_default_draws_match_golden(self, golden_database, backend):
         engine = loaded(backend, golden_database)
-        report = WorkloadRunner(golden_database, engine,
-                                WORKLOAD_PARAMS).run()
-        engine.close()
-        signature = phase_signature(report.cold) + \
-            phase_signature(report.warm)
+        signature = run_single_client(golden_database, engine,
+                                      WORKLOAD_PARAMS)
         assert signature == GOLDEN["workload"][backend]
 
     def test_reverse_dedupe_draws_match_golden(self, golden_database,
                                                backend):
         engine = loaded(backend, golden_database)
-        report = WorkloadRunner(golden_database, engine,
-                                WORKLOAD_REVERSE_PARAMS).run()
-        engine.close()
-        signature = phase_signature(report.cold) + \
-            phase_signature(report.warm)
+        signature = run_single_client(golden_database, engine,
+                                      WORKLOAD_REVERSE_PARAMS)
         assert signature == GOLDEN["workload_reverse"][backend]
 
 
@@ -550,30 +554,30 @@ class TestGenericOperationsShim:
         database, _ = generate_database(DatabaseParameters(
             num_classes=5, max_nref=3, base_size=25, num_objects=120,
             seed=77))
-        runner = GenericOperationsRunner(database, backend)
-        results = runner.run_mix(18)
+        session = Session.for_database(database, backend)
+        executor = ClientExecutor(
+            database, WorkloadMix.from_operation_weights(), session)
+        collector = ScenarioCollector("warm")
+        for _ in range(18):
+            executor.step(collector)
+        session.close()
         database.validate()
         signature = tuple(
             (r.operation.value, r.objects_touched, r.io_reads,
              r.io_writes, round(r.sim_time, 9))
-            for r in results)
-        close = getattr(runner.store, "close", None)
-        if close is not None:
-            close()
+            for r in collector.operation_results)
         assert signature == GOLDEN["generic_ops"][backend]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-class TestMultiClientRunnerShim:
+class TestMultiClientGolden:
     def test_per_client_reports_match_golden(self, golden_database,
                                              backend):
-        runner = MultiClientRunner(golden_database, backend,
-                                   MULTIUSER_PARAMS)
-        report = runner.run()
-        close = getattr(runner.store, "close", None)
-        if close is not None:
-            close()
+        scenario = Scenario.from_workload_parameters(MULTIUSER_PARAMS,
+                                                     backend=backend)
+        report = ScenarioRunner(golden_database, scenario).run()
         signature = tuple(
-            phase_signature(client.cold) + phase_signature(client.warm)
+            phase_signature(client.cold.classic)
+            + phase_signature(client.warm.classic)
             for client in report.clients)
         assert signature == GOLDEN["multiuser"][backend]

@@ -18,8 +18,7 @@ from repro.core.experiment import ClusteringExperiment
 from repro.core.generation import generate_database
 from repro.core.parameters import DatabaseParameters, WorkloadParameters
 from repro.core.presets import preset
-from repro.core.workload import WorkloadRunner
-from repro.multiuser.runner import MultiClientRunner
+from repro.core.scenario import Scenario, ScenarioRunner
 
 
 def traversal_setup(seed=31):
@@ -58,9 +57,11 @@ class TestFullPipeline:
     def test_generate_load_run_report(self):
         database, workload = traversal_setup()
         store = load(database)
-        report = WorkloadRunner(database, store, workload).run()
-        assert report.warm.transaction_count == 12
-        assert report.warm_reads_per_transaction > 0.0
+        scenario = Scenario.from_workload_parameters(workload, clients=1)
+        report = ScenarioRunner(database, scenario, store=store).run()
+        warm = report.clients[0].warm.classic
+        assert warm.transaction_count == 12
+        assert warm.totals.reads_per_transaction > 0.0
 
     def test_presets_run_end_to_end(self):
         db_params, _ = preset("default-small")
@@ -70,7 +71,7 @@ class TestFullPipeline:
         bench = OCBBenchmark(db_params, workload,
                              StoreConfig(buffer_pages=64))
         result = bench.run()
-        assert result.report.warm.transaction_count == 6
+        assert result.report.warm.classic.transaction_count == 6
 
 
 class TestPolicyShootout:
@@ -122,8 +123,10 @@ class TestMultiUserIntegration:
             clients=2, cold_n=1, hot_n=4, p_set=0.0, p_simple=1.0,
             p_hierarchy=0.0, p_stochastic=0.0, simple_depth=3,
             max_visits=200)
-        report = MultiClientRunner(database, store, multi).run()
-        assert report.merged_warm.transaction_count == 8
+        report = ScenarioRunner(database,
+                                Scenario.from_workload_parameters(multi),
+                                store=store).run()
+        assert report.merged_warm.classic.transaction_count == 8
 
 
 class TestCrossSeedStability:

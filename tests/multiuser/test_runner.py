@@ -1,12 +1,9 @@
-"""Multi-client round-robin runner tests."""
+"""Round-robin multi-client runs: the Table 2 protocol at CLIENTN > 1."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.parameters import WorkloadParameters
-from repro.errors import WorkloadError
-from repro.multiuser.runner import MultiClientRunner, MultiUserReport
+from repro.core.scenario import Scenario, ScenarioReport, ScenarioRunner
 from repro.store.storage import StoreConfig
 
 
@@ -24,50 +21,52 @@ def fresh_store(database):
     return store
 
 
-class TestMultiClientRunner:
+def run(database, params, store=None, **fields):
+    """The protocol of *params* at CLIENTN clients, interleaved."""
+    scenario = Scenario.from_workload_parameters(params, **fields)
+    return ScenarioRunner(database, scenario, store=store).run()
+
+
+class TestMultiClientScenario:
     def test_each_client_runs_full_protocol(self, small_database):
-        store = fresh_store(small_database)
-        report = MultiClientRunner(small_database, store,
-                                   workload(clients=3)).run()
+        report = run(small_database, workload(clients=3),
+                     fresh_store(small_database))
         assert report.client_count == 3
         for client in report.clients:
-            assert client.cold.transaction_count == 2
-            assert client.warm.transaction_count == 5
+            assert client.cold.classic.transaction_count == 2
+            assert client.warm.classic.transaction_count == 5
 
     def test_merged_totals(self, small_database):
-        store = fresh_store(small_database)
-        report = MultiClientRunner(small_database, store,
-                                   workload(clients=2)).run()
-        assert report.merged_warm.transaction_count == 10
-        assert report.merged_cold.transaction_count == 4
-        total = sum(c.warm.totals.visits for c in report.clients)
-        assert report.merged_warm.totals.visits == total
+        report = run(small_database, workload(clients=2),
+                     fresh_store(small_database))
+        assert report.merged_warm.classic.transaction_count == 10
+        assert report.merged_cold.classic.transaction_count == 4
+        total = sum(c.warm.classic.totals.visits for c in report.clients)
+        assert report.merged_warm.classic.totals.visits == total
 
     def test_clients_follow_distinct_streams(self, small_database):
-        store = fresh_store(small_database)
-        report = MultiClientRunner(small_database, store,
-                                   workload(clients=2)).run()
+        report = run(small_database, workload(clients=2),
+                     fresh_store(small_database))
         a, b = report.clients
-        assert a.warm.totals.visits != b.warm.totals.visits
+        assert a.warm.classic.totals.visits != b.warm.classic.totals.visits
 
     def test_shared_buffer_gives_cross_client_hits(self, small_database):
-        store = fresh_store(small_database)
-        report = MultiClientRunner(small_database, store,
-                                   workload(clients=2)).run()
-        assert report.merged_warm.totals.buffer_hits > 0
+        report = run(small_database, workload(clients=2),
+                     fresh_store(small_database))
+        assert report.merged_warm.classic.totals.buffer_hits > 0
 
     def test_single_client_equivalent_shape(self, small_database):
-        store = fresh_store(small_database)
-        report = MultiClientRunner(small_database, store,
-                                   workload(clients=1)).run()
+        report = run(small_database, workload(clients=1),
+                     fresh_store(small_database))
         assert report.client_count == 1
-        assert report.warm_reads_per_transaction >= 0.0
+        assert report.merged_warm.classic.totals.reads_per_transaction \
+            >= 0.0
 
     def test_empty_report_defaults(self):
-        report = MultiUserReport()
+        report = ScenarioReport(scenario_name="empty")
         assert report.client_count == 0
-        assert report.merged_warm.transaction_count == 0
-        assert report.warm_wall_percentiles.count == 0
+        assert report.merged_warm.classic.transaction_count == 0
+        assert report.merged_warm.wall_percentiles().count == 0
 
 
 class TestMergedWallPercentiles:
@@ -75,68 +74,63 @@ class TestMergedWallPercentiles:
 
     def test_merged_percentiles_cover_every_transaction(self,
                                                         small_database):
-        store = fresh_store(small_database)
-        report = MultiClientRunner(small_database, store,
-                                   workload(clients=3)).run()
-        warm = report.warm_wall_percentiles
-        assert warm.count == report.merged_warm.transaction_count == 15
+        report = run(small_database, workload(clients=3),
+                     fresh_store(small_database))
+        warm = report.merged_warm.classic.wall_percentiles()
+        assert warm.count == report.merged_warm.classic.transaction_count \
+            == 15
         assert 0.0 < warm.p50 <= warm.p95 <= warm.p99
-        cold = report.cold_wall_percentiles
-        assert cold.count == report.merged_cold.transaction_count == 6
+        cold = report.merged_cold.classic.wall_percentiles()
+        assert cold.count == report.merged_cold.classic.transaction_count \
+            == 6
 
     def test_merged_samples_are_union_of_clients(self, small_database):
-        store = fresh_store(small_database)
-        report = MultiClientRunner(small_database, store,
-                                   workload(clients=2)).run()
-        merged = sorted(report.merged_warm.totals.wall_samples)
+        report = run(small_database, workload(clients=2),
+                     fresh_store(small_database))
+        merged = sorted(report.merged_warm.classic.totals.wall_samples)
         unioned = sorted(sample for client in report.clients
-                         for sample in client.warm.totals.wall_samples)
+                         for sample in client.warm.classic.totals.wall_samples)
         assert merged == unioned
 
     def test_per_client_percentiles(self, small_database):
-        store = fresh_store(small_database)
-        report = MultiClientRunner(small_database, store,
-                                   workload(clients=2)).run()
-        for client in range(report.client_count):
-            wall = report.client_wall_percentiles(client)
+        report = run(small_database, workload(clients=2),
+                     fresh_store(small_database))
+        for client in report.clients:
+            wall = client.warm.classic.wall_percentiles()
             assert wall.count == 5
             assert wall.p99 > 0.0
 
 
 class TestBackendNames:
-    """The kernel lets multi-user runs target any registered engine."""
+    """Multi-client scenarios target any registered engine by name."""
 
     def test_runs_on_named_backend(self, small_database):
-        report = MultiClientRunner(small_database, "memory",
-                                   workload(clients=2)).run()
+        report = run(small_database, workload(clients=2), backend="memory")
         assert report.backend_name == "memory"
         assert report.client_count == 2
         for client in report.clients:
-            assert client.warm.transaction_count == 5
+            assert client.warm.classic.transaction_count == 5
             # Wall-clock only: no simulated I/O on a real engine.
-            assert client.warm.totals.io_reads == 0
+            assert client.warm.classic.totals.io_reads == 0
 
     def test_runs_on_sqlite(self, small_database):
-        runner = MultiClientRunner(small_database, "sqlite",
-                                   workload(clients=2))
-        report = runner.run()
+        report = run(small_database, workload(clients=2), backend="sqlite")
         assert report.backend_name == "sqlite"
-        assert report.warm_wall_percentiles.p99 > 0.0
-        runner.store.close()
+        assert report.merged_warm.classic.wall_percentiles().p99 > 0.0
 
     def test_clients_share_one_engine(self, small_database):
-        runner = MultiClientRunner(small_database, "memory",
-                                   workload(clients=3))
-        executors = runner._runner.build_executors(runner.store)
-        assert all(executor.session.store is runner.store
+        scenario = Scenario.from_workload_parameters(workload(clients=3),
+                                                     backend="memory")
+        runner = ScenarioRunner(small_database, scenario)
+        engine = runner._resolve_engine()
+        executors = runner.build_executors(engine)
+        assert all(executor.session.store is engine
                    for executor in executors)
+        engine.close()
 
     def test_backend_options_reach_the_engine(self, small_database,
                                               tmp_path):
         path = str(tmp_path / "multiuser.db")
-        runner = MultiClientRunner(small_database, "sqlite",
-                                   workload(clients=2, cold=1, hot=2),
-                                   backend_options={"path": path})
-        runner.run()
-        runner.store.close()
+        run(small_database, workload(clients=2, cold=1, hot=2),
+            backend="sqlite", backend_options={"path": path})
         assert (tmp_path / "multiuser.db").exists()

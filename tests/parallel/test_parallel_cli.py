@@ -1,4 +1,4 @@
-"""CLI surface of the parallel subsystem: --processes and ocb scale."""
+"""CLI surface of the parallel subsystem: scenario --processes and scale."""
 
 from __future__ import annotations
 
@@ -9,19 +9,18 @@ from repro.cli import main
 
 class TestMultiuserProcesses:
     def test_processes_runs_and_reports_contention(self, capsys):
-        assert main(["multiuser", "--backend", "sqlite",
+        assert main(["scenario", "paper_default", "--backend", "sqlite",
                      "--processes", "2"]) == 0
         out = capsys.readouterr().out
-        assert "worker processes" in out
-        assert "shared storage" in out
+        assert "2 clients (shared) on 'sqlite'" in out
         assert "busy retries" in out
-        assert "merged warm wall-clock" in out
+        assert "reads/op" in out
 
     def test_processes_on_simulated_replicates(self, capsys):
-        assert main(["multiuser", "--backend", "simulated",
+        assert main(["scenario", "paper_default", "--backend", "simulated",
                      "--processes", "2"]) == 0
         out = capsys.readouterr().out
-        assert "replicated storage" in out
+        assert "(replicated)" in out
 
 
 class TestScale:

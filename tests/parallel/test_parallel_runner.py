@@ -3,8 +3,8 @@
 The subsystem's contract is pinned here: a process-parallel run produces
 byte-identical *logical* metrics (per-client transaction mix, objects
 visited, truncations) to the in-process
-:class:`~repro.multiuser.runner.MultiClientRunner` on the same seed —
-for a shared SQLite file and for per-worker simulated replicas alike.
+:meth:`~repro.core.scenario.ScenarioRunner.run` on the same seed — for
+a shared SQLite file and for per-worker replicas alike.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import pytest
 
 from repro.core.generation import generate_database
 from repro.core.parameters import DatabaseParameters, WorkloadParameters
+from repro.core.scenario import Scenario, ScenarioRunner
 from repro.errors import WorkloadError
-from repro.multiuser.runner import MultiClientRunner, MultiUserReport
 from repro.parallel import ParallelConfig, ParallelRunner
 
 PARAMS = WorkloadParameters(clients=3, cold_n=2, hot_n=8,
@@ -53,7 +53,7 @@ def _logical_signature(reports):
     """Per-client logical metrics, phase by phase, kind by kind."""
     signature = []
     for report in reports:
-        for phase in (report.cold, report.warm):
+        for phase in (report.cold.classic, report.warm.classic):
             for kind, stats in sorted(phase.per_kind.items()):
                 signature.append((phase.name, kind.value, stats.count,
                                   stats.visits, stats.distinct_objects,
@@ -62,15 +62,19 @@ def _logical_signature(reports):
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("backend", ["sqlite", "simulated"])
+    @pytest.mark.parametrize("backend", ["simulated", "memory", "sqlite"])
     def test_parallel_equals_in_process(self, parallel_database, backend):
-        parallel = ParallelRunner(parallel_database, backend, PARAMS,
-                                  config=CONFIG).run()
-        runner = MultiClientRunner(parallel_database, backend, PARAMS)
-        in_process = runner.run()
-        close = getattr(runner.store, "close", None)
-        if close is not None:
-            close()
+        """The worker path without an explicit mix runs the Table 2 mix
+        as the in-process runner does, client by client.  Simulated I/O
+        is not compared: replicated workers each warm a private buffer
+        pool, while in-process clients share one."""
+        parallel = ParallelRunner(
+            parallel_database, backend, PARAMS,
+            config=ParallelConfig(busy_timeout_ms=2000,
+                                  parallel=False)).run()
+        in_process = ScenarioRunner(
+            parallel_database,
+            Scenario.from_workload_parameters(PARAMS, backend=backend)).run()
         assert _logical_signature([w.report for w in parallel.workers]) \
             == _logical_signature(in_process.clients)
 
@@ -277,12 +281,13 @@ class TestParallelReport:
                               config=CONFIG).run()
 
     def test_folds_into_multiuser_shape(self, report):
-        multiuser = report.to_multiuser()
-        assert isinstance(multiuser, MultiUserReport)
-        assert multiuser.client_count == PARAMS.clients
-        assert multiuser.backend_name == "sqlite"
-        assert multiuser.merged_warm.transaction_count == \
+        assert report.worker_count == PARAMS.clients
+        assert report.backend_name == "sqlite"
+        assert report.merged_warm.transaction_count == \
             PARAMS.clients * PARAMS.hot_n
+        assert report.merged_warm.totals.visits == sum(
+            worker.report.warm.classic.totals.visits
+            for worker in report.workers)
 
     def test_merged_percentiles_cover_every_transaction(self, report):
         warm = report.warm_wall_percentiles

@@ -6,8 +6,8 @@ import pickle
 
 import pytest
 
-from repro.core.metrics import PhaseReport
-from repro.core.workload import WorkloadReport
+from repro.core.scenario import ClientScenarioReport, ScenarioPhase, \
+    WorkloadMix
 from repro.errors import ParameterError
 from repro.parallel import ParallelConfig, WorkerResult, WorkerSpec
 
@@ -42,7 +42,9 @@ class TestWorkerSpec:
                                         small_workload):
         with pytest.raises(ParameterError):
             WorkerSpec(client_id=-1, database=small_database,
-                       parameters=small_workload, backend="sqlite")
+                       parameters=small_workload, backend="sqlite",
+                       mix=WorkloadMix.from_workload_parameters(
+                           small_workload))
 
     def test_round_trips_through_pickle(self, small_database,
                                         small_workload):
@@ -50,6 +52,8 @@ class TestWorkerSpec:
         which all ship arguments as pickles."""
         spec = WorkerSpec(client_id=2, database=small_database,
                           parameters=small_workload, backend="sqlite",
+                          mix=WorkloadMix.from_workload_parameters(
+                              small_workload),
                           backend_options={"path": "/tmp/x.db",
                                            "journal_mode": "WAL"},
                           shared=True)
@@ -61,20 +65,23 @@ class TestWorkerSpec:
         assert clone.database.num_objects == small_database.num_objects
         assert clone.database.catalog() == small_database.catalog()
         assert clone.parameters == small_workload
+        assert clone.mix == spec.mix
 
 
 class TestWorkerResult:
     def test_transactions_counts_both_phases(self):
-        report = WorkloadReport(cold=PhaseReport(name="cold"),
-                                warm=PhaseReport(name="warm"))
+        report = ClientScenarioReport(client_id=0,
+                                      cold=ScenarioPhase(name="cold"),
+                                      warm=ScenarioPhase(name="warm"))
         result = WorkerResult(client_id=0, pid=123, report=report,
                               wall_seconds=0.5, setup_seconds=0.1)
         assert result.transactions == 0
         assert result.busy_retries == 0
 
     def test_round_trips_through_pickle(self):
-        report = WorkloadReport(cold=PhaseReport(name="cold"),
-                                warm=PhaseReport(name="warm"))
+        report = ClientScenarioReport(client_id=0,
+                                      cold=ScenarioPhase(name="cold"),
+                                      warm=ScenarioPhase(name="warm"))
         result = WorkerResult(client_id=1, pid=99, report=report,
                               wall_seconds=1.0, setup_seconds=0.2,
                               busy_retries=3, busy_wait_seconds=0.01,

@@ -81,10 +81,9 @@ class TestAlignedLanes:
         assert aligned_report.worker_count == CLIENTS
         assert aligned_report.mode == "shared"
         for worker in aligned_report.workers:
-            assert worker.scenario_report is not None
-            assert worker.scenario_report.operations == \
+            assert worker.report.operations == \
                 COLD_OPS + WARM_OPS
-            updates = worker.scenario_report.warm.per_class.get("update")
+            updates = worker.report.warm.per_class.get("update")
             assert updates is not None and updates.count > 0
 
     def test_every_worker_homed_on_its_lane(self, aligned_report):
@@ -123,10 +122,10 @@ class TestMisalignedLanes:
         def signature(report):
             return tuple(
                 (worker.client_id,
-                 worker.scenario_report.operations,
+                 worker.report.operations,
                  tuple((op_class, stats.count, stats.objects)
                        for op_class, stats in
-                       sorted(worker.scenario_report.warm.per_class.items())))
+                       sorted(worker.report.warm.per_class.items())))
                 for worker in report.workers)
 
         assert signature(aligned_report) == signature(misaligned_report)

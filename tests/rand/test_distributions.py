@@ -219,6 +219,12 @@ class TestEquality:
         assert len({UniformDistribution(), UniformDistribution(),
                     ZipfDistribution()}) == 2
 
+    def test_equality_survives_a_draw(self, rng):
+        drawn, fresh = ZipfDistribution(1.0), ZipfDistribution(1.0)
+        drawn.draw(rng, 1, 100)
+        assert drawn == fresh
+        assert hash(drawn) == hash(fresh)
+
 
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),

@@ -9,12 +9,11 @@ from repro.core.metrics import (
     PhaseReport,
 )
 from repro.core.transactions import TransactionKind
-from repro.core.workload import WorkloadReport
 from repro.reporting import render_backend_comparison, summarize_backend_run
 from repro.reporting.comparison import BackendRunSummary
 
 
-def _report_with(wall_samples):
+def _warm_with(wall_samples):
     warm = PhaseReport(name="warm")
     stats = KindStats()
     for i, wall in enumerate(wall_samples):
@@ -24,14 +23,13 @@ def _report_with(wall_samples):
         stats.wall_time += wall
         stats.wall_samples.append(wall)
     warm.per_kind[TransactionKind.SET] = stats
-    cold = PhaseReport(name="cold")
-    return WorkloadReport(cold=cold, warm=warm)
+    return warm
 
 
 class TestSummarize:
     def test_summary_fields(self):
-        report = _report_with([0.001, 0.002, 0.003, 0.004])
-        summary = summarize_backend_run("sqlite", report)
+        warm = _warm_with([0.001, 0.002, 0.003, 0.004])
+        summary = summarize_backend_run("sqlite", warm)
         assert summary.backend == "sqlite"
         assert summary.transactions == 4
         assert summary.visits_per_transaction == 10.0
@@ -41,7 +39,7 @@ class TestSummarize:
         assert summary.wall_total_seconds == 0.01
 
     def test_empty_report_is_all_zero(self):
-        summary = summarize_backend_run("memory", _report_with([]))
+        summary = summarize_backend_run("memory", _warm_with([]))
         assert summary.transactions == 0
         assert summary.wall == LatencyPercentiles(0, 0.0, 0.0, 0.0)
 
@@ -49,9 +47,9 @@ class TestSummarize:
 class TestRender:
     def test_table_contains_every_backend_and_percentiles(self):
         summaries = [
-            summarize_backend_run("memory", _report_with([0.001] * 5)),
-            summarize_backend_run("simulated", _report_with([0.010] * 5)),
-            summarize_backend_run("sqlite", _report_with([0.005] * 5)),
+            summarize_backend_run("memory", _warm_with([0.001] * 5)),
+            summarize_backend_run("simulated", _warm_with([0.010] * 5)),
+            summarize_backend_run("sqlite", _warm_with([0.005] * 5)),
         ]
         table = render_backend_comparison(summaries)
         for name in ("memory", "simulated", "sqlite"):
@@ -61,13 +59,13 @@ class TestRender:
 
     def test_custom_title(self):
         table = render_backend_comparison(
-            [summarize_backend_run("memory", _report_with([0.001]))],
+            [summarize_backend_run("memory", _warm_with([0.001]))],
             title="My comparison")
         assert table.startswith("My comparison")
 
     def test_milliseconds_scaling(self):
         table = render_backend_comparison(
-            [summarize_backend_run("memory", _report_with([0.002] * 3))])
+            [summarize_backend_run("memory", _warm_with([0.002] * 3))])
         assert "2.000" in table  # 0.002 s rendered as 2.000 ms.
 
 

@@ -102,7 +102,7 @@ class TestBackends:
 
 
 class TestKernelCommands:
-    """`ops` and `multiuser` drive the unified kernel from the CLI."""
+    """`ops` and multi-client `scenario` runs drive the unified kernel."""
 
     def test_ops_on_sqlite(self, capsys):
         assert main(["ops", "--preset", "default-small",
@@ -119,18 +119,23 @@ class TestKernelCommands:
         assert "SQL round trips" not in out
 
     def test_multiuser_on_memory(self, capsys):
-        assert main(["multiuser", "--preset", "default-small",
-                     "--backend", "memory", "--clients", "2"]) == 0
+        assert main(["scenario", "paper_default", "--preset",
+                     "default-small", "--backend", "memory",
+                     "--clients", "2"]) == 0
         out = capsys.readouterr().out
-        assert "2 clients on 'memory'" in out
-        assert "merged warm wall-clock" in out
+        assert "2 clients (interleaved) on 'memory'" in out
+        assert "reads/op" in out
         assert "P95" in out
 
     def test_multiuser_rejects_zero_clients(self, capsys):
-        assert main(["multiuser", "--preset", "default-small",
-                     "--clients", "0"]) == 1
+        assert main(["scenario", "paper_default", "--preset",
+                     "default-small", "--clients", "0"]) == 1
         err = capsys.readouterr().err
         assert "client" in err.lower()
+
+    def test_multiuser_command_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["multiuser", "--clients", "2"])
 
     def test_run_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
@@ -329,17 +334,11 @@ class TestMachineReadableRunAndOps:
 
 
 class TestEngineLifecycle:
-    """Every command closes the engine it opens."""
+    """Every command closes the engine it opens, on errors too."""
 
-    @pytest.mark.parametrize("argv", [
-        ["run", "--backend", "sqlite"],
-        ["scenario", "read_heavy", "--backend", "sqlite", "--cold", "1",
-         "--warm", "5"],
-        ["ops", "--backend", "sqlite", "--operations", "8"],
-        ["loadtest", "read_heavy", "--backend", "sqlite", "--rate",
-         "200,400", "--ops", "4", "--no-predict"],
-    ], ids=lambda argv: argv[0])
-    def test_closes_every_sqlite_engine(self, argv, monkeypatch, capsys):
+    @pytest.fixture
+    def engines(self, monkeypatch):
+        """(opened, closed) lists of every SQLite engine of the run."""
         from repro.backends.sqlite import SQLiteBackend
 
         opened, closed = [], []
@@ -355,7 +354,30 @@ class TestEngineLifecycle:
 
         monkeypatch.setattr(SQLiteBackend, "__init__", spy_init)
         monkeypatch.setattr(SQLiteBackend, "close", spy_close)
+        return opened, closed
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--backend", "sqlite"],
+        ["scenario", "read_heavy", "--backend", "sqlite", "--cold", "1",
+         "--warm", "5"],
+        ["ops", "--backend", "sqlite", "--operations", "8"],
+        ["loadtest", "read_heavy", "--backend", "sqlite", "--rate",
+         "200,400", "--ops", "4", "--no-predict"],
+    ], ids=lambda argv: argv[0])
+    def test_closes_every_sqlite_engine(self, argv, engines, capsys):
+        opened, closed = engines
         assert main(argv) == 0
         assert opened
+        assert {id(engine) for engine in opened} <= \
+            {id(engine) for engine in closed}
+
+    @pytest.mark.parametrize("argv", [
+        ["ops", "--backend", "sqlite", "--operations", "-1"],
+    ], ids=lambda argv: argv[0])
+    def test_closes_every_sqlite_engine_on_error(self, argv, engines,
+                                                 capsys):
+        opened, closed = engines
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("ocb: error:")
         assert {id(engine) for engine in opened} <= \
             {id(engine) for engine in closed}

@@ -31,14 +31,16 @@ class TestPublicSurface:
 
     def test_key_entry_points_importable(self):
         from repro import (
-            DSTCPolicy, OCBBenchmark, ObjectStore, WorkloadRunner)
-        from repro.core import GenericOperationsRunner
+            DSTCPolicy, OCBBenchmark, ObjectStore, Scenario, ScenarioRunner,
+            WorkloadMix)
+        from repro.core import ClientExecutor
         from repro.comparators import OO1Benchmark, OO7Benchmark
-        from repro.multiuser import MultiClientRunner, SimulatedMultiUser
+        from repro.multiuser import SimulatedMultiUser
         from repro.sim import Environment
-        assert all((DSTCPolicy, OCBBenchmark, ObjectStore, WorkloadRunner,
-                    GenericOperationsRunner, OO1Benchmark, OO7Benchmark,
-                    MultiClientRunner, SimulatedMultiUser, Environment))
+        assert all((DSTCPolicy, OCBBenchmark, ObjectStore, Scenario,
+                    ScenarioRunner, WorkloadMix, ClientExecutor,
+                    OO1Benchmark, OO7Benchmark, SimulatedMultiUser,
+                    Environment))
 
 
 class TestErrorHierarchy:
