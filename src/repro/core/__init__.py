@@ -45,7 +45,6 @@ from repro.core.scenario import (
 from repro.core.schema import ClassDescriptor, Schema
 from repro.core.session import Measurement, Session
 from repro.core.transactions import (
-    AccessContext,
     TransactionKind,
     TransactionResult,
     TransactionSpec,
@@ -83,7 +82,6 @@ __all__ = [
     "ScenarioRunner",
     "ClassDescriptor",
     "Schema",
-    "AccessContext",
     "Session",
     "Measurement",
     "TransactionKind",

@@ -161,20 +161,31 @@ def _enforce_consistency(schema: Schema,
 
     Classes and references are processed in the paper's order (class id,
     then reference index), re-checking reachability after each removal,
-    which is exactly the incremental behaviour of Fig. 2.
+    which is exactly the incremental behaviour of Fig. 2.  Each acyclic
+    type's class graph is built once, as edge counts per class, and loses
+    an edge whenever a reference is NULLed.
     """
+    graphs: Dict[int, Dict[int, Dict[int, int]]] = {
+        spec.type_id: {} for spec in schema.reference_types() if spec.acyclic}
+    for descriptor in schema:
+        for _, type_id, target in descriptor.references():
+            if target is not None and type_id in graphs:
+                edges = graphs[type_id].setdefault(descriptor.cid, {})
+                edges[target] = edges.get(target, 0) + 1
     removed = 0
     for descriptor in schema:
         for index, type_id, target in list(descriptor.references()):
-            if target is None:
-                continue
-            spec = schema.ref_type(type_id)
-            if not spec.acyclic:
+            graph = graphs.get(type_id)
+            if target is None or graph is None:
                 continue
             if target == descriptor.cid or _reaches(
-                    schema, type_id, start=target, goal=descriptor.cid):
+                    graph, start=target, goal=descriptor.cid):
                 descriptor.cref[index] = None
                 removed += 1
+                edges = graph[descriptor.cid]
+                edges[target] -= 1
+                if not edges[target]:
+                    del edges[target]
     for spec in schema.reference_types():
         if spec.acyclic and schema.has_cycle(spec.type_id):
             raise GenerationError(
@@ -182,8 +193,9 @@ def _enforce_consistency(schema: Schema,
     return removed
 
 
-def _reaches(schema: Schema, type_id: int, start: int, goal: int) -> bool:
-    """Depth-first reachability in the class graph of one reference type."""
+def _reaches(graph: Dict[int, Dict[int, int]], start: int,
+             goal: int) -> bool:
+    """Depth-first reachability in one reference type's class graph."""
     stack = [start]
     seen: Set[int] = set()
     while stack:
@@ -193,10 +205,7 @@ def _reaches(schema: Schema, type_id: int, start: int, goal: int) -> bool:
         if node in seen:
             continue
         seen.add(node)
-        descriptor = schema.get(node)
-        for _, t, target in descriptor.references():
-            if t == type_id and target is not None and target not in seen:
-                stack.append(target)
+        stack.extend(graph.get(node, ()))
     return False
 
 

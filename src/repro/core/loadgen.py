@@ -43,7 +43,6 @@ from repro.core.scenario import (
     ScenarioRunner,
     phase_span,
 )
-from repro.core.session import Session
 from repro.errors import ParameterError
 from repro.obs import trace
 from repro.obs.latency import DEFAULT_LATE_GRACE, LatencyCollector
@@ -231,7 +230,7 @@ class OpenLoopRunner:
     def __init__(self, database: OCBDatabase, scenario: Scenario,
                  rate: float, *, operations: Optional[int] = None,
                  mode: str = "poisson", seed: Optional[int] = None,
-                 store: "Backend | Session | None" = None,
+                 store: Optional[Backend] = None,
                  policy: Optional[object] = None,
                  late_grace: float = DEFAULT_LATE_GRACE,
                  clock: Callable[[], float] = time.perf_counter,

@@ -1471,8 +1471,13 @@ class ScenarioRunner:
     """
 
     def __init__(self, database: OCBDatabase, scenario: Scenario,
-                 store: "Backend | Session | None" = None,
+                 store: Optional[Backend] = None,
                  policy: Optional[ClusteringPolicy] = None) -> None:
+        if isinstance(store, Session):
+            # Each client builds its own Session with the runner's policy.
+            raise WorkloadError(
+                "store must be an engine, not a Session; pass "
+                "session.store as store= and its policy as policy=")
         self.database = database
         self.scenario = scenario
         self.mix = scenario.mix
@@ -1485,8 +1490,6 @@ class ScenarioRunner:
         """The shared engine every in-process client drives."""
         if self._store is not None:
             store = self._store
-            if isinstance(store, Session):
-                store = store.store
             if store.object_count == 0:
                 self.database.load_into(store)
                 store.reset_stats()

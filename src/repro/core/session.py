@@ -4,8 +4,8 @@
 the OCB transactions (:mod:`repro.core.transactions`) and the generic
 operations, run by one
 :class:`~repro.core.scenario.ClientExecutor` per client — touches
-storage.  It grew out of the old ``AccessContext`` and owns everything
-the execution paths used to wire up separately:
+storage.  It owns everything the execution paths used to wire up
+separately:
 
 * **object access** — :meth:`access` charges the engine and notifies the
   clustering policy of the link crossing (DSTC's observation input);
@@ -191,20 +191,24 @@ class Session:
         exactly as they are without batching — the OO1 heritage of
         counting duplicate visits carries over to the physical
         counters).
+
+        Called once per traversal visit, so the crossed slot's type
+        (:meth:`ref_type_of`) is looked up inline.
         """
         record = self._prefetched.pop(oid, None) if self.batch_reads else None
         if record is None:
             record = self.store.read_object(oid)
-        source_oid = source.oid if source is not None else None
-        if source is not None and ref_index is not None:
-            if via_back_ref:
-                # The crossed slot belongs to the *target* object's class.
-                ref_type = self.ref_type_of(record.cid, ref_index)
-            else:
-                ref_type = self.ref_type_of(source.cid, ref_index)
-        else:
-            ref_type = None
-        self.policy.observe_access(source_oid, oid, ref_type)
+        if source is None:
+            self.policy.observe_access(None, oid, None)
+            return record
+        ref_type = None
+        if ref_index is not None:
+            # A reversed crossing's slot belongs to the target's class.
+            types = self._tref_table.get(
+                record.cid if via_back_ref else source.cid)
+            if types is not None and ref_index < len(types):
+                ref_type = types[ref_index]
+        self.policy.observe_access(source.oid, oid, ref_type)
         return record
 
     def touch(self, oid: int, source_oid: Optional[int] = None
@@ -326,12 +330,6 @@ class Session:
     def object_count(self) -> int:
         """Live objects in the engine."""
         return self.store.object_count
-
-    def require_loaded(self) -> None:
-        """Raise unless the engine holds a bulk-loaded database."""
-        if self.store.object_count == 0:
-            raise WorkloadError("the store is empty; bulk-load the database "
-                                "before running a workload")
 
     def current_order(self) -> List[int]:
         """Object ids in the engine's physical (or canonical) order."""

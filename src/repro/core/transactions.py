@@ -21,22 +21,29 @@ depth-7 traversal touches "3280 parts, with possible duplicates"); set
 semantics are available through ``dedupe=True``.
 
 Every object access funnels through the execution kernel
-(:class:`~repro.core.session.Session`, historically named
-``AccessContext`` — the old name remains an alias), which charges the
-engine and notifies the clustering policy of each link crossing (DSTC's
-observation input).  Set-oriented accesses expand level by level and
-prefetch each BFS frontier through the kernel's batched read path, so
-engines with native batching (SQLite) answer a whole frontier — forward
-or reversed — with one round trip.  Depth-first traversals prefetch each
-node's fan-out before descending, so such engines answer a node's
-children with one round trip too; the visit order is unchanged.
+(:class:`~repro.core.session.Session`), which charges the engine and
+notifies the clustering policy of each link crossing (DSTC's observation
+input).  On engines with native batching (SQLite), set-oriented accesses
+prefetch each BFS frontier and depth-first traversals prefetch each
+node's fan-out before descending, so one round trip answers a whole
+level or fan-out, forward or reversed; elsewhere no prefetch is issued.
+
+Bookkeeping is done once per node or per transaction, never per edge:
+a node's edges are built once as ``(target oid, ref index)`` pairs (a
+reversed walk uses the record's back references as they are), visit
+counts live in locals until the traversal returns, the visited set is
+the distinct-object count, and ``Session.access`` is looked up once per
+transaction and called positionally.  The order and arguments of every
+engine read and every ``policy.observe_access(source, target,
+ref_type)``, every :class:`TransactionResult` field and the random
+stream are those of a per-edge walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Set, Tuple
+from typing import Callable, Optional, Sequence, Set, Tuple
 
 from repro.core.session import Session
 from repro.errors import WorkloadError
@@ -47,14 +54,8 @@ __all__ = [
     "TransactionKind",
     "TransactionSpec",
     "TransactionResult",
-    "AccessContext",
     "run_transaction",
 ]
-
-#: The kernel superseded the transaction-local access context; the old
-#: name stays importable for existing harnesses and tests.
-AccessContext = Session
-
 
 class TransactionKind(str, Enum):
     """The four OCB transaction classes."""
@@ -92,90 +93,76 @@ class TransactionResult:
     truncated: bool
 
 
-class _Tracker:
-    """Visit accounting shared by the four traversal algorithms."""
+#: What a traversal hands back: visits, the distinct objects visited,
+#: the deepest level reached, and whether the visit budget ran out.
+_Tally = Tuple[int, Set[int], int, bool]
 
-    __slots__ = ("visits", "distinct", "max_depth", "truncated", "limit")
-
-    def __init__(self, limit: int) -> None:
-        self.visits = 0
-        self.distinct: Set[int] = set()
-        self.max_depth = 0
-        self.truncated = False
-        self.limit = limit
-
-    def note(self, oid: int, depth: int) -> bool:
-        """Record a visit; return False when the budget is exhausted."""
-        if self.visits >= self.limit:
-            self.truncated = True
-            return False
-        self.visits += 1
-        self.distinct.add(oid)
-        if depth > self.max_depth:
-            self.max_depth = depth
-        return True
+_Edges = Sequence[Tuple[int, int]]
 
 
 def run_transaction(ctx: Session, spec: TransactionSpec,
                     rng: LewisPayne) -> TransactionResult:
     """Execute one transaction and return its logical result."""
-    tracker = _Tracker(spec.max_visits)
-    if spec.kind is TransactionKind.SET:
-        _breadth_first(ctx, spec, tracker)
-    elif spec.kind is TransactionKind.SIMPLE:
-        _depth_first(ctx, spec, tracker, type_filter=None)
-    elif spec.kind is TransactionKind.HIERARCHY:
-        if spec.ref_type is None:
-            raise WorkloadError("hierarchy traversal needs a ref_type")
-        _depth_first(ctx, spec, tracker, type_filter=spec.ref_type)
-    elif spec.kind is TransactionKind.STOCHASTIC:
-        _stochastic(ctx, spec, tracker, rng)
+    kind = spec.kind
+    if kind is TransactionKind.HIERARCHY and spec.ref_type is None:
+        raise WorkloadError("hierarchy traversal needs a ref_type")
+    # Looked up on the instance, so a wrapped ``access`` is the one called.
+    access = ctx.access
+    root = access(spec.root)
+    tally: _Tally
+    if spec.max_visits < 1:
+        tally = 0, set(), 0, True  # The budget is spent before the root.
+    elif kind is TransactionKind.SET:
+        tally = _breadth_first(ctx, access, spec, root)
+    elif kind is TransactionKind.SIMPLE:
+        tally = _depth_first(ctx, access, spec, root, None)
+    elif kind is TransactionKind.HIERARCHY:
+        tally = _depth_first(ctx, access, spec, root, spec.ref_type)
+    elif kind is TransactionKind.STOCHASTIC:
+        tally = _stochastic(ctx, access, spec, root, rng)
     else:  # pragma: no cover - exhaustive enum
-        raise WorkloadError(f"unknown transaction kind {spec.kind}")
+        raise WorkloadError(f"unknown transaction kind {kind}")
     ctx.end_transaction()
+    visits, seen, max_depth, truncated = tally
     return TransactionResult(
-        kind=spec.kind,
+        kind=kind,
         root=spec.root,
-        visits=tracker.visits,
-        distinct_objects=len(tracker.distinct),
-        max_depth_reached=tracker.max_depth,
+        visits=visits,
+        distinct_objects=len(seen),
+        max_depth_reached=max_depth,
         reverse=spec.reverse,
         ref_type=spec.ref_type,
-        truncated=tracker.truncated)
+        truncated=truncated)
 
 
 # ---------------------------------------------------------------------- #
 # Neighbour expansion (forward or reversed)
 # ---------------------------------------------------------------------- #
 
-def _neighbours(ctx: Session, record: StoredObject, reverse: bool,
-                type_filter: Optional[int]) -> List[Tuple[int, int, bool]]:
-    """(target oid, ref index, via_back_ref) edges leaving *record*."""
-    edges: List[Tuple[int, int, bool]] = []
-    if not reverse:
-        for index, target in enumerate(record.refs):
-            if target is None:
-                continue
-            if type_filter is not None and \
-                    ctx.ref_type_of(record.cid, index) != type_filter:
-                continue
-            edges.append((target, index, False))
-    else:
-        for source_oid, index in record.back_refs:
-            if type_filter is not None:
-                source_cid = ctx.class_of(source_oid)
-                if ctx.ref_type_of(source_cid, index) != type_filter:
-                    continue
-            edges.append((source_oid, index, True))
-    return edges
+def _edges(ctx: Session, record: StoredObject, reverse: bool,
+           type_filter: Optional[int]) -> _Edges:
+    """``(target oid, ref index)`` edges leaving *record*, in slot order."""
+    if reverse:
+        if type_filter is None:
+            return record.back_refs
+        # A back reference's slot belongs to the class of its source.
+        ref_type_of, class_of = ctx.ref_type_of, ctx.class_of
+        return [(source, index) for source, index in record.back_refs
+                if ref_type_of(class_of(source), index) == type_filter]
+    if type_filter is None:
+        return [(target, index) for index, target in enumerate(record.refs)
+                if target is not None]
+    ref_type_of, cid = ctx.ref_type_of, record.cid
+    return [(target, index) for index, target in enumerate(record.refs)
+            if target is not None and ref_type_of(cid, index) == type_filter]
 
 
 # ---------------------------------------------------------------------- #
 # Set-oriented access: breadth first on all references
 # ---------------------------------------------------------------------- #
 
-def _breadth_first(ctx: Session, spec: TransactionSpec,
-                   tracker: _Tracker) -> None:
+def _breadth_first(ctx: Session, access: Callable[..., StoredObject],
+                   spec: TransactionSpec, root: StoredObject) -> _Tally:
     """Level-order expansion with one batched fetch per frontier.
 
     Processing a level edge-by-edge in FIFO order is exactly what the
@@ -185,42 +172,45 @@ def _breadth_first(ctx: Session, spec: TransactionSpec,
     kernel up front, which engines with native batching answer in a
     single round trip — forward and reversed traversals alike.
     """
-    root_record = ctx.access(spec.root)
-    if not tracker.note(spec.root, 0):
-        return
-    seen: Set[int] = {spec.root}
-    frontier: List[Tuple[StoredObject, int]] = [(root_record, 0)]
-    while frontier:
-        edges: List[Tuple[StoredObject, int, int, int, bool]] = []
-        for record, depth in frontier:
-            if depth >= spec.depth:
-                continue
-            for target, index, via_back in _neighbours(
-                    ctx, record, spec.reverse, None):
-                edges.append((record, depth, target, index, via_back))
-        if not edges:
-            return
-        ctx.prefetch(target for _, _, target, _, _ in edges
-                     if not (spec.dedupe and target in seen))
-        next_frontier: List[Tuple[StoredObject, int]] = []
-        for record, depth, target, index, via_back in edges:
-            if spec.dedupe and target in seen:
-                continue
-            child = ctx.access(target, source=record, ref_index=index,
-                               via_back_ref=via_back)
-            if not tracker.note(target, depth + 1):
-                return
-            seen.add(target)
-            next_frontier.append((child, depth + 1))
-        frontier = next_frontier
+    limit, dedupe, reverse = spec.max_visits, spec.dedupe, spec.reverse
+    prefetch = ctx.prefetch if ctx.batch_reads else None
+    visits = 1
+    seen = {spec.root}
+    # Every record of the frontier was visited at level ``depth``; an
+    # empty frontier means the deepest visit was one level up.
+    frontier = [root]
+    depth = 0
+    while frontier and depth < spec.depth:
+        level = [(record, _edges(ctx, record, reverse, None))
+                 for record in frontier]
+        if prefetch is not None:
+            targets = [target for _, edges in level for target, _ in edges
+                       if not (dedupe and target in seen)]
+            if targets:
+                prefetch(targets)
+        depth += 1
+        frontier = []
+        for record, edges in level:
+            for target, index in edges:
+                if dedupe and target in seen:
+                    continue
+                child = access(target, record, index, reverse)
+                if visits >= limit:
+                    reached = depth if frontier else depth - 1
+                    return visits, seen, reached, True
+                visits += 1
+                seen.add(target)
+                frontier.append(child)
+    return visits, seen, depth if frontier else depth - 1, False
 
 
 # ---------------------------------------------------------------------- #
 # Simple & hierarchy traversals: depth first
 # ---------------------------------------------------------------------- #
 
-def _depth_first(ctx: Session, spec: TransactionSpec,
-                 tracker: _Tracker, type_filter: Optional[int]) -> None:
+def _depth_first(ctx: Session, access: Callable[..., StoredObject],
+                 spec: TransactionSpec, root: StoredObject,
+                 type_filter: Optional[int]) -> _Tally:
     """Pre-order expansion with one batched fetch per expanded node.
 
     Each node's outgoing edges are announced to the kernel before the
@@ -233,32 +223,48 @@ def _depth_first(ctx: Session, spec: TransactionSpec,
     exactly as breadth-first expansion charges them.  Without native
     batching no prefetch is issued at all.
     """
-    root_record = ctx.access(spec.root)
-    if not tracker.note(spec.root, 0):
-        return
-    seen: Set[int] = {spec.root}
-    batch = ctx.batch_reads
+    limit, dedupe, reverse = spec.max_visits, spec.dedupe, spec.reverse
+    prefetch = ctx.prefetch if ctx.batch_reads else None
+    visits = 1
+    seen = {spec.root}
+    max_depth = 0
 
-    def visit(record: StoredObject, depth: int) -> bool:
-        if depth >= spec.depth:
-            return True
-        edges = _neighbours(ctx, record, spec.reverse, type_filter)
-        if batch:
-            ctx.prefetch(target for target, _, _ in edges
-                         if not (spec.dedupe and target in seen))
-        for target, index, via_back in edges:
-            if spec.dedupe and target in seen:
+    def expand(record: StoredObject) -> _Edges:
+        edges = _edges(ctx, record, reverse, type_filter)
+        if prefetch is not None:
+            targets = [target for target, _ in edges
+                       if not (dedupe and target in seen)]
+            if targets:
+                prefetch(targets)
+        return edges
+
+    bottom = spec.depth
+    if bottom < 1:
+        return visits, seen, max_depth, False
+    # One (record, its unvisited edges) entry per open level; ``depth``
+    # is the depth of the children of the record on top.
+    stack = [(root, iter(expand(root)))]
+    depth = 1
+    while stack:
+        record, pending = stack[-1]
+        for target, index in pending:
+            if dedupe and target in seen:
                 continue
-            child = ctx.access(target, source=record, ref_index=index,
-                               via_back_ref=via_back)
-            if not tracker.note(target, depth + 1):
-                return False
+            child = access(target, record, index, reverse)
+            if visits >= limit:
+                return visits, seen, max_depth, True
+            visits += 1
             seen.add(target)
-            if not visit(child, depth + 1):
-                return False
-        return True
-
-    visit(root_record, 0)
+            if depth > max_depth:
+                max_depth = depth
+            if depth < bottom:
+                stack.append((child, iter(expand(child))))
+                depth += 1
+                break
+        else:
+            stack.pop()
+            depth -= 1
+    return visits, seen, max_depth, False
 
 
 # ---------------------------------------------------------------------- #
@@ -268,25 +274,29 @@ def _depth_first(ctx: Session, spec: TransactionSpec,
 _STOCHASTIC_RETRIES = 8
 
 
-def _stochastic(ctx: Session, spec: TransactionSpec,
-                tracker: _Tracker, rng: LewisPayne) -> None:
-    record = ctx.access(spec.root)
-    if not tracker.note(spec.root, 0):
-        return
-    for step in range(1, spec.depth + 1):
-        edges = _neighbours(ctx, record, spec.reverse, None)
+def _stochastic(ctx: Session, access: Callable[..., StoredObject],
+                spec: TransactionSpec, root: StoredObject,
+                rng: LewisPayne) -> _Tally:
+    limit, reverse = spec.max_visits, spec.reverse
+    record = root
+    visits = 1
+    seen = {spec.root}
+    step = 0
+    while step < spec.depth:
+        edges = _edges(ctx, record, reverse, None)
         if not edges:
-            return
-        chosen: Optional[Tuple[int, int, bool]] = None
+            break
         for _ in range(_STOCHASTIC_RETRIES):
             n = rng.geometric_half(len(edges))
             if n is not None:
-                chosen = edges[n - 1]
                 break
-        if chosen is None:
-            return  # Absorbing state: residual probability mass.
-        target, index, via_back = chosen
-        record = ctx.access(target, source=record, ref_index=index,
-                            via_back_ref=via_back)
-        if not tracker.note(target, step):
-            return
+        else:
+            break  # Absorbing state: residual probability mass.
+        target, index = edges[n - 1]
+        record = access(target, record, index, reverse)
+        if visits >= limit:
+            return visits, seen, step, True
+        visits += 1
+        seen.add(target)
+        step += 1
+    return visits, seen, step, False

@@ -62,18 +62,9 @@ class ParallelReport:
         return merged
 
     @cached_property
-    def cold_wall_percentiles(self) -> LatencyPercentiles:
-        """P50/P95/P99 over every cold transaction of every worker."""
-        return self.merged_cold.wall_percentiles()
-
-    @cached_property
     def warm_wall_percentiles(self) -> LatencyPercentiles:
         """P50/P95/P99 over every warm transaction of every worker."""
         return self.merged_warm.wall_percentiles()
-
-    def worker_wall_percentiles(self, index: int) -> LatencyPercentiles:
-        """One worker's warm-phase wall-clock percentiles."""
-        return self.workers[index].report.warm.classic.wall_percentiles()
 
     # -- what only real parallelism measures ----------------------------- #
 
@@ -106,13 +97,3 @@ class ParallelReport:
         return sum(int((worker.backend_stats or {})
                        .get("decodes_avoided", 0) or 0)
                    for worker in self.workers)
-
-    def describe(self) -> str:
-        """One line: workers, mode, throughput, contention."""
-        mode = self.mode if self.executed_parallel else \
-            f"{self.mode}, sequential fallback"
-        return (f"{self.worker_count} workers ({mode}) on "
-                f"{self.backend_name!r}: {self.total_transactions} txns "
-                f"in {self.elapsed_seconds:.3f} s "
-                f"({self.throughput:.1f} txn/s), "
-                f"{self.busy_retries} busy retries")

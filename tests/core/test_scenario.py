@@ -245,6 +245,35 @@ class TestScenarioRunnerReadOnly:
         assert on_sqlite.total_operations == report.total_operations
         assert on_sqlite.sql_round_trips > 0
 
+    def test_session_as_store_rejected(self, small_database):
+        # A Session's policy cannot reach the clients (each builds its
+        # own Session with the runner's policy), so it is refused rather
+        # than silently dropped; its engine and policy go in separately.
+        from repro.clustering.dstc import DSTCPolicy
+        from repro.core.loadgen import OpenLoopRunner
+        from repro.errors import WorkloadError
+        scenario = Scenario(mix=WorkloadMix(entries=(
+            MixEntry("simple", depth=2, max_visits=100),)),
+            cold_ops=2, warm_ops=10)
+        session = Session.for_database(small_database, "simulated",
+                                       policy=DSTCPolicy())
+        try:
+            for build in (
+                    lambda: ScenarioRunner(small_database, scenario,
+                                           store=session),
+                    lambda: OpenLoopRunner(small_database, scenario,
+                                           rate=100.0, store=session)):
+                with pytest.raises(WorkloadError,
+                                   match=r"session\.store.*policy="):
+                    build()
+            policy = DSTCPolicy()
+            ScenarioRunner(small_database, scenario, store=session.store,
+                           policy=policy).run()
+            assert policy.observation_size + \
+                policy.consolidated_size > 0
+        finally:
+            session.close()
+
 
 class TestScenarioRunnerMutating:
     def test_single_client_ops_stay_in_lockstep(self):

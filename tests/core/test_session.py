@@ -6,8 +6,7 @@ import pytest
 
 from repro.backends import MemoryBackend, SQLiteBackend
 from repro.core.session import Session
-from repro.core.transactions import AccessContext
-from repro.errors import BackendError, WorkloadError
+from repro.errors import BackendError
 from repro.store.storage import StoreConfig
 
 
@@ -20,10 +19,6 @@ def loaded_sqlite(database):
 
 
 class TestConstruction:
-    def test_access_context_is_the_session(self):
-        # The historical name must keep working.
-        assert AccessContext is Session
-
     def test_wraps_classic_store(self, loaded_store):
         session = Session(loaded_store)
         assert session.object_count == loaded_store.object_count
@@ -47,11 +42,6 @@ class TestConstruction:
     def test_for_database_unknown_name(self, small_database):
         with pytest.raises(BackendError):
             Session.for_database(small_database, "no-such-engine")
-
-    def test_require_loaded(self):
-        session = Session(MemoryBackend())
-        with pytest.raises(WorkloadError):
-            session.require_loaded()
 
 
 class TestBatching:

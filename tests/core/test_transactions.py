@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
-import pytest
+from typing import List, Optional, Set, Tuple
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.clustering.base import NoClustering
 from repro.clustering.dstc import DSTCParameters, DSTCPolicy
+from repro.core.session import Session
 from repro.core.transactions import (
-    AccessContext,
     TransactionKind,
+    TransactionResult,
     TransactionSpec,
     run_transaction,
 )
@@ -48,7 +54,7 @@ def make_tree():
 def tree_ctx():
     records, tref_table, catalog = make_tree()
     store = build_store(records)
-    return AccessContext(store, tref_table=tref_table, catalog=catalog)
+    return Session(store, tref_table=tref_table, catalog=catalog)
 
 
 def spec(kind, root=1, depth=3, **kw):
@@ -80,8 +86,8 @@ class TestSetOrientedAccess:
             StoredObject(oid=2, cid=1, refs=(None, None),
                          back_refs=((1, 0), (1, 1))),
         ]
-        ctx = AccessContext(build_store(records), tref_table={1: (1, 1)},
-                            catalog={1: 1, 2: 1})
+        ctx = Session(build_store(records), tref_table={1: (1, 1)},
+                      catalog={1: 1, 2: 1})
         result = run_transaction(
             ctx, spec(TransactionKind.SET, depth=1), rng)
         assert result.visits == 3
@@ -93,8 +99,8 @@ class TestSetOrientedAccess:
             StoredObject(oid=2, cid=1, refs=(None, None),
                          back_refs=((1, 0), (1, 1))),
         ]
-        ctx = AccessContext(build_store(records), tref_table={1: (1, 1)},
-                            catalog={1: 1, 2: 1})
+        ctx = Session(build_store(records), tref_table={1: (1, 1)},
+                      catalog={1: 1, 2: 1})
         result = run_transaction(
             ctx, spec(TransactionKind.SET, depth=1, dedupe=True), rng)
         assert result.visits == 2
@@ -124,8 +130,8 @@ class TestSimpleTraversal:
             StoredObject(oid=1, cid=1, refs=(2,), back_refs=((2, 0),)),
             StoredObject(oid=2, cid=1, refs=(1,), back_refs=((1, 0),)),
         ]
-        ctx = AccessContext(build_store(records), tref_table={1: (1,)},
-                            catalog={1: 1, 2: 1})
+        ctx = Session(build_store(records), tref_table={1: (1,)},
+                      catalog={1: 1, 2: 1})
         result = run_transaction(
             ctx, spec(TransactionKind.SIMPLE, depth=4), rng)
         assert result.visits == 5  # 1,2,1,2,1 — bounded by depth.
@@ -175,8 +181,8 @@ class TestStochasticTraversal:
             StoredObject(oid=1, cid=1, refs=(2,), back_refs=((2, 0),)),
             StoredObject(oid=2, cid=1, refs=(1,), back_refs=((1, 0),)),
         ]
-        ctx = AccessContext(build_store(records), tref_table={1: (1,)},
-                            catalog={1: 1, 2: 1})
+        ctx = Session(build_store(records), tref_table={1: (1,)},
+                      catalog={1: 1, 2: 1})
         result = run_transaction(
             ctx, spec(TransactionKind.STOCHASTIC, depth=30), rng)
         assert result.visits >= 10  # Mostly keeps walking the 2-cycle.
@@ -188,9 +194,9 @@ class TestStochasticTraversal:
         for oid in (1, 2, 3, 4):
             records.append(StoredObject(oid=oid, cid=1, refs=(9,),
                                         back_refs=()))
-        ctx = AccessContext(build_store(records),
-                            tref_table={1: (1, 1, 1, 1)},
-                            catalog={oid: 1 for oid in (1, 2, 3, 4, 9)})
+        ctx = Session(build_store(records),
+                      tref_table={1: (1, 1, 1, 1)},
+                      catalog={oid: 1 for oid in (1, 2, 3, 4, 9)})
         rng = LewisPayne(31415)
         first_steps = []
         for _ in range(300):
@@ -218,8 +224,8 @@ class TestAccessContext:
         store = build_store(records)
         policy = DSTCPolicy(DSTCParameters(observation_period=1,
                                            selection_threshold=1))
-        ctx = AccessContext(store, policy=policy, tref_table=tref_table,
-                            catalog=catalog)
+        ctx = Session(store, policy=policy, tref_table=tref_table,
+                      catalog=catalog)
         run_transaction(ctx, spec(TransactionKind.SIMPLE), rng)
         assert policy.consolidated_size == 6  # Six tree edges crossed.
 
@@ -233,8 +239,8 @@ class TestAccessContext:
                 CountingPolicy.ended += 1
                 super().on_transaction_end()
 
-        ctx = AccessContext(build_store(records), policy=CountingPolicy(),
-                            tref_table=tref_table, catalog=catalog)
+        ctx = Session(build_store(records), policy=CountingPolicy(),
+                      tref_table=tref_table, catalog=catalog)
         run_transaction(ctx, spec(TransactionKind.SET), rng)
         assert CountingPolicy.ended == 1
 
@@ -246,3 +252,274 @@ class TestAccessContext:
     def test_class_of(self, tree_ctx):
         assert tree_ctx.class_of(1) == 1
         assert tree_ctx.class_of(12345) is None
+
+
+#
+# Kept verbatim (docstrings shortened) as the reference the kernel in
+# ``repro.core.transactions`` must match call for call: the same engine
+# reads in the same order, the same policy observations, the same
+# ``TransactionResult`` and the same random stream.
+
+class _Tracker:
+    """Visit accounting shared by the four traversal algorithms."""
+
+    __slots__ = ("visits", "distinct", "max_depth", "truncated", "limit")
+
+    def __init__(self, limit: int) -> None:
+        self.visits = 0
+        self.distinct: Set[int] = set()
+        self.max_depth = 0
+        self.truncated = False
+        self.limit = limit
+
+    def note(self, oid: int, depth: int) -> bool:
+        """Record a visit; return False when the budget is exhausted."""
+        if self.visits >= self.limit:
+            self.truncated = True
+            return False
+        self.visits += 1
+        self.distinct.add(oid)
+        if depth > self.max_depth:
+            self.max_depth = depth
+        return True
+
+
+def _reference_run_transaction(ctx: Session, spec: TransactionSpec,
+                    rng: LewisPayne) -> TransactionResult:
+    """Execute one transaction and return its logical result."""
+    tracker = _Tracker(spec.max_visits)
+    if spec.kind is TransactionKind.SET:
+        _breadth_first(ctx, spec, tracker)
+    elif spec.kind is TransactionKind.SIMPLE:
+        _depth_first(ctx, spec, tracker, type_filter=None)
+    elif spec.kind is TransactionKind.HIERARCHY:
+        if spec.ref_type is None:
+            raise WorkloadError("hierarchy traversal needs a ref_type")
+        _depth_first(ctx, spec, tracker, type_filter=spec.ref_type)
+    elif spec.kind is TransactionKind.STOCHASTIC:
+        _stochastic(ctx, spec, tracker, rng)
+    else:  # pragma: no cover - exhaustive enum
+        raise WorkloadError(f"unknown transaction kind {spec.kind}")
+    ctx.end_transaction()
+    return TransactionResult(
+        kind=spec.kind,
+        root=spec.root,
+        visits=tracker.visits,
+        distinct_objects=len(tracker.distinct),
+        max_depth_reached=tracker.max_depth,
+        reverse=spec.reverse,
+        ref_type=spec.ref_type,
+        truncated=tracker.truncated)
+
+
+
+def _neighbours(ctx: Session, record: StoredObject, reverse: bool,
+                type_filter: Optional[int]) -> List[Tuple[int, int, bool]]:
+    """(target oid, ref index, via_back_ref) edges leaving *record*."""
+    edges: List[Tuple[int, int, bool]] = []
+    if not reverse:
+        for index, target in enumerate(record.refs):
+            if target is None:
+                continue
+            if type_filter is not None and \
+                    ctx.ref_type_of(record.cid, index) != type_filter:
+                continue
+            edges.append((target, index, False))
+    else:
+        for source_oid, index in record.back_refs:
+            if type_filter is not None:
+                source_cid = ctx.class_of(source_oid)
+                if ctx.ref_type_of(source_cid, index) != type_filter:
+                    continue
+            edges.append((source_oid, index, True))
+    return edges
+
+
+
+def _breadth_first(ctx: Session, spec: TransactionSpec,
+                   tracker: _Tracker) -> None:
+    """Level-order expansion, one prefetch per frontier."""
+    root_record = ctx.access(spec.root)
+    if not tracker.note(spec.root, 0):
+        return
+    seen: Set[int] = {spec.root}
+    frontier: List[Tuple[StoredObject, int]] = [(root_record, 0)]
+    while frontier:
+        edges: List[Tuple[StoredObject, int, int, int, bool]] = []
+        for record, depth in frontier:
+            if depth >= spec.depth:
+                continue
+            for target, index, via_back in _neighbours(
+                    ctx, record, spec.reverse, None):
+                edges.append((record, depth, target, index, via_back))
+        if not edges:
+            return
+        ctx.prefetch(target for _, _, target, _, _ in edges
+                     if not (spec.dedupe and target in seen))
+        next_frontier: List[Tuple[StoredObject, int]] = []
+        for record, depth, target, index, via_back in edges:
+            if spec.dedupe and target in seen:
+                continue
+            child = ctx.access(target, source=record, ref_index=index,
+                               via_back_ref=via_back)
+            if not tracker.note(target, depth + 1):
+                return
+            seen.add(target)
+            next_frontier.append((child, depth + 1))
+        frontier = next_frontier
+
+
+
+def _depth_first(ctx: Session, spec: TransactionSpec,
+                 tracker: _Tracker, type_filter: Optional[int]) -> None:
+    """Pre-order expansion, one prefetch per expanded node."""
+    root_record = ctx.access(spec.root)
+    if not tracker.note(spec.root, 0):
+        return
+    seen: Set[int] = {spec.root}
+    batch = ctx.batch_reads
+
+    def visit(record: StoredObject, depth: int) -> bool:
+        if depth >= spec.depth:
+            return True
+        edges = _neighbours(ctx, record, spec.reverse, type_filter)
+        if batch:
+            ctx.prefetch(target for target, _, _ in edges
+                         if not (spec.dedupe and target in seen))
+        for target, index, via_back in edges:
+            if spec.dedupe and target in seen:
+                continue
+            child = ctx.access(target, source=record, ref_index=index,
+                               via_back_ref=via_back)
+            if not tracker.note(target, depth + 1):
+                return False
+            seen.add(target)
+            if not visit(child, depth + 1):
+                return False
+        return True
+
+    visit(root_record, 0)
+
+
+
+_STOCHASTIC_RETRIES = 8
+
+
+def _stochastic(ctx: Session, spec: TransactionSpec,
+                tracker: _Tracker, rng: LewisPayne) -> None:
+    record = ctx.access(spec.root)
+    if not tracker.note(spec.root, 0):
+        return
+    for step in range(1, spec.depth + 1):
+        edges = _neighbours(ctx, record, spec.reverse, None)
+        if not edges:
+            return
+        chosen: Optional[Tuple[int, int, bool]] = None
+        for _ in range(_STOCHASTIC_RETRIES):
+            n = rng.geometric_half(len(edges))
+            if n is not None:
+                chosen = edges[n - 1]
+                break
+        if chosen is None:
+            return  # Absorbing state: residual probability mass.
+        target, index, via_back = chosen
+        record = ctx.access(target, source=record, ref_index=index,
+                            via_back_ref=via_back)
+        if not tracker.note(target, step):
+            return
+
+
+class RecordingPolicy(NoClustering):
+    """Logs every observation and transaction end, in order."""
+
+    def __init__(self) -> None:
+        self.log = []
+
+    def observe_access(self, source, target, ref_type=None) -> None:
+        self.log.append((source, target, ref_type))
+
+    def on_transaction_end(self) -> None:
+        self.log.append("end")
+
+
+class RecordingEngine:
+    """Delegates to an engine, logging every read it is asked for."""
+
+    def __init__(self, engine) -> None:
+        self._engine = engine
+        self.calls = []
+
+    def read_object(self, oid):
+        self.calls.append(("read_object", oid))
+        return self._engine.read_object(oid)
+
+    def read_many(self, oids):
+        oids = list(oids)
+        self.calls.append(("read_many", tuple(oids)))
+        return self._engine.read_many(oids)
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+
+ORACLE_BACKENDS = ("simulated", "memory", "sqlite")
+
+
+@pytest.fixture(scope="module")
+def oracle_engines(small_database):
+    engines = {name: Session.for_database(small_database, name).store
+               for name in ORACLE_BACKENDS}
+    yield engines
+    for engine in engines.values():
+        engine.close()
+
+
+def run_recorded(kernel, engine, database, spec, seed):
+    """Run *spec* through *kernel*; return everything it did, in order."""
+    recorder = RecordingEngine(engine)
+    session = Session(recorder, policy=RecordingPolicy(),
+                      tref_table=database.tref_table(),
+                      catalog=database.catalog())
+    rng = LewisPayne(seed)
+    result = kernel(session, spec, rng)
+    return result, session.policy.log, recorder.calls, rng.getstate()
+
+
+class TestKernelMatchesOracle:
+    """The kernel against the per-edge reference, on every engine kind.
+
+    Small visit budgets cut traversals short mid-level and mid-fan-out,
+    where the depth and distinct-object accounting is easiest to get
+    wrong.
+    """
+
+    @pytest.mark.parametrize("backend", ORACLE_BACKENDS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(),
+           kind=st.sampled_from(list(TransactionKind)),
+           depth=st.integers(0, 6),
+           reverse=st.booleans(),
+           dedupe=st.booleans(),
+           max_visits=st.integers(1, 60),
+           seed=st.integers(1, 2 ** 31))
+    def test_same_calls_results_and_stream(
+            self, oracle_engines, small_database, backend, data, kind,
+            depth, reverse, dedupe, max_visits, seed):
+        engine = oracle_engines[backend]
+        root = data.draw(st.sampled_from(sorted(small_database.catalog())),
+                         label="root")
+        ref_types = st.integers(1, small_database.parameters.num_ref_types)
+        if kind is not TransactionKind.HIERARCHY:
+            ref_types = st.none() | ref_types
+        spec = TransactionSpec(kind=kind, root=root, depth=depth,
+                               reverse=reverse,
+                               ref_type=data.draw(ref_types, label="ref_type"),
+                               dedupe=dedupe, max_visits=max_visits)
+        result, observed, reads, state = run_recorded(
+            run_transaction, engine, small_database, spec, seed)
+        expected = run_recorded(_reference_run_transaction, engine,
+                                small_database, spec, seed)
+        assert result == expected[0]
+        assert observed == expected[1]
+        assert reads == expected[2]
+        assert state == expected[3]
