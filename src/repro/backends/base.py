@@ -83,6 +83,12 @@ class Backend(abc.ABC):
     #: replicas otherwise.
     supports_concurrent_access: bool = False
 
+    #: Lock collisions retried and the time spent backing off on them.
+    #: Engines without locks keep these zeros; the executor reads
+    #: ``busy_retries`` around every operation.
+    busy_retries: int = 0
+    busy_wait_seconds: float = 0.0
+
     def __init__(self) -> None:
         self.object_accesses = 0
         #: Records fully decoded from their byte form on a read path.

@@ -656,9 +656,9 @@ def _cmd_scale(args: argparse.Namespace) -> str:
     import os
     import shutil
     import tempfile
-    from dataclasses import replace
 
     from repro.backends.registry import backend_info
+    from repro.core.scenario import Scenario
     from repro.parallel import ParallelConfig, ParallelRunner
     from repro.reporting import render_scaling_sweep, summarize_parallel_run
 
@@ -689,9 +689,10 @@ def _cmd_scale(args: argparse.Namespace) -> str:
     points = []
     try:
         for workers in args.workers:
-            params = replace(wl_params, clients=workers)
-            runner = ParallelRunner(database, args.backend, params,
-                                    config=config, backend_options=options)
+            scenario = Scenario.from_workload_parameters(
+                wl_params, clients=workers, backend=args.backend,
+                backend_options=options)
+            runner = ParallelRunner(database, scenario, config=config)
             points.append(summarize_parallel_run(runner.run()))
     finally:
         if tempdir is not None:

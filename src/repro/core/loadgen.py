@@ -36,12 +36,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.backends.base import Backend
 from repro.core.database import OCBDatabase
 from repro.core.scenario import (
-    ClientScenarioReport,
+    ClientExecutor,
     Scenario,
     ScenarioCollector,
     ScenarioReport,
     ScenarioRunner,
-    phase_span,
 )
 from repro.errors import ParameterError
 from repro.obs import trace
@@ -107,10 +106,9 @@ def merged_arrivals(rate: float, operations: int, clients: int,
                     seed: int = DEFAULT_SEED) -> List[Tuple[float, int]]:
     """Merge per-client arrival lanes into one ``(offset, client)`` list.
 
-    The offered ``rate`` splits evenly across ``clients`` (each lane an
-    independent substream), mirroring how the process-parallel runner
-    shares a target rate among workers; the merged list is sorted by
-    intended start time, ties broken by client id.
+    The offered ``rate`` splits evenly across ``clients``, each lane an
+    independent substream; the merged list is sorted by intended start
+    time, ties broken by client id.
     """
     if clients < 1:
         raise ParameterError(f"clients must be >= 1, got {clients}")
@@ -216,15 +214,14 @@ class OpenLoopReport:
 class OpenLoopRunner:
     """Runs one Scenario under an offered arrival rate, in-process.
 
-    Composition over the closed-loop :class:`ScenarioRunner`: engine
-    resolution, executor construction (per-client partitioning, seeded
-    substreams) and engine-stats attribution are reused unchanged; only
-    the warm phase's pacing differs.  The cold phase stays closed-loop —
-    it is cache priming, not measurement.  An injected ``store`` (e.g. a
-    deterministic stalling backend in tests) flows straight through to
-    :meth:`ScenarioRunner._resolve_engine` and stays the caller's to
-    close; an engine resolved from ``scenario.backend`` is closed when
-    :meth:`run` ends.
+    Composition over the closed-loop :class:`ScenarioRunner`, whose
+    :meth:`~ScenarioRunner.run` resolves the engine, builds the executors
+    (per-client partitioning, seeded substreams), runs the cold phase and
+    builds the report; this runner only paces the warm phase.  The cold
+    phase stays closed-loop — it is cache priming, not measurement.  An
+    injected ``store`` (e.g. a deterministic stalling backend in tests)
+    stays the caller's to close; an engine resolved from
+    ``scenario.backend`` is closed when :meth:`run` ends.
     """
 
     def __init__(self, database: OCBDatabase, scenario: Scenario,
@@ -261,26 +258,20 @@ class OpenLoopRunner:
 
     def run(self) -> OpenLoopReport:
         """Cold-prime closed-loop, then pace the warm arrivals."""
-        scenario = self.scenario
-        engine = self._runner._resolve_engine()
-        try:
-            executors = self._runner.build_executors(engine)
-            cold = [ScenarioCollector("cold") for _ in executors]
-            warm = [ScenarioCollector("warm") for _ in executors]
-            started = self._clock()
-            with phase_span("cold", scenario.mix.name):
-                for _ in range(scenario.cold_ops):
-                    for executor, collector in zip(executors, cold):
-                        executor.step(collector)
-            arrivals = self.arrivals()
-            offsets = [offset for offset, _ in arrivals]
-            latency = LatencyCollector(late_grace=self.late_grace)
-            late_by_client = [0] * len(executors)
-            backlog_by_client = [0] * len(executors)
+        arrivals = self.arrivals()
+        offsets = [offset for offset, _ in arrivals]
+        latency = LatencyCollector(late_grace=self.late_grace)
+        late_by_client = [0] * self.scenario.clients
+        backlog_by_client = [0] * self.scenario.clients
+        paced = 0.0
+
+        def warm_phase(executors: List[ClientExecutor],
+                       collectors: List[ScenarioCollector]) -> None:
+            nonlocal paced
 
             def execute(index: int) -> None:
                 client = arrivals[index][1]
-                executors[client].step(warm[client])
+                executors[client].step(collectors[client])
 
             def observe(index: int, late: bool, backlog: int) -> None:
                 client = arrivals[index][1]
@@ -291,37 +282,14 @@ class OpenLoopRunner:
 
             paced = pace(offsets, execute, latency, observe=observe,
                          clock=self._clock, sleep=self._sleep)
-            elapsed = self._clock() - started
-            stats = engine.stats()
-        finally:
-            self._runner._release(engine)
-        clients = [
-            ClientScenarioReport(
-                client_id=executor.client_id,
-                cold=cold_collector.phase,
-                warm=warm_collector.phase,
-                read_misses=executor.read_misses,
-                write_conflicts=executor.write_conflicts,
-                late_starts=late_by_client[executor.client_id],
-                max_backlog=backlog_by_client[executor.client_id])
-            for executor, cold_collector, warm_collector
-            in zip(executors, cold, warm)]
-        if clients and stats.get("busy_retries"):
-            clients[0].busy_retries += int(stats["busy_retries"])
-            clients[0].busy_wait_seconds += float(
-                stats.get("busy_wait_seconds", 0.0) or 0.0)
-        if clients and stats.get("remote_reads"):
-            clients[0].remote_reads += int(stats["remote_reads"])
-        report = ScenarioReport(
-            scenario_name=scenario.mix.name,
-            clients=clients,
-            backend_name=engine.name,
-            mode="open-loop",
-            elapsed_seconds=elapsed,
-            executed_parallel=False,
-            sql_round_trips=int(stats.get("sql_round_trips", 0) or 0),
-            offered_rate=self.rate,
-            arrival_mode=self.mode)
+
+        report = self._runner.run(warm_phase)
+        for client in report.clients:
+            client.late_starts = late_by_client[client.client_id]
+            client.max_backlog = backlog_by_client[client.client_id]
+        report.mode = "open-loop"
+        report.offered_rate = self.rate
+        report.arrival_mode = self.mode
         return OpenLoopReport(
             scenario=report,
             latency=latency,

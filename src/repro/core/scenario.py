@@ -109,6 +109,8 @@ __all__ = [
     "OpClassStats",
     "ScenarioPhase",
     "ScenarioCollector",
+    "ENGINE_COUNTERS",
+    "engine_counters",
     "ClientScenarioReport",
     "ScenarioReport",
     "ClientExecutor",
@@ -772,8 +774,43 @@ class ScenarioCollector:
                              classic=self.classic.report)
 
 
+#: The engine ``stats()`` keys every scenario report carries, each with
+#: the type it is read as.  Reports sum them over clients, and
+#: :meth:`ScenarioReport.to_dict` emits them, so adding an engine counter
+#: to every report is one entry here.
+ENGINE_COUNTERS: Dict[str, type] = {
+    "busy_retries": int,
+    "busy_wait_seconds": float,
+    # Operations (and traversal frontier edges) a sharded engine routed
+    # off the client's home shard — 0 on unsharded backends.
+    "remote_reads": int,
+    "sql_round_trips": int,
+    # Records decoded from bytes, and frontier answers served without a
+    # decode (structure-only traversals).
+    "records_decoded": int,
+    "decodes_avoided": int,
+}
+
+
+def engine_counters(stats: Mapping[str, object]) -> Dict[str, float]:
+    """The :data:`ENGINE_COUNTERS` in one engine's ``stats()``; 0 where
+    the engine does not count one."""
+    return {name: kind(stats.get(name) or 0)
+            for name, kind in ENGINE_COUNTERS.items()}
+
+
+class _CounterAttributes:
+    """Reads each engine counter as an attribute: ``report.busy_retries``
+    is ``report.counters["busy_retries"]``."""
+
+    def __getattr__(self, name: str) -> float:
+        if name in ENGINE_COUNTERS:
+            return self.counters[name]  # type: ignore[attr-defined]
+        raise AttributeError(name)
+
+
 @dataclass
-class ClientScenarioReport:
+class ClientScenarioReport(_CounterAttributes):
     """One client's cold + warm scenario phases and contention counters."""
 
     client_id: int
@@ -781,13 +818,11 @@ class ClientScenarioReport:
     warm: ScenarioPhase
     read_misses: int = 0
     write_conflicts: int = 0
-    busy_retries: int = 0
-    busy_wait_seconds: float = 0.0
-    #: Operations (and traversal frontier edges) a sharded engine routed
-    #: off this client's home shard — 0 on unsharded backends.
-    remote_reads: int = 0
+    #: The ``stats()`` of the engine this client drove.  Clients that
+    #: share one in-process engine leave it to client 0, so the engine is
+    #: counted once.
+    engine_stats: Dict[str, object] = field(default_factory=dict)
     pid: Optional[int] = None
-    wall_seconds: float = 0.0
     #: Open-loop pacing counters — operations whose start lagged their
     #: intended arrival beyond the grace window, and the deepest
     #: due-but-unstarted arrival backlog.  Both stay 0 for closed-loop
@@ -800,6 +835,11 @@ class ClientScenarioReport:
         """Operations this client executed (cold + warm)."""
         return self.cold.operation_count + self.warm.operation_count
 
+    @property
+    def counters(self) -> Dict[str, float]:
+        """The engine counters of :attr:`engine_stats`."""
+        return engine_counters(self.engine_stats)
+
     def to_dict(self) -> dict:
         """JSON-ready mapping."""
         return {
@@ -808,9 +848,7 @@ class ClientScenarioReport:
             "operations": self.operations,
             "read_misses": self.read_misses,
             "write_conflicts": self.write_conflicts,
-            "busy_retries": self.busy_retries,
-            "busy_wait_seconds": self.busy_wait_seconds,
-            "remote_reads": self.remote_reads,
+            **self.counters,
             "late_starts": self.late_starts,
             "max_backlog": self.max_backlog,
             "cold": self.cold.to_dict(),
@@ -819,25 +857,19 @@ class ClientScenarioReport:
 
 
 @dataclass
-class ScenarioReport:
-    """Per-client and merged metrics of one executed scenario."""
+class ScenarioReport(_CounterAttributes):
+    """Per-client and merged metrics of one executed scenario, however it
+    ran: in-process, open-loop or as worker processes."""
 
     scenario_name: str
     clients: List[ClientScenarioReport] = field(default_factory=list)
     backend_name: str = "simulated"
-    #: ``"interleaved"`` — round-robin in one process; ``"shared"`` /
+    #: ``"interleaved"`` — round-robin in one process; ``"open-loop"`` —
+    #: the same, with a paced warm phase; ``"shared"`` /
     #: ``"replicated"`` — the process-parallel modes.
     mode: str = "interleaved"
     elapsed_seconds: float = 0.0
     executed_parallel: bool = False
-    #: Engine-level SQL statements executed (0 for non-SQL backends) —
-    #: summed over workers when the scenario ran as processes.
-    sql_round_trips: int = 0
-    #: Engine-level decode accounting: records decoded from bytes, and
-    #: frontier answers served without a decode (structure-only
-    #: traversals).  Summed over workers for processes.
-    records_decoded: int = 0
-    decodes_avoided: int = 0
     #: Open-loop provenance: the offered arrival rate (ops/s, summed
     #: over clients) and arrival process ("poisson"/"fixed") when the
     #: scenario ran under the load generator; ``None`` for closed loops.
@@ -881,20 +913,13 @@ class ScenarioReport:
         return total
 
     @property
-    def busy_retries(self) -> int:
-        """Lock collisions retried, summed over all clients."""
-        return sum(client.busy_retries for client in self.clients)
-
-    @property
-    def busy_wait_seconds(self) -> float:
-        """Time spent backing off on locks, summed over all clients."""
-        return sum(client.busy_wait_seconds for client in self.clients)
-
-    @property
-    def remote_reads(self) -> int:
-        """Shard-crossing reads and frontier edges, summed over clients
-        (0 unless the backend shards the oid space)."""
-        return sum(client.remote_reads for client in self.clients)
+    def counters(self) -> Dict[str, float]:
+        """The engine counters, summed over clients."""
+        totals = engine_counters({})
+        for client in self.clients:
+            for name, value in client.counters.items():
+                totals[name] += value
+        return totals
 
     @property
     def read_misses(self) -> int:
@@ -955,12 +980,7 @@ class ScenarioReport:
             "throughput": self.throughput,
             "operations": self.total_operations,
             "write_operations": self.write_operations,
-            "busy_retries": self.busy_retries,
-            "busy_wait_seconds": self.busy_wait_seconds,
-            "remote_reads": self.remote_reads,
-            "sql_round_trips": self.sql_round_trips,
-            "records_decoded": self.records_decoded,
-            "decodes_avoided": self.decodes_avoided,
+            **self.counters,
             "read_misses": self.read_misses,
             "write_conflicts": self.write_conflicts,
             "late_starts": self.late_starts,
@@ -1066,9 +1086,6 @@ class ClientExecutor:
             return floor
         return floor + (self.client_id - floor) % self.total_clients
 
-    def _busy_retries(self) -> int:
-        return int(getattr(self.session.store, "busy_retries", 0) or 0)
-
     # -- entry drawing ---------------------------------------------------- #
 
     def draw_entry(self, mix: Optional[WorkloadMix] = None) -> MixEntry:
@@ -1150,19 +1167,32 @@ class ClientExecutor:
             self._execute(entry, collector)
 
     def _execute(self, entry: MixEntry, collector: ScenarioCollector) -> None:
-        retries_before = self._busy_retries()
+        store = self.session.store
+        retries_before = store.busy_retries
         if entry.is_transaction:
             result, delta, wall = self.run_transaction_entry(entry)
             collector.record_transaction(
                 result, delta, wall,
-                retries=self._busy_retries() - retries_before)
+                retries=store.busy_retries - retries_before)
             self.session.charge_think_time(self.mix.think_time)
             self._maybe_auto_reorganize()
         else:
             result = self._dispatch[entry.kind](entry)
             collector.record_operation(
-                result, retries=self._busy_retries() - retries_before)
+                result, retries=store.busy_retries - retries_before)
             self.session.charge_think_time(self.mix.think_time)
+
+    def report(self, cold: ScenarioCollector, warm: ScenarioCollector,
+               engine_stats: Mapping[str, object],
+               **fields: object) -> ClientScenarioReport:
+        """This client's report over its *cold* and *warm* phases;
+        *fields* set the runner-specific ones (``pid``, ...)."""
+        return ClientScenarioReport(
+            client_id=self.client_id, cold=cold.phase, warm=warm.phase,
+            read_misses=self.read_misses,
+            write_conflicts=self.write_conflicts,
+            engine_stats=dict(engine_stats),
+            **fields)  # type: ignore[arg-type]
 
     def run_transaction_entry(self, entry: MixEntry
                               ) -> Tuple[TransactionResult, object, float]:
@@ -1455,6 +1485,19 @@ def phase_span(phase: str, scenario: str) -> ContextManager[None]:
     return contextlib.nullcontext()
 
 
+#: Drives one phase: steps each client's executor into its collector.
+PhaseDriver = Callable[[List[ClientExecutor], List[ScenarioCollector]],
+                       None]
+
+
+def round_robin(executors: List[ClientExecutor],
+                collectors: List[ScenarioCollector], ops: int) -> None:
+    """*ops* slots per client, the clients taking turns slot by slot."""
+    for _ in range(ops):
+        for executor, collector in zip(executors, collectors):
+            executor.step(collector)
+
+
 class ScenarioRunner:
     """Executes a :class:`Scenario` — in-process or as OS processes.
 
@@ -1529,12 +1572,15 @@ class ScenarioRunner:
                 tolerate_conflicts=partitioned))
         return executors
 
-    def run(self) -> ScenarioReport:
-        """Round-robin the clients' cold then warm slots in-process.
+    def run(self, warm_phase: Optional[PhaseDriver] = None
+            ) -> ScenarioReport:
+        """Run the clients' cold then warm slots in-process.
 
-        A clustering policy needs an engine that can reorganize its
-        physical layout; any other engine is refused before a client
-        executes.
+        Each phase round-robins the clients one slot at a time;
+        *warm_phase*, when given, drives the warm phase instead (the
+        open-loop runner paces it).  A clustering policy needs an engine
+        that can reorganize its physical layout; any other engine is
+        refused before a client executes.
         """
         scenario = self.scenario
         engine = self._resolve_engine()
@@ -1549,45 +1595,28 @@ class ScenarioRunner:
             cold = [ScenarioCollector("cold") for _ in executors]
             warm = [ScenarioCollector("warm") for _ in executors]
             started = time.perf_counter()
-            for phase, ops, collectors in (("cold", scenario.cold_ops, cold),
-                                           ("warm", scenario.warm_ops, warm)):
-                with phase_span(phase, self.mix.name):
-                    for _ in range(ops):
-                        for executor, collector in zip(executors, collectors):
-                            executor.step(collector)
+            with phase_span("cold", self.mix.name):
+                round_robin(executors, cold, scenario.cold_ops)
+            with phase_span("warm", self.mix.name):
+                if warm_phase is None:
+                    round_robin(executors, warm, scenario.warm_ops)
+                else:
+                    warm_phase(executors, warm)
             elapsed = time.perf_counter() - started
             stats = engine.stats()
         finally:
             self._release(engine)
-        clients = [
-            ClientScenarioReport(
-                client_id=executor.client_id,
-                cold=cold_collector.phase,
-                warm=warm_collector.phase,
-                read_misses=executor.read_misses,
-                write_conflicts=executor.write_conflicts)
-            for executor, cold_collector, warm_collector
-            in zip(executors, cold, warm)]
-        if clients and stats.get("busy_retries"):
-            # A single shared connection cannot collide with itself, but
-            # surface whatever the engine accounted rather than hide it.
-            clients[0].busy_retries += int(stats["busy_retries"])
-            clients[0].busy_wait_seconds += float(
-                stats.get("busy_wait_seconds", 0.0) or 0.0)
-        if clients and stats.get("remote_reads"):
-            # One shared engine, one (optional) home shard: attribute
-            # the shard-crossing count like the busy counters above.
-            clients[0].remote_reads += int(stats["remote_reads"])
+        # One engine served every client: client 0 carries its stats.
+        clients = [executor.report(cold[index], warm[index],
+                                   stats if index == 0 else {})
+                   for index, executor in enumerate(executors)]
         return ScenarioReport(
             scenario_name=self.mix.name,
             clients=clients,
             backend_name=engine.name,
             mode="interleaved",
             elapsed_seconds=elapsed,
-            executed_parallel=False,
-            sql_round_trips=int(stats.get("sql_round_trips", 0) or 0),
-            records_decoded=int(stats.get("records_decoded", 0) or 0),
-            decodes_avoided=int(stats.get("decodes_avoided", 0) or 0))
+            executed_parallel=False)
 
     # -- process execution ------------------------------------------------ #
 
@@ -1596,12 +1625,12 @@ class ScenarioRunner:
         """Run the scenario's clients as real OS processes.
 
         The backend must be a registered name (it is re-resolved on the
-        worker side of the fork).  Delegates storage setup, spawning and
-        contention accounting to :class:`~repro.parallel.runner.ParallelRunner`
-        with the mix threaded through the worker specs.  A live engine
-        or a clustering policy cannot cross the process boundary, so a
-        runner constructed with either refuses loudly instead of
-        silently running something different from :meth:`run`.
+        worker side of the fork).  Storage setup, spawning and the
+        report are :class:`~repro.parallel.runner.ParallelRunner`'s.  A
+        live engine or a clustering policy cannot cross the process
+        boundary, so a runner constructed with either refuses loudly
+        instead of silently running something different from
+        :meth:`run`.
         """
         from repro.parallel.runner import ParallelRunner
 
@@ -1616,28 +1645,5 @@ class ScenarioRunner:
                 "run_processes() does not support clustering policies; "
                 "worker processes would each need their own policy "
                 "instance — run the scenario in-process instead")
-        scenario = self.scenario
-        carrier = WorkloadParameters(
-            cold_n=scenario.cold_ops, hot_n=scenario.warm_ops,
-            clients=scenario.clients, seed=scenario.seed)
-        runner = ParallelRunner(
-            self.database, scenario.backend, carrier, config=config,
-            backend_options=dict(scenario.backend_options),
-            batch=scenario.batch, mix=self.mix)
-        parallel_report = runner.run()
-        clients = [worker.report for worker in parallel_report.workers]
-
-        def total(counter: str) -> int:
-            return sum(int((worker.backend_stats or {}).get(counter, 0) or 0)
-                       for worker in parallel_report.workers)
-
-        return ScenarioReport(
-            scenario_name=self.mix.name,
-            clients=clients,
-            backend_name=parallel_report.backend_name,
-            mode=parallel_report.mode,
-            elapsed_seconds=parallel_report.elapsed_seconds,
-            executed_parallel=parallel_report.executed_parallel,
-            sql_round_trips=total("sql_round_trips"),
-            records_decoded=total("records_decoded"),
-            decodes_avoided=total("decodes_avoided"))
+        return ParallelRunner(self.database, self.scenario,
+                              config=config).run()

@@ -3,22 +3,23 @@
 An in-process :class:`~repro.core.scenario.ScenarioRunner` interleaves
 CLIENTN clients round-robin — cache pollution is real, but lock
 contention and parallel wall-clock are not.  This subsystem runs the
-same CLIENTN clients as real OS processes:
+same CLIENTN clients of a :class:`~repro.core.scenario.Scenario` as real
+OS processes:
 
 * :class:`~repro.parallel.spec.WorkerSpec` /
   :class:`~repro.parallel.spec.ParallelConfig` — the picklable job
-  descriptions that cross the process boundary;
+  description that crosses the process boundary, and the harness knobs;
 * :func:`~repro.parallel.worker.run_worker` — the worker entry point:
   own connection (shared mode) or own replica (replicated mode), one
-  cold/warm run of the spec's :class:`~repro.core.scenario.WorkloadMix`
-  on a per-client Lewis–Payne substream;
+  cold/warm run of the scenario's mix on a per-client Lewis–Payne
+  substream, returning the client's
+  :class:`~repro.core.scenario.ClientScenarioReport`;
 * :class:`~repro.parallel.pool.ProcessPool` — ordered fan-out with an
   honest sequential fallback;
 * :class:`~repro.parallel.runner.ParallelRunner` — the coordinator:
-  bulk-load once, spawn CLIENTN workers, merge;
-* :class:`~repro.parallel.report.ParallelReport` — merges the workers'
-  phases per transaction kind and adds throughput + contention
-  accounting.
+  bulk-load once, spawn CLIENTN workers, and return their reports as
+  one :class:`~repro.core.scenario.ScenarioReport` (mode ``shared`` or
+  ``replicated``), the type every scenario run returns.
 
 The determinism contract: a parallel run's per-client *logical* metrics
 (operation mix, objects visited) are identical to the in-process
@@ -26,23 +27,18 @@ runner's on the same seed — the RNG substreams are keyed by client id,
 never by process scheduling.  Mutating mixes make every worker write its
 own oid partition of one shared WAL SQLite file, so the busy-retry
 accounting has real write-write collisions to count.
-``ScenarioRunner.run_processes`` is the high-level entry point; without
-an explicit mix, :class:`ParallelRunner` runs the Table 2 transaction
-mix.
+``ScenarioRunner.run_processes`` is the high-level entry point.
 """
 
 from repro.parallel.pool import ProcessPool
-from repro.parallel.report import ParallelReport
 from repro.parallel.runner import ParallelRunner
-from repro.parallel.spec import ParallelConfig, WorkerResult, WorkerSpec
+from repro.parallel.spec import ParallelConfig, WorkerSpec
 from repro.parallel.worker import run_worker
 
 __all__ = [
     "ParallelConfig",
-    "ParallelReport",
     "ParallelRunner",
     "ProcessPool",
-    "WorkerResult",
     "WorkerSpec",
     "run_worker",
 ]

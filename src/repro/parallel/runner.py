@@ -3,11 +3,15 @@
 OCB's original implementation "also supports multiple users, in a very
 simple way (using processes)".  :class:`ParallelRunner` is that
 capability rebuilt on the backends subsystem: it bulk-loads one shared
-engine, hands every client a :class:`~repro.parallel.spec.WorkerSpec`,
-and lets a :class:`~repro.parallel.pool.ProcessPool` run them as real OS
-processes — real file locks, real busy retries, real parallel
-wall-clock — then folds the results into a
-:class:`~repro.parallel.report.ParallelReport`.
+engine, hands every client of a :class:`~repro.core.scenario.Scenario`
+a :class:`~repro.parallel.spec.WorkerSpec`, and lets a
+:class:`~repro.parallel.pool.ProcessPool` run them as real OS processes
+— real file locks, real busy retries, real parallel wall-clock.  Each
+worker returns its client's
+:class:`~repro.core.scenario.ClientScenarioReport`, carrying the stats
+of the engine connection it drove; together they make the run's
+:class:`~repro.core.scenario.ScenarioReport`, the report an in-process
+run gives too.
 
 Two execution modes, chosen per backend:
 
@@ -26,6 +30,7 @@ Two execution modes, chosen per backend:
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import os
 import shutil
 import tempfile
@@ -36,15 +41,12 @@ from typing import Iterator, List, Dict, Optional
 from repro.backends import create_backend
 from repro.backends.registry import backend_info
 from repro.core.database import OCBDatabase
-from repro.core.parameters import WorkloadParameters
-from repro.core.scenario import WorkloadMix
+from repro.core.scenario import Scenario, ScenarioReport
 from repro.errors import BackendError, WorkloadError
 from repro.parallel.pool import ProcessPool
-from repro.parallel.report import ParallelReport
 from repro.parallel.spec import ParallelConfig, WorkerSpec
 from repro.parallel.worker import run_worker
 from repro.store.serializer import StoredObject
-from repro.store.storage import StoreConfig
 
 __all__ = ["ParallelRunner", "ShardLoadTask", "load_shard"]
 
@@ -91,38 +93,26 @@ def load_shard(task: ShardLoadTask) -> int:
 
 
 class ParallelRunner:
-    """Run ``parameters.clients`` OCB clients as concurrent OS processes.
+    """Run a :class:`~repro.core.scenario.Scenario`'s clients as
+    concurrent OS processes.
 
-    ``backend`` must be a registered backend *name* — the workers
-    resolve it through the registry on their side of the process
+    ``scenario.backend`` must be a registered backend *name* — the
+    workers resolve it through the registry on their side of the process
     boundary, so a live engine instance (unpicklable connections and
-    all) never has to cross it.  Every worker runs ``mix``, by default
-    the Table 2 transaction mix of ``parameters``.
+    all) never has to cross it.
     """
 
-    def __init__(self, database: OCBDatabase,
-                 backend: str,
-                 parameters: WorkloadParameters,
-                 config: Optional[ParallelConfig] = None,
-                 store_config: Optional[StoreConfig] = None,
-                 backend_options: Optional[Dict[str, object]] = None,
-                 batch: Optional[bool] = None,
-                 mix: Optional[WorkloadMix] = None) -> None:
-        if not isinstance(backend, str):
+    def __init__(self, database: OCBDatabase, scenario: Scenario,
+                 config: Optional[ParallelConfig] = None) -> None:
+        if not isinstance(scenario.backend, str):
             raise WorkloadError(
                 "ParallelRunner needs a registered backend name; live "
                 "engine instances cannot cross a process boundary")
-        if parameters.clients < 1:
-            raise WorkloadError(f"need >= 1 client, got {parameters.clients}")
         self.database = database
-        self.backend = backend.strip().lower()
-        self.parameters = parameters
+        self.backend = scenario.backend.strip().lower()
+        self.scenario = dataclasses.replace(scenario, backend=self.backend)
         self.config = config or ParallelConfig()
-        self.store_config = store_config
-        self.backend_options = dict(backend_options or {})
-        self.batch = batch
-        self.mix = mix or WorkloadMix.from_workload_parameters(parameters)
-        path = self.backend_options.get("path")
+        path = scenario.backend_options.get("path")
         capabilities = _backend_capabilities(self.backend)
         self.shared = ("concurrent" in capabilities and path != ":memory:")
         #: Whether the engine partitions the oid space across shards —
@@ -138,46 +128,38 @@ class ParallelRunner:
             # Default to shards == workers: each worker's mutation lane
             # (``oid % clients``) is then exactly its home shard, the
             # alignment that collapses write contention.
-            explicit = self.backend_options.get("shards")
+            explicit = scenario.backend_options.get("shards")
             self.shard_count = int(explicit or self.config.shards
-                                   or parameters.clients)
+                                   or scenario.clients)
 
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
 
-    def run(self) -> ParallelReport:
-        """Load, spawn, execute, merge."""
+    def run(self) -> ScenarioReport:
+        """Load, spawn, execute; one report over every worker."""
         with self._storage_options() as options:
             if self.shared:
                 self._load_shared(options)
-            # An offered rate is a fleet-wide target: each worker paces
-            # its even share on its own seeded arrival lane.
-            rate_share = (self.config.rate / self.parameters.clients
-                          if self.config.rate is not None else None)
+            scenario = dataclasses.replace(self.scenario,
+                                           backend_options=options)
             specs = [WorkerSpec(client_id=client,
                                 database=self.database,
-                                parameters=self.parameters,
-                                backend=self.backend,
-                                backend_options=options,
-                                store_config=self.store_config,
+                                scenario=scenario,
                                 shared=self.shared,
-                                batch=self.batch,
-                                mix=self.mix,
-                                home_shard=self._home_shard(client),
-                                rate=rate_share,
-                                arrival_mode=self.config.arrival_mode)
-                     for client in range(self.parameters.clients)]
+                                home_shard=self._home_shard(client))
+                     for client in range(scenario.clients)]
             pool = ProcessPool(
                 processes=self.config.max_workers or len(specs),
                 start_method=self.config.start_method,
                 parallel=self.config.parallel)
             started = time.perf_counter()
-            results = pool.map(run_worker, specs)
+            clients = pool.map(run_worker, specs)
             elapsed = time.perf_counter() - started
-        results.sort(key=lambda result: result.client_id)
-        return ParallelReport(
-            workers=results,
+        clients.sort(key=lambda client: client.client_id)
+        return ScenarioReport(
+            scenario_name=self.scenario.mix.name,
+            clients=clients,
             backend_name=self.backend,
             mode="shared" if self.shared else "replicated",
             elapsed_seconds=elapsed,
@@ -194,7 +176,7 @@ class ParallelRunner:
         propagates through ``run()``'s body, and the directory is still
         removed on the way out instead of leaking.
         """
-        options = dict(self.backend_options)
+        options = dict(self.scenario.backend_options)
         tempdir: Optional[str] = None
         try:
             if self.shared:
@@ -233,7 +215,7 @@ class ParallelRunner:
         the run fails here, loudly, instead of spawning workers against
         storage they cannot attach to.
         """
-        engine = create_backend(self.backend, self.store_config, **options)
+        engine = create_backend(self.backend, **options)
         try:
             if not engine.supports_concurrent_access:
                 raise WorkloadError(
@@ -242,7 +224,7 @@ class ParallelRunner:
                     f"declare supports_concurrent_access; fix the "
                     f"registration or implement connect_worker")
             if engine.object_count == 0:
-                if self.sharded and getattr(engine, "shards", 1) > 1:
+                if self.sharded and engine.shards > 1:
                     self._load_shards_parallel(engine)
                 else:
                     self.database.load_into(engine)

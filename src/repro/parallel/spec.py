@@ -2,31 +2,29 @@
 
 Everything a worker process needs crosses the process boundary as one
 picklable :class:`WorkerSpec`: the generated database (the worker's
-logical view), the :class:`~repro.core.scenario.WorkloadMix` it runs,
-the workload parameters whose per-client Lewis–Payne substream the
-worker derives from its ``client_id`` — exactly as an in-process
-:class:`~repro.core.scenario.ScenarioRunner` does, which is what makes
-the two execution modes logically identical — and the backend name +
-options the worker resolves through the registry on its side of the
-fork.
+logical view) and the :class:`~repro.core.scenario.Scenario` it runs —
+the mix, the protocol sizes, the seed whose per-client Lewis–Payne
+substream the worker derives from its ``client_id`` exactly as an
+in-process :class:`~repro.core.scenario.ScenarioRunner` does (which is
+what makes the two execution modes logically identical), and the
+backend name + options the worker resolves through the registry on its
+side of the fork.
 
 :class:`ParallelConfig` collects the harness-level knobs (journal mode,
-busy budget, start method); :class:`WorkerResult` carries one worker's
-metrics back.
+busy budget, start method).  A worker's result is the
+:class:`~repro.core.scenario.ClientScenarioReport` it builds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.core.database import OCBDatabase
-from repro.core.parameters import WorkloadParameters
-from repro.core.scenario import ClientScenarioReport, WorkloadMix
+from repro.core.scenario import Scenario
 from repro.errors import ParameterError
-from repro.store.storage import StoreConfig
 
-__all__ = ["ParallelConfig", "WorkerSpec", "WorkerResult"]
+__all__ = ["ParallelConfig", "WorkerSpec"]
 
 _START_METHODS = (None, "fork", "spawn", "forkserver")
 
@@ -61,14 +59,6 @@ class ParallelConfig:
     #: (``client_id % shards``).  ``None`` keeps the engine's default;
     #: setting it for a non-sharded backend is refused loudly.
     shards: Optional[int] = None
-    #: Offered arrival rate (operations/second, summed over workers) for
-    #: open-loop pacing of scenario warm phases.  ``None`` keeps the
-    #: classic closed loop; a rate splits evenly across workers (each
-    #: gets ``rate / clients`` on its own seeded arrival lane) and every
-    #: worker records intended-arrival latency + late-start backlog.
-    rate: Optional[float] = None
-    #: Arrival process for :attr:`rate` (``"poisson"`` or ``"fixed"``).
-    arrival_mode: str = "poisson"
 
     def __post_init__(self) -> None:
         if self.busy_timeout_ms < 0:
@@ -84,13 +74,6 @@ class ParallelConfig:
         if self.shards is not None and self.shards < 1:
             raise ParameterError(
                 f"shards must be >= 1, got {self.shards}")
-        if self.rate is not None and self.rate <= 0.0:
-            raise ParameterError(
-                f"rate must be > 0, got {self.rate}")
-        if self.arrival_mode not in ("poisson", "fixed"):
-            raise ParameterError(
-                f"arrival_mode must be 'poisson' or 'fixed', "
-                f"got {self.arrival_mode!r}")
 
 
 @dataclass
@@ -99,22 +82,16 @@ class WorkerSpec:
 
     client_id: int
     database: OCBDatabase
-    #: The workload parameters: ``clients`` is the partition width,
-    #: ``cold_n``/``hot_n`` the protocol sizes, ``seed`` the substream
-    #: seed.
-    parameters: WorkloadParameters
-    backend: str
-    #: The operation mix this client runs.  Mutating mixes on shared
+    #: The scenario this client runs, its ``backend_options`` resolved
+    #: by the coordinator (shared file path, journal mode, busy budget).
+    #: ``clients`` is the partition width; mutating mixes on shared
     #: storage run with tolerant write-backs (see the scenario module
     #: docs).
-    mix: WorkloadMix
-    backend_options: Dict[str, object] = field(default_factory=dict)
-    store_config: Optional[StoreConfig] = None
+    scenario: Scenario
     #: ``True``: attach to storage the coordinator already bulk-loaded
     #: (shared-engine mode); ``False``: build and load a private replica
     #: (engines without the ``concurrent`` capability).
     shared: bool = False
-    batch: Optional[bool] = None
     #: Affinity shard of this worker on a sharded engine
     #: (``client_id % shards`` — the residue class its mutation lane
     #: lives in).  ``None`` for non-sharded backends; injected into the
@@ -122,14 +99,6 @@ class WorkerSpec:
     #: fork, so the engine opens its connection set home-shard-first
     #: and accounts ``remote_reads`` / ``remote_writes``.
     home_shard: Optional[int] = None
-    #: This worker's share of an open-loop offered rate (ops/second).
-    #: ``None`` keeps the closed-loop warm phase; set, the warm phase is
-    #: paced by a seeded arrival schedule on the worker's own lane
-    #: (substream offset = ``client_id``) and the result's report
-    #: carries ``late_starts`` / ``max_backlog``.
-    rate: Optional[float] = None
-    #: Arrival process for :attr:`rate`.
-    arrival_mode: str = "poisson"
 
     def __post_init__(self) -> None:
         if self.client_id < 0:
@@ -138,32 +107,3 @@ class WorkerSpec:
         if self.home_shard is not None and self.home_shard < 0:
             raise ParameterError(
                 f"home_shard must be >= 0, got {self.home_shard}")
-
-
-@dataclass
-class WorkerResult:
-    """One worker's report, timing and contention counters."""
-
-    client_id: int
-    pid: int
-    #: The client's cold + warm phases per operation class;
-    #: ``report.warm.classic`` is the warm phase per transaction kind.
-    report: ClientScenarioReport
-    #: Wall-clock of the cold+warm protocol itself.
-    wall_seconds: float
-    #: Wall-clock of connecting/loading before the protocol started.
-    setup_seconds: float
-    busy_retries: int = 0
-    busy_wait_seconds: float = 0.0
-    backend_stats: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def worker_id(self) -> int:
-        """Alias of :attr:`client_id` (the report-side naming)."""
-        return self.client_id
-
-    @property
-    def transactions(self) -> int:
-        """Transactions this worker executed (cold + warm)."""
-        return (self.report.cold.classic.transaction_count
-                + self.report.warm.classic.transaction_count)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence
 
-from repro.parallel.report import ParallelReport
+from repro.core.scenario import ScenarioReport
 from repro.reporting.tables import render_table
 
 __all__ = ["ScalingPoint", "summarize_parallel_run",
@@ -41,15 +41,16 @@ class ScalingPoint:
         return asdict(self)
 
 
-def summarize_parallel_run(report: ParallelReport) -> ScalingPoint:
-    """Fold one :class:`ParallelReport` into a sweep row."""
-    warm = report.warm_wall_percentiles
+def summarize_parallel_run(report: ScenarioReport) -> ScalingPoint:
+    """Fold one process-parallel run of the Table 2 mix into a sweep
+    row; the latency tails are over its warm transactions."""
+    warm = report.merged_warm.classic.wall_percentiles()
     return ScalingPoint(
-        workers=report.worker_count,
+        workers=report.client_count,
         backend=report.backend_name,
         mode=report.mode,
         executed_parallel=report.executed_parallel,
-        transactions=report.total_transactions,
+        transactions=report.total_operations,
         elapsed_seconds=report.elapsed_seconds,
         throughput=report.throughput,
         warm_p50_ms=warm.p50 * 1e3,

@@ -278,6 +278,26 @@ class TestOpenLoopRunner:
                       "wait_mean_ms", "late_starts", "max_backlog"):
             assert field in cell
 
+    def test_engine_counters_reach_the_report(self, small_database,
+                                              memory_scenario):
+        """The open-loop report counts what the engine counted, like the
+        closed-loop report of the same scenario."""
+        from repro.backends.sqlite import SQLiteBackend
+
+        scenario = dataclasses.replace(memory_scenario, backend="sqlite")
+        store = SQLiteBackend()
+        try:
+            report = OpenLoopRunner(small_database, scenario, rate=2000.0,
+                                    operations=40, seed=7,
+                                    store=store).run().scenario
+            assert report.records_decoded > 0
+            assert report.records_decoded == store.records_decoded
+            assert report.sql_round_trips == store.sql_round_trips
+            assert report.to_dict()["records_decoded"] == \
+                store.records_decoded
+        finally:
+            store.close()
+
     def test_rate_validation(self, small_database, memory_scenario):
         with pytest.raises(ParameterError):
             OpenLoopRunner(small_database, memory_scenario, rate=0.0)

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.generation import generate_database
 from repro.core.parameters import DatabaseParameters, WorkloadParameters
-from repro.core.scenario import Scenario, ScenarioRunner
+from repro.core.scenario import ENGINE_COUNTERS, Scenario, ScenarioRunner
 from repro.errors import WorkloadError
 from repro.parallel import ParallelConfig, ParallelRunner
 
@@ -28,6 +28,12 @@ PARAMS = WorkloadParameters(clients=3, cold_n=2, hot_n=8,
 
 #: Config used throughout: small busy budget, platform start method.
 CONFIG = ParallelConfig(busy_timeout_ms=2000)
+
+
+def table2(backend="sqlite", params=PARAMS, **fields):
+    """The Table 2 protocol of *params* as a scenario on *backend*."""
+    return Scenario.from_workload_parameters(params, backend=backend,
+                                             **fields)
 
 
 @pytest.fixture(scope="module")
@@ -69,26 +75,25 @@ class TestDeterminism:
         is not compared: replicated workers each warm a private buffer
         pool, while in-process clients share one."""
         parallel = ParallelRunner(
-            parallel_database, backend, PARAMS,
+            parallel_database, table2(backend),
             config=ParallelConfig(busy_timeout_ms=2000,
                                   parallel=False)).run()
-        in_process = ScenarioRunner(
-            parallel_database,
-            Scenario.from_workload_parameters(PARAMS, backend=backend)).run()
-        assert _logical_signature([w.report for w in parallel.workers]) \
+        in_process = ScenarioRunner(parallel_database,
+                                    table2(backend)).run()
+        assert _logical_signature(parallel.clients) \
             == _logical_signature(in_process.clients)
 
     def test_sequential_fallback_equals_parallel(self, parallel_database):
         """parallel=False runs the same specs in-process — same metrics."""
-        contended = ParallelRunner(parallel_database, "sqlite", PARAMS,
+        contended = ParallelRunner(parallel_database, table2(),
                                    config=CONFIG).run()
         sequential = ParallelRunner(
-            parallel_database, "sqlite", PARAMS,
+            parallel_database, table2(),
             config=ParallelConfig(busy_timeout_ms=2000,
                                   parallel=False)).run()
         assert sequential.executed_parallel is False
-        assert _logical_signature([w.report for w in contended.workers]) \
-            == _logical_signature([w.report for w in sequential.workers])
+        assert _logical_signature(contended.clients) \
+            == _logical_signature(sequential.clients)
 
     def test_worker_zero_independent_of_width(self, parallel_database):
         """Client 0's substream never sees the other processes, so its
@@ -96,75 +101,75 @@ class TestDeterminism:
         signatures = set()
         for clients in (1, PARAMS.clients):
             params = dataclasses.replace(PARAMS, clients=clients)
-            report = ParallelRunner(parallel_database, "sqlite", params,
+            report = ParallelRunner(parallel_database,
+                                    table2(params=params),
                                     config=CONFIG).run()
-            signatures.add(_logical_signature([report.workers[0].report]))
+            signatures.add(_logical_signature(report.clients[:1]))
         assert len(signatures) == 1
 
     def test_repeated_runs_identical(self, parallel_database):
-        first = ParallelRunner(parallel_database, "sqlite", PARAMS,
+        first = ParallelRunner(parallel_database, table2(),
                                config=CONFIG).run()
-        second = ParallelRunner(parallel_database, "sqlite", PARAMS,
+        second = ParallelRunner(parallel_database, table2(),
                                 config=CONFIG).run()
-        assert _logical_signature([w.report for w in first.workers]) \
-            == _logical_signature([w.report for w in second.workers])
+        assert _logical_signature(first.clients) \
+            == _logical_signature(second.clients)
 
 
 class TestExecutionModes:
     def test_sqlite_runs_shared_with_wal(self, parallel_database):
-        report = ParallelRunner(parallel_database, "sqlite", PARAMS,
+        report = ParallelRunner(parallel_database, table2(),
                                 config=CONFIG).run()
         assert report.mode == "shared"
-        assert report.worker_count == PARAMS.clients
-        for worker in report.workers:
-            assert worker.backend_stats["journal_mode"] == "wal"
-            assert worker.backend_stats["busy_timeout_ms"] == 2000
+        assert report.client_count == PARAMS.clients
+        for client in report.clients:
+            assert client.engine_stats["journal_mode"] == "wal"
+            assert client.engine_stats["busy_timeout_ms"] == 2000
 
     def test_workers_ran_as_distinct_processes(self, parallel_database):
-        report = ParallelRunner(parallel_database, "sqlite", PARAMS,
+        report = ParallelRunner(parallel_database, table2(),
                                 config=CONFIG).run()
         if report.executed_parallel:
-            pids = {worker.pid for worker in report.workers}
+            pids = {client.pid for client in report.clients}
             assert os.getpid() not in pids
             assert len(pids) == PARAMS.clients
 
     def test_simulated_runs_replicated(self, parallel_database):
-        report = ParallelRunner(parallel_database, "simulated", PARAMS,
+        report = ParallelRunner(parallel_database, table2("simulated"),
                                 config=CONFIG).run()
         assert report.mode == "replicated"
         # Cost-model engines keep their simulated counters in parallel
         # (the small database is fully buffer-resident, so the evidence
         # is buffer traffic, not page faults).
-        totals = report.merged_warm.totals
+        totals = report.merged_warm.classic.totals
         assert totals.buffer_hits + totals.buffer_misses > 0
 
     def test_memory_runs_replicated(self, parallel_database):
-        report = ParallelRunner(parallel_database, "memory", PARAMS,
+        report = ParallelRunner(parallel_database, table2("memory"),
                                 config=CONFIG).run()
         assert report.mode == "replicated"
-        assert report.total_transactions == \
+        assert report.total_operations == \
             PARAMS.clients * (PARAMS.cold_n + PARAMS.hot_n)
 
     def test_explicit_path_is_kept_and_loaded_once(self, parallel_database,
                                                    tmp_path):
         path = str(tmp_path / "explicit.db")
         report = ParallelRunner(
-            parallel_database, "sqlite", PARAMS, config=CONFIG,
-            backend_options={"path": path}).run()
+            parallel_database, table2(backend_options={"path": path}),
+            config=CONFIG).run()
         assert report.mode == "shared"
         assert os.path.exists(path)
         # A second run attaches to the existing file instead of reloading.
         again = ParallelRunner(
-            parallel_database, "sqlite", PARAMS, config=CONFIG,
-            backend_options={"path": path}).run()
-        assert again.total_transactions == report.total_transactions
+            parallel_database, table2(backend_options={"path": path}),
+            config=CONFIG).run()
+        assert again.total_operations == report.total_operations
 
     def test_temp_storage_is_cleaned_up(self, parallel_database):
         import tempfile
         before = set(glob.glob(os.path.join(tempfile.gettempdir(),
                                             "ocb-parallel-*")))
-        ParallelRunner(parallel_database, "sqlite", PARAMS,
-                       config=CONFIG).run()
+        ParallelRunner(parallel_database, table2(), config=CONFIG).run()
         after = set(glob.glob(os.path.join(tempfile.gettempdir(),
                                            "ocb-parallel-*")))
         assert after == before
@@ -200,7 +205,7 @@ class TestExecutionModes:
         # dies without ever returning a result.
         monkeypatch.setattr(runner_module, "run_worker", _exit_hard)
         runner = ParallelRunner(
-            parallel_database, "sqlite", PARAMS,
+            parallel_database, table2(),
             config=ParallelConfig(busy_timeout_ms=2000,
                                   start_method="fork"))
         with pytest.raises(Exception):
@@ -210,18 +215,18 @@ class TestExecutionModes:
 
     def test_memory_path_falls_back_to_replicated(self, parallel_database):
         report = ParallelRunner(
-            parallel_database, "sqlite", PARAMS, config=CONFIG,
-            backend_options={"path": ":memory:"}).run()
+            parallel_database, table2(backend_options={"path": ":memory:"}),
+            config=CONFIG).run()
         assert report.mode == "replicated"
 
     def test_rejects_backend_instances(self, parallel_database):
         from repro.backends import MemoryBackend
         with pytest.raises(WorkloadError, match="name"):
-            ParallelRunner(parallel_database, MemoryBackend(), PARAMS)
+            ParallelRunner(parallel_database, table2(MemoryBackend()))
 
     def test_rejects_unknown_backend(self, parallel_database):
         with pytest.raises(WorkloadError, match="unknown backend"):
-            ParallelRunner(parallel_database, "teleport", PARAMS).run()
+            ParallelRunner(parallel_database, table2("teleport")).run()
 
     def test_mistagged_concurrent_backend_fails_loudly(self,
                                                        parallel_database):
@@ -239,7 +244,7 @@ class TestExecutionModes:
         try:
             with pytest.raises(WorkloadError,
                                match="supports_concurrent_access"):
-                ParallelRunner(parallel_database, "mistagged", PARAMS,
+                ParallelRunner(parallel_database, table2("mistagged"),
                                config=CONFIG).run()
         finally:
             unregister_backend("mistagged")
@@ -253,12 +258,12 @@ class TestExecutionModes:
                                           num_ref_types=4, seed=2024)
         other, _ = generate_database(other_params)
         path = str(tmp_path / "seeded.db")
-        ParallelRunner(other, "sqlite", PARAMS, config=CONFIG,
-                       backend_options={"path": path}).run()
+        ParallelRunner(other, table2(backend_options={"path": path}),
+                       config=CONFIG).run()
         with pytest.raises(WorkloadError, match="stale"):
-            ParallelRunner(parallel_database, "sqlite", PARAMS,
-                           config=CONFIG,
-                           backend_options={"path": path}).run()
+            ParallelRunner(parallel_database,
+                           table2(backend_options={"path": path}),
+                           config=CONFIG).run()
 
     def test_mismatched_existing_storage_refused(self, parallel_database,
                                                  tmp_path):
@@ -269,39 +274,47 @@ class TestExecutionModes:
         stale.bulk_load([StoredObject(oid=1, cid=1, filler=4)])
         stale.close()
         with pytest.raises(WorkloadError, match="mismatched"):
-            ParallelRunner(parallel_database, "sqlite", PARAMS,
-                           config=CONFIG,
-                           backend_options={"path": path}).run()
+            ParallelRunner(parallel_database,
+                           table2(backend_options={"path": path}),
+                           config=CONFIG).run()
 
 
 class TestParallelReport:
+    """A process run returns the ScenarioReport an in-process run does."""
+
     @pytest.fixture(scope="class")
     def report(self, parallel_database):
-        return ParallelRunner(parallel_database, "sqlite", PARAMS,
+        return ParallelRunner(parallel_database, table2(),
                               config=CONFIG).run()
 
     def test_folds_into_multiuser_shape(self, report):
-        assert report.worker_count == PARAMS.clients
+        assert report.client_count == PARAMS.clients
         assert report.backend_name == "sqlite"
-        assert report.merged_warm.transaction_count == \
-            PARAMS.clients * PARAMS.hot_n
-        assert report.merged_warm.totals.visits == sum(
-            worker.report.warm.classic.totals.visits
-            for worker in report.workers)
+        assert report.scenario_name == "ocb-transactions"
+        merged = report.merged_warm.classic
+        assert merged.transaction_count == PARAMS.clients * PARAMS.hot_n
+        assert merged.totals.visits == sum(
+            client.warm.classic.totals.visits for client in report.clients)
 
     def test_merged_percentiles_cover_every_transaction(self, report):
-        warm = report.warm_wall_percentiles
+        warm = report.merged_warm.classic.wall_percentiles()
         assert warm.count == PARAMS.clients * PARAMS.hot_n
         assert 0.0 < warm.p50 <= warm.p95 <= warm.p99
-        assert report.merged_cold.transaction_count == \
+        assert report.merged_cold.classic.transaction_count == \
             PARAMS.clients * PARAMS.cold_n
 
     def test_throughput(self, report):
-        assert report.total_transactions == \
+        assert report.total_operations == \
             PARAMS.clients * (PARAMS.cold_n + PARAMS.hot_n)
         assert report.throughput > 0.0
 
     def test_contention_counters_aggregate(self, report):
-        assert report.busy_retries == \
-            sum(worker.busy_retries for worker in report.workers)
+        """Each client carries its own engine's stats; the report sums
+        the counters over clients."""
+        for name in ENGINE_COUNTERS:
+            assert getattr(report, name) == sum(
+                client.engine_stats.get(name, 0)
+                for client in report.clients)
+        assert report.sql_round_trips > 0
+        assert report.records_decoded > 0
         assert report.busy_wait_seconds >= 0.0

@@ -1,4 +1,5 @@
-"""WorkerSpec / ParallelConfig / WorkerResult: validation and pickling."""
+"""WorkerSpec / ParallelConfig / a worker's report: validation and
+pickling."""
 
 from __future__ import annotations
 
@@ -6,10 +7,10 @@ import pickle
 
 import pytest
 
-from repro.core.scenario import ClientScenarioReport, ScenarioPhase, \
-    WorkloadMix
+from repro.core.scenario import ClientScenarioReport, Scenario, \
+    ScenarioPhase
 from repro.errors import ParameterError
-from repro.parallel import ParallelConfig, WorkerResult, WorkerSpec
+from repro.parallel import ParallelConfig, WorkerSpec
 
 
 class TestParallelConfig:
@@ -42,50 +43,46 @@ class TestWorkerSpec:
                                         small_workload):
         with pytest.raises(ParameterError):
             WorkerSpec(client_id=-1, database=small_database,
-                       parameters=small_workload, backend="sqlite",
-                       mix=WorkloadMix.from_workload_parameters(
-                           small_workload))
+                       scenario=Scenario.from_workload_parameters(
+                           small_workload, backend="sqlite"))
 
     def test_round_trips_through_pickle(self, small_database,
                                         small_workload):
         """The spec must survive every multiprocessing start method,
         which all ship arguments as pickles."""
+        scenario = Scenario.from_workload_parameters(
+            small_workload, backend="sqlite",
+            backend_options={"path": "/tmp/x.db", "journal_mode": "WAL"})
         spec = WorkerSpec(client_id=2, database=small_database,
-                          parameters=small_workload, backend="sqlite",
-                          mix=WorkloadMix.from_workload_parameters(
-                              small_workload),
-                          backend_options={"path": "/tmp/x.db",
-                                           "journal_mode": "WAL"},
-                          shared=True)
+                          scenario=scenario, shared=True)
         clone = pickle.loads(pickle.dumps(spec))
         assert clone.client_id == 2
-        assert clone.backend == "sqlite"
-        assert clone.backend_options["journal_mode"] == "WAL"
+        assert clone.scenario.backend == "sqlite"
+        assert clone.scenario.backend_options["journal_mode"] == "WAL"
         assert clone.shared is True
         assert clone.database.num_objects == small_database.num_objects
         assert clone.database.catalog() == small_database.catalog()
-        assert clone.parameters == small_workload
-        assert clone.mix == spec.mix
+        assert clone.scenario == scenario
 
 
-class TestWorkerResult:
-    def test_transactions_counts_both_phases(self):
+class TestWorkerReport:
+    """A worker returns its client's report, engine stats included."""
+
+    def test_operations_count_both_phases(self):
         report = ClientScenarioReport(client_id=0,
                                       cold=ScenarioPhase(name="cold"),
                                       warm=ScenarioPhase(name="warm"))
-        result = WorkerResult(client_id=0, pid=123, report=report,
-                              wall_seconds=0.5, setup_seconds=0.1)
-        assert result.transactions == 0
-        assert result.busy_retries == 0
+        assert report.operations == 0
+        assert report.busy_retries == 0
 
     def test_round_trips_through_pickle(self):
-        report = ClientScenarioReport(client_id=0,
-                                      cold=ScenarioPhase(name="cold"),
-                                      warm=ScenarioPhase(name="warm"))
-        result = WorkerResult(client_id=1, pid=99, report=report,
-                              wall_seconds=1.0, setup_seconds=0.2,
-                              busy_retries=3, busy_wait_seconds=0.01,
-                              backend_stats={"journal_mode": "wal"})
-        clone = pickle.loads(pickle.dumps(result))
+        report = ClientScenarioReport(
+            client_id=1, cold=ScenarioPhase(name="cold"),
+            warm=ScenarioPhase(name="warm"), pid=99,
+            engine_stats={"journal_mode": "wal", "busy_retries": 3,
+                          "busy_wait_seconds": 0.01})
+        clone = pickle.loads(pickle.dumps(report))
         assert clone.busy_retries == 3
-        assert clone.backend_stats["journal_mode"] == "wal"
+        assert clone.busy_wait_seconds == 0.01
+        assert clone.engine_stats["journal_mode"] == "wal"
+        assert clone.pid == 99

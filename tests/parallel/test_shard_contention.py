@@ -22,8 +22,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.generation import generate_database
-from repro.core.parameters import DatabaseParameters, WorkloadParameters
-from repro.core.scenario import MixEntry, WorkloadMix
+from repro.core.parameters import DatabaseParameters
+from repro.core.scenario import MixEntry, Scenario, WorkloadMix
 from repro.parallel import ParallelConfig
 from repro.parallel.runner import ParallelRunner
 
@@ -47,12 +47,11 @@ def make_database():
 
 def run_update_only(backend, shards=None):
     runner = ParallelRunner(
-        make_database(), backend,
-        WorkloadParameters(cold_n=COLD_OPS, hot_n=WARM_OPS,
-                           clients=CLIENTS, seed=1998),
-        config=ParallelConfig(busy_timeout_ms=10000, shards=shards),
-        backend_options={"ref_index": False},
-        mix=UPDATE_ONLY)
+        make_database(),
+        Scenario(mix=UPDATE_ONLY, clients=CLIENTS, cold_ops=COLD_OPS,
+                 warm_ops=WARM_OPS, seed=1998, backend=backend,
+                 backend_options={"ref_index": False}),
+        config=ParallelConfig(busy_timeout_ms=10000, shards=shards))
     assert runner.shard_count == shards
     return runner.run()
 
@@ -78,23 +77,22 @@ def single_file_report():
 
 class TestAlignedLanes:
     def test_full_protocol_ran(self, aligned_report):
-        assert aligned_report.worker_count == CLIENTS
+        assert aligned_report.client_count == CLIENTS
         assert aligned_report.mode == "shared"
-        for worker in aligned_report.workers:
-            assert worker.report.operations == \
-                COLD_OPS + WARM_OPS
-            updates = worker.report.warm.per_class.get("update")
+        for client in aligned_report.clients:
+            assert client.operations == COLD_OPS + WARM_OPS
+            updates = client.warm.per_class.get("update")
             assert updates is not None and updates.count > 0
 
     def test_every_worker_homed_on_its_lane(self, aligned_report):
-        for worker in aligned_report.workers:
-            stats = worker.backend_stats or {}
+        for client in aligned_report.clients:
+            stats = client.engine_stats
             assert stats.get("shards") == CLIENTS
-            assert stats.get("home_shard") == worker.client_id % CLIENTS
+            assert stats.get("home_shard") == client.client_id % CLIENTS
 
     def test_zero_cross_shard_writes(self, aligned_report):
-        for worker in aligned_report.workers:
-            stats = worker.backend_stats or {}
+        for client in aligned_report.clients:
+            stats = client.engine_stats
             assert int(stats.get("remote_writes", -1)) == 0
             assert int(stats.get("remote_reads", -1)) == 0
 
@@ -110,8 +108,8 @@ class TestMisalignedLanes:
         # Lanes are oid % 3 but shards are oid % 4: most of each lane
         # lives off its worker's home shard, and the accounting says so.
         total_remote = sum(
-            int((worker.backend_stats or {}).get("remote_writes", 0))
-            for worker in misaligned_report.workers)
+            int(client.engine_stats.get("remote_writes", 0))
+            for client in misaligned_report.clients)
         assert total_remote > 0
 
     def test_logical_work_unchanged(self, aligned_report, misaligned_report,
@@ -121,12 +119,12 @@ class TestMisalignedLanes:
         # unsharded file.
         def signature(report):
             return tuple(
-                (worker.client_id,
-                 worker.report.operations,
+                (client.client_id,
+                 client.operations,
                  tuple((op_class, stats.count, stats.objects)
                        for op_class, stats in
-                       sorted(worker.report.warm.per_class.items())))
-                for worker in report.workers)
+                       sorted(client.warm.per_class.items())))
+                for client in report.clients)
 
         assert signature(aligned_report) == signature(misaligned_report)
         assert signature(aligned_report) == signature(single_file_report)
