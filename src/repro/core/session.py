@@ -9,10 +9,13 @@ separately:
 
 * **object access** — :meth:`access` charges the engine and notifies the
   clustering policy of the link crossing (DSTC's observation input);
-* **batched access** — :meth:`prefetch` pulls a whole BFS frontier or
-  match set through :meth:`~repro.backends.base.Backend.read_many` into
-  a decoded-record cache that :meth:`access` consults, turning N point
-  queries into one round trip on engines that support it (SQLite).
+* **batched access** — :meth:`prefetch` pulls a whole traversal level
+  or match set through :meth:`~repro.backends.base.Backend.read_many`
+  into a decoded-record cache that :meth:`access` consults, turning N
+  point queries into one round trip on engines that support it
+  (SQLite).  The cache holds one pending serve per requested
+  occurrence, so a level that reaches an object twice is answered by
+  one fetch and two serves.
   Batching only activates when the engine declares
   ``supports_batched_reads``, so cost-model engines keep bit-identical
   per-object accounting;
@@ -53,6 +56,9 @@ from repro.store.serializer import StoredObject
 from repro.store.storage import StoreConfig, StoreSnapshot
 
 __all__ = ["Measurement", "Session"]
+
+#: Per class, the reference slots of one type, in slot order.
+SlotsByClass = Mapping[int, Tuple[int, ...]]
 
 
 class Measurement:
@@ -111,7 +117,12 @@ class Session:
         self.batch_reads = store.supports_batched_reads if batch is None \
             else batch
         self.batch_writes = self.batch_reads and store.supports_batched_writes
+        # One pending serve per requested occurrence: the first in
+        # ``_prefetched``, any further ones of the same oid in ``_repeats``
+        # (one list entry per serve).
         self._prefetched: Dict[int, StoredObject] = {}
+        self._repeats: Dict[int, List[StoredObject]] = {}
+        self._slots_of_type: Dict[int, Dict[int, Tuple[int, ...]]] = {}
 
     # ------------------------------------------------------------------ #
     # Construction from a registered backend
@@ -173,6 +184,23 @@ class Session:
             return None
         return types[index]
 
+    def slots_of_type(self, ref_type: int) -> SlotsByClass:
+        """Per class, its reference slots of type *ref_type*, in order.
+
+        ``index in slots_of_type(t).get(cid, ())`` is
+        ``ref_type_of(cid, index) == t``; the table is fixed for the
+        Session's life, so each type's answer is worked out once.
+        """
+        slots = self._slots_of_type.get(ref_type)
+        if slots is None:
+            slots = self._slots_of_type[ref_type] = {}
+            for cid, types in self._tref_table.items():
+                matching = tuple(index for index, slot_type
+                                 in enumerate(types) if slot_type == ref_type)
+                if matching:
+                    slots[cid] = matching
+        return slots
+
     # ------------------------------------------------------------------ #
     # Object access (the hot path)
     # ------------------------------------------------------------------ #
@@ -184,19 +212,21 @@ class Session:
 
         Prefetched records (see :meth:`prefetch`) are served from the
         decoded-record cache without touching the engine again; the
-        clustering policy still observes every link crossing.  Each
-        prefetched record is consumed by its first serve (so the cache
-        never grows past one frontier/chunk, or one fan-out per open
-        depth-first level, and repeat visits are charged to the engine
-        exactly as they are without batching — the OO1 heritage of
-        counting duplicate visits carries over to the physical
-        counters).
+        clustering policy still observes every link crossing.  Each call
+        consumes one pending serve, so an object requested twice by one
+        prefetch is served twice and a third visit goes to the engine.
+        Duplicate visits still count logically (the OO1 heritage); what
+        batching saves is fetching a duplicate within one prefetch more
+        than once.
 
         Called once per traversal visit, so the crossed slot's type
         (:meth:`ref_type_of`) is looked up inline.
         """
-        record = self._prefetched.pop(oid, None) if self.batch_reads else None
-        if record is None:
+        if self.batch_reads:
+            record = self._prefetched.pop(oid, None)
+            if record is None:
+                record = self._serve_repeat(oid)
+        else:
             record = self.store.read_object(oid)
         if source is None:
             self.policy.observe_access(None, oid, None)
@@ -217,13 +247,26 @@ class Session:
 
         The generic operations' access path: range lookups and
         sequential scans cross no reference slot, so the policy sees a
-        ``None`` reference type.  Like :meth:`access`, a prefetched
-        record is consumed by its first serve.
+        ``None`` reference type.  Like :meth:`access`, each call consumes
+        one pending serve.
         """
-        record = self._prefetched.pop(oid, None) if self.batch_reads else None
-        if record is None:
+        if self.batch_reads:
+            record = self._prefetched.pop(oid, None)
+            if record is None:
+                record = self._serve_repeat(oid)
+        else:
             record = self.store.read_object(oid)
         self.policy.observe_access(source_oid, oid, None)
+        return record
+
+    def _serve_repeat(self, oid: int) -> StoredObject:
+        """A further pending serve of *oid*, or else an engine read."""
+        repeats = self._repeats.get(oid)
+        if repeats is None:
+            return self.store.read_object(oid)
+        record = repeats.pop()
+        if not repeats:
+            del self._repeats[oid]
         return record
 
     def prefetch(self, oids: Iterable[int]) -> int:
@@ -232,26 +275,50 @@ class Session:
         A no-op (returning 0) unless the engine supports batched reads,
         so callers sprinkle frontier prefetches without changing the
         behaviour of cost-model engines.  Returns the number of records
-        actually fetched; already-cached oids are not re-read.
+        actually fetched: each distinct oid without a pending serve is
+        read once, in one :meth:`~repro.backends.base.Backend.read_many`.
 
-        Each cached record is consumed by its first :meth:`access` /
-        :meth:`touch`, so the cache holds at most one frontier or scan
-        chunk, or one fan-out per open depth-first level, at a time.
-        Note that engine-side *physical* counters
-        (``object_accesses``, SQL round trips) legitimately differ
-        between batched and per-object runs — prefetching may fetch
-        objects a truncated traversal never serves; the paper's
-        *logical* "accessed objects" metric is tracked by the metrics
-        pipeline and is batching-invariant.
+        Every requested occurrence adds one pending serve, consumed by
+        one :meth:`access` / :meth:`touch`; a visit beyond the serves
+        requested goes to the engine.  Duplicate visits therefore still
+        count logically, but a duplicate within one prefetch is fetched
+        once.  The cache holds at most what the current transaction,
+        scan chunk or match set requested.  Note that engine-side
+        *physical* counters (``object_accesses``, SQL round trips)
+        legitimately differ between batched and per-object runs —
+        prefetching may fetch objects a truncated traversal never
+        serves; the paper's *logical* "accessed objects" metric is
+        tracked by the metrics pipeline and is batching-invariant.
         """
         if not self.batch_reads:
             return 0
-        missing = [oid for oid in dict.fromkeys(oids)
-                   if oid not in self._prefetched]
-        if not missing:
-            return 0
-        self._prefetched.update(self.store.read_many(missing))
+        requested = list(oids)
+        cached, repeats = self._prefetched, self._repeats
+        missing = [oid for oid in dict.fromkeys(requested)
+                   if oid not in cached and oid not in repeats]
+        fetched = self.store.read_many(missing) if missing else {}
+        if len(missing) == len(requested):
+            cached.update(fetched)  # Distinct and new: one serve each.
+            return len(missing)
+        for oid in requested:
+            record = cached.get(oid)
+            if record is not None:
+                repeats.setdefault(oid, []).append(record)
+                continue
+            record = fetched.get(oid)
+            if record is None:
+                record = repeats[oid][0]
+            cached[oid] = record
         return len(missing)
+
+    def peek(self, oid: int) -> Optional[StoredObject]:
+        """The record of a pending serve of *oid*, without consuming it."""
+        record = self._prefetched.get(oid)
+        if record is None:
+            repeats = self._repeats.get(oid)
+            if repeats:
+                record = repeats[0]
+        return record
 
     def traverse_refs_many(self, oids: Iterable[int]
                            ) -> Dict[int, Tuple[int, ...]]:
@@ -269,9 +336,10 @@ class Session:
 
     def end_transaction(self) -> None:
         """Close one transaction: notify the policy, drop the prefetch
-        cache (its residency guarantee does not outlive the frontier)."""
+        cache and its pending serves (they do not outlive the walk)."""
         self.policy.on_transaction_end()
         self._prefetched.clear()
+        self._repeats.clear()
 
     # ------------------------------------------------------------------ #
     # Mutation (the generic-operations extension)
@@ -279,7 +347,7 @@ class Session:
 
     def write_record(self, record: StoredObject) -> None:
         """Update one object in place."""
-        self._prefetched.pop(record.oid, None)
+        self._forget(record.oid)
         self.store.write_object(record)
 
     def write_records(self, records: Sequence[StoredObject]) -> None:
@@ -288,7 +356,7 @@ class Session:
         if not records:
             return
         for record in records:
-            self._prefetched.pop(record.oid, None)
+            self._forget(record.oid)
         if self.batch_writes:
             self.store.write_many(records)
         else:
@@ -301,8 +369,13 @@ class Session:
 
     def delete_record(self, oid: int) -> None:
         """Remove an object."""
-        self._prefetched.pop(oid, None)
+        self._forget(oid)
         self.store.delete_object(oid)
+
+    def _forget(self, oid: int) -> None:
+        """Drop *oid*'s pending serves: its cached record is stale."""
+        self._prefetched.pop(oid, None)
+        self._repeats.pop(oid, None)
 
     # ------------------------------------------------------------------ #
     # Metrics charging
@@ -342,6 +415,7 @@ class Session:
         :meth:`~repro.backends.base.Backend.drop_caches`).
         """
         self._prefetched.clear()
+        self._repeats.clear()
         return self.store.drop_caches()
 
     def flush(self) -> int:

@@ -23,29 +23,35 @@ semantics are available through ``dedupe=True``.
 Every object access funnels through the execution kernel
 (:class:`~repro.core.session.Session`), which charges the engine and
 notifies the clustering policy of each link crossing (DSTC's observation
-input).  On engines with native batching (SQLite), set-oriented accesses
-prefetch each BFS frontier and depth-first traversals prefetch each
-node's fan-out before descending, so one round trip answers a whole
-level or fan-out, forward or reversed; elsewhere no prefetch is issued.
+input).  On engines with native batching (SQLite), every batched
+traversal fetches one level per round trip, forward or reversed:
+set-oriented accesses prefetch each BFS frontier as they reach it, and
+depth-first traversals prefetch the root's subtree level by level
+before they walk it.  A level lists every occurrence the walk may
+visit, duplicates included, and the kernel keeps one pending serve per
+occurrence, so repeat visits are served too.  Elsewhere no prefetch is
+issued.
 
 Bookkeeping is done once per node or per transaction, never per edge:
 a node's edges are built once as ``(target oid, ref index)`` pairs (a
-reversed walk uses the record's back references as they are), visit
-counts live in locals until the traversal returns, the visited set is
-the distinct-object count, and ``Session.access`` is looked up once per
+reversed walk uses the record's back references as they are; a
+hierarchy walk tests slot indices against
+:meth:`~repro.core.session.Session.slots_of_type`), visit counts live in
+locals until the traversal returns, the visited set is the
+distinct-object count, and ``Session.access`` is looked up once per
 transaction and called positionally.  The order and arguments of every
-engine read and every ``policy.observe_access(source, target,
-ref_type)``, every :class:`TransactionResult` field and the random
-stream are those of a per-edge walk.
+``policy.observe_access(source, target, ref_type)``, every
+:class:`TransactionResult` field and the random stream are those of a
+per-edge walk, and so is every engine read on engines without batching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
-from repro.core.session import Session
+from repro.core.session import Session, SlotsByClass
 from repro.errors import WorkloadError
 from repro.rand.lewis_payne import LewisPayne
 from repro.store.serializer import StoredObject
@@ -140,21 +146,25 @@ def run_transaction(ctx: Session, spec: TransactionSpec,
 # ---------------------------------------------------------------------- #
 
 def _edges(ctx: Session, record: StoredObject, reverse: bool,
-           type_filter: Optional[int]) -> _Edges:
-    """``(target oid, ref index)`` edges leaving *record*, in slot order."""
+           slots: Optional[SlotsByClass]) -> _Edges:
+    """``(target oid, ref index)`` edges leaving *record*, in slot order.
+
+    *slots*, from :meth:`~repro.core.session.Session.slots_of_type`,
+    keeps only the slots of one reference type (hierarchy traversals).
+    """
     if reverse:
-        if type_filter is None:
+        if slots is None:
             return record.back_refs
         # A back reference's slot belongs to the class of its source.
-        ref_type_of, class_of = ctx.ref_type_of, ctx.class_of
+        class_of = ctx.class_of
         return [(source, index) for source, index in record.back_refs
-                if ref_type_of(class_of(source), index) == type_filter]
-    if type_filter is None:
-        return [(target, index) for index, target in enumerate(record.refs)
+                if index in slots.get(class_of(source), ())]
+    refs = record.refs
+    if slots is None:
+        return [(target, index) for index, target in enumerate(refs)
                 if target is not None]
-    ref_type_of, cid = ctx.ref_type_of, record.cid
-    return [(target, index) for index, target in enumerate(record.refs)
-            if target is not None and ref_type_of(cid, index) == type_filter]
+    return [(refs[index], index) for index in slots.get(record.cid, ())
+            if index < len(refs) and refs[index] is not None]
 
 
 # ---------------------------------------------------------------------- #
@@ -211,36 +221,41 @@ def _breadth_first(ctx: Session, access: Callable[..., StoredObject],
 def _depth_first(ctx: Session, access: Callable[..., StoredObject],
                  spec: TransactionSpec, root: StoredObject,
                  type_filter: Optional[int]) -> _Tally:
-    """Pre-order expansion with one batched fetch per expanded node.
+    """Pre-order expansion of a subtree prefetched level by level.
 
-    Each node's outgoing edges are announced to the kernel before the
-    walk descends into the first of them, so engines with native
-    batching answer the node's children in one round trip.  Children are
-    still visited one at a time in edge order, each through
-    :meth:`~repro.core.session.Session.access`, so visit order and policy
-    observations are those of the unbatched walk; a record is served from
-    the cache at most once, so repeat visits are charged to the engine
-    exactly as breadth-first expansion charges them.  Without native
-    batching no prefetch is issued at all.
+    On engines with native batching, :func:`_prefetch_levels` first
+    fetches the root's subtree one level per round trip, so the walk
+    finds its records already decoded.  Children are still visited one
+    at a time in edge order, each through
+    :meth:`~repro.core.session.Session.access`, so visit order, policy
+    observations and results are those of the unbatched walk; a visit
+    the prefetch did not request (past its budget) is a point read.
+    Each node's edges are built once per transaction and shared by the
+    prefetch and the walk.  Without native batching no prefetch is
+    issued and the engine sees one read per visit.
     """
     limit, dedupe, reverse = spec.max_visits, spec.dedupe, spec.reverse
-    prefetch = ctx.prefetch if ctx.batch_reads else None
     visits = 1
     seen = {spec.root}
     max_depth = 0
-
-    def expand(record: StoredObject) -> _Edges:
-        edges = _edges(ctx, record, reverse, type_filter)
-        if prefetch is not None:
-            targets = [target for target, _ in edges
-                       if not (dedupe and target in seen)]
-            if targets:
-                prefetch(targets)
-        return edges
-
     bottom = spec.depth
     if bottom < 1:
         return visits, seen, max_depth, False
+    slots = None if type_filter is None else ctx.slots_of_type(type_filter)
+    if ctx.batch_reads:
+        edges_of = _prefetch_levels(ctx, root, bottom, limit - 1, dedupe,
+                                    reverse, slots)
+
+        def expand(record: StoredObject) -> _Edges:
+            edges = edges_of.get(record.oid)
+            if edges is None:
+                edges = edges_of[record.oid] = _edges(ctx, record, reverse,
+                                                      slots)
+            return edges
+    else:
+        def expand(record: StoredObject) -> _Edges:
+            return _edges(ctx, record, reverse, slots)
+
     # One (record, its unvisited edges) entry per open level; ``depth``
     # is the depth of the children of the record on top.
     stack = [(root, iter(expand(root)))]
@@ -265,6 +280,45 @@ def _depth_first(ctx: Session, access: Callable[..., StoredObject],
             stack.pop()
             depth -= 1
     return visits, seen, max_depth, False
+
+
+def _prefetch_levels(ctx: Session, root: StoredObject, bottom: int,
+                     budget: int, dedupe: bool, reverse: bool,
+                     slots: Optional[SlotsByClass]) -> Dict[int, _Edges]:
+    """Prefetch *root*'s subtree down to *bottom*, one call per level.
+
+    Level L+1 lists the targets of every occurrence requested at level
+    L, duplicates included, so each occurrence the walk may visit has
+    its own pending serve; under *dedupe* only targets not requested
+    before are listed, since the walk visits each object once.  Requests
+    stop once *budget* occurrences (the visits left after the root) have
+    been requested.  Returns each expanded node's edges, keyed by oid.
+    """
+    edges_of: Dict[int, _Edges] = {root.oid: _edges(ctx, root, reverse,
+                                                   slots)}
+    prefetch, peek = ctx.prefetch, ctx.peek
+    requested = {root.oid}
+    level = [root.oid]
+    for _ in range(bottom):
+        if budget < 1:
+            break
+        targets = []
+        for oid in level:
+            edges = edges_of.get(oid)
+            if edges is None:
+                edges = edges_of[oid] = _edges(ctx, peek(oid), reverse,
+                                               slots)
+            targets.extend(target for target, _ in edges)
+        if dedupe:
+            targets = [target for target in dict.fromkeys(targets)
+                       if target not in requested]
+            requested.update(targets)
+        level = targets[:budget]
+        if not level:
+            break
+        prefetch(level)
+        budget -= len(level)
+    return edges_of
 
 
 # ---------------------------------------------------------------------- #

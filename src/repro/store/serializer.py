@@ -36,13 +36,16 @@ Two kinds of decoder share the wire format:
   ``__post_init__``: the wire format already guarantees non-negative
   ``cid`` / ``filler``.  When the source is a whole immutable ``bytes``
   blob (what SQLite and the paged store hand back), both reference
-  vectors stay in it: the record keeps the blob, each vector's position
-  and its count, and unpacks a vector on the first read of ``refs`` or
-  ``back_refs``.  The leaves of a traversal never read their ``refs``,
-  and a forward traversal (Table 2's default mix) never reads
-  ``back_refs``.  A ``bytearray``, a ``memoryview`` or an offset into a
-  larger buffer is decoded in full, so a later write to that buffer
-  cannot change a record already returned.  No step runs a per-element
+  vectors stay in it: the record keeps the blob itself in place of each
+  vector and unpacks a vector (its position and count read from the
+  blob's header) on the first read of ``refs`` or ``back_refs``.  No
+  marker container is built, so a decoded record is one object for the
+  cyclic garbage collector: a traversal holding a prefetched subtree of
+  records does not make it run more often.  The leaves of a traversal
+  never read their ``refs``, and a forward traversal (Table 2's default
+  mix) never reads ``back_refs``.  A ``bytearray``, a ``memoryview`` or
+  an offset into a larger buffer is decoded in full, so a later write to
+  that buffer cannot change a record already returned.  No step runs a per-element
   Python loop unless the ref vector holds a NULL;
 * :func:`decode_refs` skips record construction entirely and returns just
   the non-null reference vector — the structure-only decode batched
@@ -75,6 +78,9 @@ _REF = struct.Struct("<q")
 _BACKREF = struct.Struct("<QH")
 
 HEADER_SIZE = _HEADER.size       # 22 bytes
+#: A header's ``nref`` and ``nback``, which follow magic, oid and cid.
+_COUNTS = struct.Struct("<HH")
+_COUNTS_AT = struct.calcsize("<HQI")
 REF_SIZE = _REF.size             # 8 bytes
 BACKREF_SIZE = _BACKREF.size     # 10 bytes
 
@@ -95,9 +101,9 @@ class StoredObject:
 
     ``refs`` and ``back_refs`` are properties (installed below the class)
     over the ``_refs`` and ``_back_refs`` attributes.  A record
-    :func:`decode_object` built from a ``bytes`` blob holds
-    ``[blob, position, count]`` there — a ``list`` marks "still in the
-    blob" — and the first read replaces it with the unpacked tuple.
+    :func:`decode_object` built from a ``bytes`` blob holds the blob
+    there — ``bytes`` marks "still in the blob" — and the first read
+    replaces it with the unpacked tuple.
     Equality, ``repr``, ``dataclasses.replace``, copies and pickling all
     read through the properties, so a deferred record behaves exactly like
     an eager one.
@@ -141,20 +147,23 @@ class StoredObject:
 
 def _get_refs(record: StoredObject) -> Tuple[Optional[int], ...]:
     refs = record._refs
-    if refs.__class__ is list:
-        refs = record._refs = _unpack_refs(*refs)
+    if refs.__class__ is bytes:
+        nref, _ = _COUNTS.unpack_from(refs, _COUNTS_AT)
+        refs = record._refs = _unpack_refs(refs, HEADER_SIZE, nref)
     return refs
 
 
 def _set_refs(record: StoredObject, refs) -> None:
-    # A list would read as "still in the blob"; store a tuple instead.
+    # Bytes would read as "still in the blob"; store a tuple instead.
     record._refs = tuple(refs)
 
 
 def _get_back_refs(record: StoredObject) -> Tuple[Tuple[int, int], ...]:
     back_refs = record._back_refs
-    if back_refs.__class__ is list:
-        back_refs = record._back_refs = _unpack_back_refs(*back_refs)
+    if back_refs.__class__ is bytes:
+        nref, nback = _COUNTS.unpack_from(back_refs, _COUNTS_AT)
+        back_refs = record._back_refs = _unpack_back_refs(
+            back_refs, HEADER_SIZE + nref * REF_SIZE, nback)
     return back_refs
 
 
@@ -252,8 +261,8 @@ def decode_object(data, offset: int = 0) -> StoredObject:
         record._refs = _unpack_refs(data, pos, nref)
         record._back_refs = _unpack_back_refs(data, back, nback)
     else:
-        record._refs = [data, pos, nref]
-        record._back_refs = [data, back, nback] if nback else ()
+        record._refs = data
+        record._back_refs = data if nback else ()
     record.filler = filler
     return record
 

@@ -1,18 +1,22 @@
-"""Depth-first traversals batch each node's fan-out without changing it.
+"""Depth-first traversals fetch one level per round trip, walk unchanged.
 
-Simple and hierarchy transactions prefetch a node's children before
-descending.  On SQLite a batched session must give the same
-``TransactionResult`` and the same ordered policy observations as an
-unbatched one, in strictly fewer SQL round trips.  On the classic
-``ObjectStore`` (no native batching) the engine must see exactly the
-per-object reads it always did.
+Simple and hierarchy transactions prefetch the root's subtree level by
+level before they walk it.  On SQLite a batched session must give the
+same ``TransactionResult`` and the same ordered policy observations as
+an unbatched one, in strictly fewer SQL round trips: an untruncated walk
+of depth d costs the root's read plus at most d statements per chunk of
+``read_many``.  On the classic ``ObjectStore`` (no native batching) the
+engine must see exactly the per-object reads it always did.
 """
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.backends import SQLiteBackend
+from repro.backends.sqlite import _MAX_BATCH_VARIABLES
 from repro.clustering.base import NoClustering
 from repro.core.session import Session
 from repro.core.transactions import (
@@ -86,9 +90,46 @@ class TestSQLiteBatching:
             batched.close()
             plain.close()
 
+    @pytest.mark.parametrize("kind,ref_type", [
+        (TransactionKind.SIMPLE, None), (TransactionKind.HIERARCHY, 2)])
+    @pytest.mark.parametrize("reverse", (False, True))
+    def test_one_statement_per_level(self, small_database, kind, ref_type,
+                                     reverse):
+        depth = 4
+        session = sqlite_session(small_database, batch=None)
+        try:
+            for root in ROOTS:
+                before = session.store.sql_round_trips
+                result = run_transaction(session, TransactionSpec(
+                    kind=kind, root=root, depth=depth, reverse=reverse,
+                    ref_type=ref_type, max_visits=10 ** 6), LewisPayne(7))
+                assert not result.truncated
+                trips = session.store.sql_round_trips - before
+                chunks = math.ceil(result.visits / _MAX_BATCH_VARIABLES)
+                assert trips <= 1 + depth * chunks
+        finally:
+            session.close()
+
+    def test_every_visit_after_the_root_is_served(self, small_database):
+        # Duplicates included: each requested occurrence has its own serve.
+        backend = sqlite_session(small_database, batch=None).store
+        store = RecordingStore(backend)
+        session = Session(store, tref_table=small_database.tref_table(),
+                          catalog=small_database.catalog())
+        try:
+            for root in ROOTS:
+                store.reads.clear()
+                result = run_transaction(session, TransactionSpec(
+                    kind=TransactionKind.SIMPLE, root=root, depth=4,
+                    max_visits=10 ** 6), LewisPayne(7))
+                assert result.visits > result.distinct_objects > 1
+                assert store.reads == [root]
+        finally:
+            session.close()
+
 
 class RecordingStore:
-    """Delegates to an ``ObjectStore``, logging the reads it serves."""
+    """Delegates to an engine, logging the point reads it serves."""
 
     def __init__(self, store) -> None:
         self._store = store

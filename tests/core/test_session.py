@@ -86,8 +86,8 @@ class TestBatching:
         assert session.prefetch(sorted(small_database.objects)[:5]) == 0
 
     def test_prefetched_record_consumed_by_first_serve(self, small_database):
-        # Repeat visits are charged to the engine, exactly as without
-        # batching (OO1 heritage: duplicate visits count).
+        # One requested occurrence buys one serve: a repeat visit beyond
+        # it is charged to the engine (OO1 heritage: duplicates count).
         backend = loaded_sqlite(small_database)
         session = Session(backend)
         oid = sorted(small_database.objects)[0]
@@ -97,6 +97,62 @@ class TestBatching:
         assert backend.sql_round_trips == trips       # Served from cache.
         session.access(oid)
         assert backend.sql_round_trips == trips + 1   # Cache was consumed.
+        session.close()
+
+    def test_one_serve_per_requested_occurrence(self, small_database):
+        backend = loaded_sqlite(small_database)
+        session = Session(backend)
+        oid = sorted(small_database.objects)[0]
+        assert session.prefetch([oid, oid]) == 1  # Fetched once.
+        trips = backend.sql_round_trips
+        session.access(oid)
+        session.touch(oid)
+        assert backend.sql_round_trips == trips       # Both served.
+        session.access(oid)
+        assert backend.sql_round_trips == trips + 1   # Serves used up.
+        session.close()
+
+    def test_repeat_request_adds_serves_without_a_fetch(self,
+                                                        small_database):
+        backend = loaded_sqlite(small_database)
+        session = Session(backend)
+        first, second = sorted(small_database.objects)[:2]
+        session.prefetch([first])
+        trips = backend.sql_round_trips
+        assert session.prefetch([first, second, first]) == 1
+        assert backend.sql_round_trips == trips + 1   # Only *second*.
+        for oid in (first, first, second, first):
+            session.access(oid)
+        assert backend.sql_round_trips == trips + 1
+        session.access(first)
+        assert backend.sql_round_trips == trips + 2
+        session.close()
+
+    def test_write_drops_pending_serves(self, small_database):
+        backend = loaded_sqlite(small_database)
+        session = Session(backend)
+        records = small_database.to_records()
+        oid = sorted(records)[0]
+        session.prefetch([oid, oid])
+        changed = records[oid].with_back_refs(((999, 0),))
+        session.write_record(changed)
+        trips = backend.sql_round_trips
+        assert session.access(oid) == changed
+        assert session.access(oid) == changed
+        assert backend.sql_round_trips == trips + 2   # Both re-read.
+        session.close()
+
+    def test_end_transaction_drops_pending_serves(self, small_database):
+        backend = loaded_sqlite(small_database)
+        session = Session(backend)
+        oid = sorted(small_database.objects)[0]
+        session.prefetch([oid, oid])
+        session.access(oid)
+        session.end_transaction()
+        assert session.peek(oid) is None
+        trips = backend.sql_round_trips
+        session.access(oid)
+        assert backend.sql_round_trips == trips + 1   # Serve was dropped.
         session.close()
 
     def test_scan_cache_stays_bounded(self, small_database):

@@ -258,7 +258,9 @@ class TestAccessContext:
 # Kept verbatim (docstrings shortened) as the reference the kernel in
 # ``repro.core.transactions`` must match call for call: the same engine
 # reads in the same order, the same policy observations, the same
-# ``TransactionResult`` and the same random stream.
+# ``TransactionResult`` and the same random stream.  Only the depth-first
+# prefetch schedule was rewritten: level by level before the walk, one
+# edge at a time (``_prefetch_subtree``).
 
 class _Tracker:
     """Visit accounting shared by the four traversal algorithms."""
@@ -372,20 +374,18 @@ def _breadth_first(ctx: Session, spec: TransactionSpec,
 
 def _depth_first(ctx: Session, spec: TransactionSpec,
                  tracker: _Tracker, type_filter: Optional[int]) -> None:
-    """Pre-order expansion, one prefetch per expanded node."""
+    """Pre-order expansion of a subtree prefetched level by level."""
     root_record = ctx.access(spec.root)
     if not tracker.note(spec.root, 0):
         return
     seen: Set[int] = {spec.root}
-    batch = ctx.batch_reads
+    if ctx.batch_reads:
+        _prefetch_subtree(ctx, spec, root_record, type_filter)
 
     def visit(record: StoredObject, depth: int) -> bool:
         if depth >= spec.depth:
             return True
         edges = _neighbours(ctx, record, spec.reverse, type_filter)
-        if batch:
-            ctx.prefetch(target for target, _, _ in edges
-                         if not (spec.dedupe and target in seen))
         for target, index, via_back in edges:
             if spec.dedupe and target in seen:
                 continue
@@ -399,6 +399,32 @@ def _depth_first(ctx: Session, spec: TransactionSpec,
         return True
 
     visit(root_record, 0)
+
+
+def _prefetch_subtree(ctx: Session, spec: TransactionSpec,
+                      root_record: StoredObject,
+                      type_filter: Optional[int]) -> None:
+    """One prefetch per level: each edge of each requested occurrence
+    (first occurrences only under dedupe), ``max_visits - 1`` in all."""
+    budget = spec.max_visits - 1
+    requested: Set[int] = {spec.root}
+    frontier = [root_record]
+    for _ in range(spec.depth):
+        level: List[int] = []
+        for record in frontier:
+            for target, _, _ in _neighbours(ctx, record, spec.reverse,
+                                            type_filter):
+                if len(level) == budget:
+                    break
+                if spec.dedupe and target in requested:
+                    continue
+                requested.add(target)
+                level.append(target)
+        if not level:
+            return
+        ctx.prefetch(level)
+        budget -= len(level)
+        frontier = [ctx.peek(target) for target in level]
 
 
 
@@ -476,10 +502,15 @@ def oracle_engines(small_database):
 
 def run_recorded(kernel, engine, database, spec, seed):
     """Run *spec* through *kernel*; return everything it did, in order."""
+    return run_recorded_on(kernel, engine, database.tref_table(),
+                           database.catalog(), spec, seed)
+
+
+def run_recorded_on(kernel, engine, tref_table, catalog, spec, seed):
+    """:func:`run_recorded` with the schema tables given directly."""
     recorder = RecordingEngine(engine)
     session = Session(recorder, policy=RecordingPolicy(),
-                      tref_table=database.tref_table(),
-                      catalog=database.catalog())
+                      tref_table=tref_table, catalog=catalog)
     rng = LewisPayne(seed)
     result = kernel(session, spec, rng)
     return result, session.policy.log, recorder.calls, rng.getstate()
@@ -523,3 +554,54 @@ class TestKernelMatchesOracle:
         assert observed == expected[1]
         assert reads == expected[2]
         assert state == expected[3]
+
+
+def make_lattice():
+    """A small graph dense in repeats, every slot of type 1 or 2.
+
+    Level 1 from oid 1 reaches 2 twice; level 2 reaches 4 from both 2
+    and 3; 4 cycles back to the root and 6 names 7 in two slots.
+    """
+    refs = {1: (2, 3, 2), 2: (4, 5, None), 3: (4, 6, None),
+            4: (1, 7, None), 5: (7, None, None), 6: (7, 7, None),
+            7: (2, None, None)}
+    back = {oid: [] for oid in refs}
+    for oid, targets in refs.items():
+        for slot, target in enumerate(targets):
+            if target is not None:
+                back[target].append((oid, slot))
+    records = [StoredObject(oid=oid, cid=1, refs=targets,
+                            back_refs=tuple(back[oid]), filler=8)
+               for oid, targets in refs.items()]
+    return records, {1: (1, 2, 1)}, {oid: 1 for oid in refs}
+
+
+class TestKernelMatchesOracleOnRepeats:
+    """Every depth-first budget on a graph where each level repeats
+    objects: the prefetch schedule must list repeats and stop exactly
+    at ``max_visits - 1`` requested occurrences."""
+
+    def test_every_budget(self):
+        from repro.backends import SQLiteBackend
+
+        records, tref_table, catalog = make_lattice()
+        engine = SQLiteBackend(page_size=512, cache_pages=16)
+        engine.bulk_load(records, order=sorted(catalog))
+        try:
+            for kind, ref_type in ((TransactionKind.SIMPLE, None),
+                                   (TransactionKind.HIERARCHY, 1)):
+                for reverse in (False, True):
+                    for dedupe in (False, True):
+                        for depth in range(1, 6):
+                            for max_visits in range(1, 40):
+                                case = TransactionSpec(
+                                    kind=kind, root=1, depth=depth,
+                                    reverse=reverse, ref_type=ref_type,
+                                    dedupe=dedupe, max_visits=max_visits)
+                                assert run_recorded_on(
+                                    run_transaction, engine, tref_table,
+                                    catalog, case, 1) == run_recorded_on(
+                                    _reference_run_transaction, engine,
+                                    tref_table, catalog, case, 1), case
+        finally:
+            engine.close()

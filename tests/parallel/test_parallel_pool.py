@@ -59,6 +59,19 @@ class TestProcessPool:
         assert pool.executed_parallel is True
         assert all(pid != os.getpid() for pid in pids)
 
+    def test_each_item_runs_in_its_own_process(self):
+        # A free worker must never pick up a second item: N clients are
+        # N OS processes whenever there are processes enough.
+        pool = ProcessPool(processes=6)
+        pids = pool.map(_pid_of, range(4))
+        assert len(set(pids)) == 4
+
+    def test_spawns_at_most_processes(self):
+        pool = ProcessPool(processes=2)
+        pids = pool.map(_pid_of, range(5))
+        assert len(set(pids)) == 2
+        assert pids[0] == pids[2] == pids[4]  # Dealt round robin.
+
     def test_worker_exception_propagates(self):
         pool = ProcessPool(processes=2)
         with pytest.raises(ValueError, match="boom"):
