@@ -18,7 +18,7 @@ import pytest
 
 from conftest import term_print
 
-from repro.backends import available_backends, create_backend
+from repro.backends import SQLiteBackend, available_backends
 from repro.core.presets import (
     default_database_parameters,
     default_workload_parameters,
@@ -92,8 +92,14 @@ def test_every_backend_reports_wall_percentiles(backend_results):
         assert wall.p99 > 0.0, f"{name} reported zero wall-clock latency"
 
 
-def _run_set_oriented_sqlite(batch: bool):
-    """Set-oriented (BFS) workload on SQLite, batched or per-object."""
+class _PerObjectSQLite(SQLiteBackend):
+    """SQLite declaring no batched reads: the Session reads per object."""
+
+    supports_batched_reads = False
+
+
+def _run_set_oriented_sqlite(engine: type):
+    """Set-oriented (BFS) workload on a SQLite *engine* class."""
     from repro.core.generation import generate_database
     from repro.core.scenario import Scenario, ScenarioRunner
 
@@ -103,9 +109,12 @@ def _run_set_oriented_sqlite(batch: bool):
     from dataclasses import replace
     params = replace(params, p_set=0.7, p_simple=0.1, p_hierarchy=0.1,
                      p_stochastic=0.1, reverse_probability=0.25)
-    scenario = Scenario.from_workload_parameters(
-        params, clients=1, backend="sqlite", batch=batch)
-    report = ScenarioRunner(database, scenario).run()
+    scenario = Scenario.from_workload_parameters(params, clients=1)
+    store = engine()
+    try:
+        report = ScenarioRunner(database, scenario, store=store).run()
+    finally:
+        store.close()
     totals = report.clients[0].warm.classic.totals
     return ((totals.count, totals.visits, totals.distinct_objects),
             report.sql_round_trips)
@@ -116,8 +125,9 @@ def test_sqlite_frontier_batching_saves_round_trips():
     SQLite answer each BFS frontier with one ``IN``-clause ``read_many``
     query, so the batched run issues far fewer SQL round trips than the
     per-object run while visiting exactly the same objects."""
-    batched_signature, batched_trips = _run_set_oriented_sqlite(batch=True)
-    looped_signature, looped_trips = _run_set_oriented_sqlite(batch=False)
+    batched_signature, batched_trips = _run_set_oriented_sqlite(SQLiteBackend)
+    looped_signature, looped_trips = _run_set_oriented_sqlite(
+        _PerObjectSQLite)
     assert batched_signature == looped_signature, \
         "batching changed the logical workload"
     assert batched_trips < looped_trips, \

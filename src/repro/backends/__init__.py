@@ -69,12 +69,7 @@ def _make_memory(store_config: StoreConfig, **options: object) -> Backend:
 def _make_sqlite(store_config: StoreConfig, **options: object) -> Backend:
     path = str(options.pop("path", ":memory:"))
     kwargs = {"page_size": store_config.page_size,
-              "cache_pages": store_config.buffer_pages}
-    if store_config.journal_mode is not None:
-        kwargs["journal_mode"] = store_config.journal_mode
-    if store_config.busy_timeout_ms is not None:
-        kwargs["busy_timeout_ms"] = store_config.busy_timeout_ms
-    kwargs.update(options)  # type: ignore[arg-type]
+              "cache_pages": store_config.buffer_pages, **options}
     return SQLiteBackend(path=path, **kwargs)  # type: ignore[arg-type]
 
 
@@ -90,12 +85,7 @@ register_backend(
 def _make_sharded(store_config: StoreConfig, **options: object) -> Backend:
     path = options.pop("path", None)
     kwargs = {"page_size": store_config.page_size,
-              "cache_pages": store_config.buffer_pages}
-    if store_config.journal_mode is not None:
-        kwargs["journal_mode"] = store_config.journal_mode
-    if store_config.busy_timeout_ms is not None:
-        kwargs["busy_timeout_ms"] = store_config.busy_timeout_ms
-    kwargs.update(options)  # type: ignore[arg-type]
+              "cache_pages": store_config.buffer_pages, **options}
     return ShardedSQLiteBackend(
         path=None if path is None else str(path),
         **kwargs)  # type: ignore[arg-type]

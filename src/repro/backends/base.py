@@ -72,17 +72,6 @@ class Backend(abc.ABC):
     #: accounting bit-identical.
     supports_batched_reads: bool = False
 
-    #: Whether :meth:`write_many` is a single native round trip.
-    supports_batched_writes: bool = False
-
-    #: Whether independent connections (one per OS process) can share the
-    #: engine's durable storage.  Engines that set this implement
-    #: :meth:`connect_worker`; the process-parallel subsystem
-    #: (:mod:`repro.parallel`) runs every worker against its own
-    #: connection when the tag is set and falls back to per-worker
-    #: replicas otherwise.
-    supports_concurrent_access: bool = False
-
     #: Lock collisions retried and the time spent backing off on them.
     #: Engines without locks keep these zeros; the executor reads
     #: ``busy_retries`` around every operation.
@@ -157,8 +146,7 @@ class Backend(abc.ABC):
         """Update a batch of existing objects.
 
         The fallback loops over :meth:`write_object` in order; engines
-        with a native multi-row write override it and set
-        :attr:`supports_batched_writes`.
+        with a native multi-row write override it.
         """
         for record in records:
             self.write_object(record)
@@ -234,8 +222,10 @@ class Backend(abc.ABC):
         The safe default refuses: an engine whose state lives in this
         process's memory (the simulated store, the dict backend,
         ``:memory:`` SQLite) cannot hand anyone else a view of it.
-        Engines that can share storage set
-        :attr:`supports_concurrent_access` and override this.
+        Engines that can share storage override this and register the
+        ``concurrent`` capability; an engine registered with that tag
+        but refusing here stops a process run before any worker
+        starts.
         """
         raise BackendError(
             f"backend {self.name!r} does not support concurrent "

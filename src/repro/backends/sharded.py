@@ -21,9 +21,9 @@ protocol by fan-out over per-shard :class:`SQLiteBackend` instances:
   shard's blobs and counts frontier edges that leave the home shard as
   ``remote_reads``; each shard maintains its own link index
   (``ref_index`` is on by default here), diffed on write;
-* :meth:`bulk_load` stages once, partitions, and loads each shard
-  (the parallel coordinator loads the shard files concurrently — see
-  :meth:`repro.parallel.runner.ParallelRunner._load_shared`).
+* :meth:`bulk_load` stages once, partitions, and loads each shard in
+  turn, home shard first; the parallel coordinator loads shared shard
+  files through it like any other engine.
 
 Shard placement is itself a measured variable, in the spirit of
 Darmont's clustering-evaluation methodology: :meth:`stats` reports
@@ -80,8 +80,6 @@ class ShardedSQLiteBackend(Backend):
 
     name = "sharded-sqlite"
     supports_batched_reads = True
-    supports_batched_writes = True
-    supports_concurrent_access = True
 
     def __init__(self, path: Optional[str] = None,
                  shards: int = DEFAULT_SHARDS,
@@ -220,7 +218,7 @@ class ShardedSQLiteBackend(Backend):
             self._count_remote_read(shard, len(groups[shard]))
         self.object_accesses += len(unique)
         if trace.enabled:
-            trace.emit("sharded.read_many", time.perf_counter() - started,
+            trace.emit("sharded.read_many", started,
                        oids=len(unique), shards=len(groups))
         # First-occurrence order, like the base-class contract.
         return {oid: fetched[oid] for oid in unique}
@@ -270,7 +268,7 @@ class ShardedSQLiteBackend(Backend):
             self._count_remote_write(shard, len(groups[shard]))
         self.object_accesses += len(records)
         if trace.enabled:
-            trace.emit("sharded.write_many", time.perf_counter() - started,
+            trace.emit("sharded.write_many", started,
                        records=len(records), shards=len(groups))
 
     def insert_object(self, record: StoredObject) -> None:
@@ -317,8 +315,7 @@ class ShardedSQLiteBackend(Backend):
         self.object_accesses += len(unique)
         self._account_edges(refs)
         if trace.enabled:
-            trace.emit("sharded.traverse_refs_many",
-                       time.perf_counter() - started,
+            trace.emit("sharded.traverse_refs_many", started,
                        oids=len(unique), shards=len(groups))
         return {oid: refs[oid] for oid in unique}
 

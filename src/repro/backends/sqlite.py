@@ -50,8 +50,9 @@ Three kernel hooks make the engine first-class under the unified
   pager cache, its own locks), which is how each process of a
   :class:`~repro.parallel.runner.ParallelRunner` drives the shared
   engine.  ``journal_mode`` and ``busy_timeout_ms`` are first-class
-  constructor knobs: multi-writer runs want ``WAL`` plus a busy budget,
-  and every retry a locked database forces is *counted*
+  constructor knobs: multi-writer runs want ``WAL`` plus a busy budget
+  (:func:`multi_writer_options` fills in those settings), and every
+  retry a locked database forces is *counted*
   (``busy_retries`` / ``busy_wait_seconds`` in :meth:`stats`), so
   contention is a reported metric instead of invisible latency.
 """
@@ -61,8 +62,8 @@ from __future__ import annotations
 import sqlite3
 import time
 from itertools import zip_longest
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
-    Sequence, Set, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, \
+    Optional, Sequence, Set, Tuple, TypeVar
 
 from repro.backends.base import Backend
 from repro.errors import BackendError, StorageError, UnknownObject
@@ -72,7 +73,7 @@ from repro.store.serializer import StoredObject, decode_object, \
     decode_ref_slots, decode_refs, encode_object
 from repro.store.storage import stage_bulk_load
 
-__all__ = ["SQLiteBackend"]
+__all__ = ["SQLiteBackend", "multi_writer_options"]
 
 # benchmarks/ocb_bench/layers.py looks this name up to trace it.
 decode_object_lazy = decode_object
@@ -100,8 +101,6 @@ class SQLiteBackend(Backend):
 
     name = "sqlite"
     supports_batched_reads = True
-    supports_batched_writes = True
-    supports_concurrent_access = True
 
     #: Default busy budget: matches the 5 s grace ``sqlite3.connect``'s
     #: own busy handler used to provide, but spent in Python so every
@@ -216,8 +215,7 @@ class SQLiteBackend(Backend):
                 self.busy_retries += 1
                 self.busy_wait_seconds += time.perf_counter() - now
                 if trace.enabled:
-                    trace.emit("sqlite.busy_retry",
-                               time.perf_counter() - now, attempt=attempt)
+                    trace.emit("sqlite.busy_retry", now, attempt=attempt)
                 attempt += 1
 
     def _execute(self, sql: str, params: Sequence[object] = ()
@@ -277,8 +275,7 @@ class SQLiteBackend(Backend):
             raise UnknownObject(oid)
         self.object_accesses += 1
         if trace.enabled:
-            trace.emit("sqlite.read_object",
-                       time.perf_counter() - started, oid=oid)
+            trace.emit("sqlite.read_object", started, oid=oid)
         self.records_decoded += 1
         return decode_object(row[0])
 
@@ -302,8 +299,7 @@ class SQLiteBackend(Backend):
             raise UnknownObject(missing)
         self.object_accesses += len(unique)
         if trace.enabled:
-            trace.emit("sqlite.read_many",
-                       time.perf_counter() - started, oids=len(unique))
+            trace.emit("sqlite.read_many", started, oids=len(unique))
         return records
 
     def write_object(self, record: StoredObject) -> None:
@@ -319,8 +315,7 @@ class SQLiteBackend(Backend):
         self._rewrite(records)
         self.object_accesses += len(records)
         if trace.enabled:
-            trace.emit("sqlite.write_many",
-                       time.perf_counter() - started, records=len(records))
+            trace.emit("sqlite.write_many", started, records=len(records))
 
     def _rewrite(self, records: Sequence[StoredObject]) -> None:
         """UPDATE existing rows — and, with ``ref_index``, diff their links.
@@ -466,8 +461,8 @@ class SQLiteBackend(Backend):
         # here is one full record decode the loop path would have paid.
         self.decodes_avoided += len(unique)
         if trace.enabled:
-            trace.emit("sqlite.traverse_refs_many",
-                       time.perf_counter() - started, oids=len(unique))
+            trace.emit("sqlite.traverse_refs_many", started,
+                       oids=len(unique))
         return refs
 
     def link_index_drift(self) -> Set[Tuple[int, int, int]]:
@@ -599,3 +594,19 @@ class SQLiteBackend(Backend):
         return self._execute(
             "SELECT 1 FROM objects WHERE oid = ?", (oid,)).fetchone() \
             is not None
+
+
+def multi_writer_options(options: Mapping[str, object]
+                         ) -> Dict[str, object]:
+    """*options* with the settings of a SQLite file that several
+    connections write at once filled in where unset.
+
+    Those are ``WAL`` (readers never block, writers queue),
+    ``synchronous=NORMAL`` (crash-safe under WAL, where the single-user
+    ``OFF`` would let one writer's crash corrupt the file for all) and
+    the counted busy budget.  Process runs on shared storage and the
+    CLI's SQLite runs take them from here.
+    """
+    return {"journal_mode": "WAL", "synchronous": "NORMAL",
+            "busy_timeout_ms": SQLiteBackend.DEFAULT_BUSY_TIMEOUT_MS,
+            **options}

@@ -194,10 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="shard count for --backend sharded-sqlite "
                                "(default: the worker count of a process "
                                "run, else 4)")
-    scenario.add_argument("--journal-mode", default="WAL",
+    scenario.add_argument("--journal-mode", default=None,
                           help="journal mode for shared SQLite files "
                                "(default: WAL)")
-    scenario.add_argument("--busy-timeout", type=int, default=5000,
+    scenario.add_argument("--busy-timeout", type=int, default=None,
                           metavar="MS",
                           help="per-connection busy budget in ms for "
                                "shared storage (default: 5000)")
@@ -227,10 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shard count for --backend sharded-sqlite, "
                             "fixed across the sweep (default: the "
                             "largest worker count)")
-    scale.add_argument("--journal-mode", default="WAL",
+    scale.add_argument("--journal-mode", default=None,
                        help="journal mode for shared SQLite files "
                             "(default: WAL)")
-    scale.add_argument("--busy-timeout", type=int, default=5000,
+    scale.add_argument("--busy-timeout", type=int, default=None,
                        metavar="MS",
                        help="per-connection busy budget in ms "
                             "(default: 5000)")
@@ -273,9 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--sqlite-path", default=":memory:",
                           help="database file for --backend sqlite "
                                "(default: in-memory)")
-    loadtest.add_argument("--journal-mode", default="WAL",
+    loadtest.add_argument("--journal-mode", default=None,
                           help="journal mode for SQLite (default: WAL)")
-    loadtest.add_argument("--busy-timeout", type=int, default=5000,
+    loadtest.add_argument("--busy-timeout", type=int, default=None,
                           metavar="MS",
                           help="SQLite busy budget in ms (default: 5000)")
     loadtest.add_argument("--divergence", type=float, default=0.10,
@@ -394,18 +394,22 @@ def _cmd_generate(args: argparse.Namespace) -> str:
     return render_kv(pairs, title="Database generated")
 
 
-def _backend_options(args: argparse.Namespace) -> dict:
-    backend = getattr(args, "backend", None)
-    if backend == "sqlite":
-        return {"path": args.sqlite_path}
+def _backend_options(args: argparse.Namespace,
+                     backend: Optional[str] = None) -> dict:
+    """The engine options the flags set for *backend* (default:
+    ``--backend``); only the SQLite engines take any."""
+    backend = backend or getattr(args, "backend", None)
+    if backend not in ("sqlite", "sharded-sqlite"):
+        return {}
+    # For sharded-sqlite ``--sqlite-path`` names the shard *directory*;
+    # the engine maps ':memory:' to private in-memory shards itself.
+    options = {"path": args.sqlite_path,
+               "journal_mode": getattr(args, "journal_mode", None),
+               "busy_timeout_ms": getattr(args, "busy_timeout", None)}
     if backend == "sharded-sqlite":
-        # ``--sqlite-path`` names the shard *directory* here; the
-        # engine maps ':memory:' to private in-memory shards itself.
-        options: dict = {"path": args.sqlite_path}
-        if getattr(args, "shards", None) is not None:
-            options["shards"] = args.shards
-        return options
-    return {}
+        options["shards"] = getattr(args, "shards", None)
+    return {key: value for key, value in options.items()
+            if value is not None}
 
 
 def _cmd_run(args: argparse.Namespace) -> str:
@@ -508,7 +512,6 @@ def _cmd_scenario(args: argparse.Namespace) -> str:
 
     from repro.core.presets import SCENARIO_PRESETS, scenario_preset
     from repro.core.scenario import ScenarioRunner
-    from repro.parallel import ParallelConfig
     from repro.reporting import render_scenario_report
 
     if args.list or args.name is None:
@@ -550,9 +553,7 @@ def _cmd_scenario(args: argparse.Namespace) -> str:
     database, _report = generate_database(db_params)
     runner = ScenarioRunner(database, scenario)
     if args.processes is not None:
-        config = ParallelConfig(journal_mode=args.journal_mode,
-                                busy_timeout_ms=args.busy_timeout)
-        report = runner.run_processes(config=config)
+        report = runner.run_processes()
     else:
         report = runner.run()
     if args.json:
@@ -597,9 +598,15 @@ def _configure_scenario(scenario, args: argparse.Namespace,
     A ``--backend`` naming another engine starts from empty
     ``backend_options``: the preset's options belong to its own engine
     (``hot_spot``'s ``shards`` means nothing to plain SQLite).  SQLite
-    engines then get the path, shard count and shared-file policy.
+    engines then get the flags' options under the scenario's own and
+    the multi-writer settings under both, so in-process and process
+    runs benchmark the same engine configuration.  Process runs drop a
+    ``':memory:'`` path — it cannot be shared — so the runner creates a
+    temp file instead.
     """
     from dataclasses import replace
+
+    from repro.backends.sqlite import multi_writer_options
 
     overrides = dict(overrides)
     if args.backend is not None and args.backend != scenario.backend:
@@ -608,47 +615,13 @@ def _configure_scenario(scenario, args: argparse.Namespace,
     if overrides:
         scenario = replace(scenario, **overrides)
     if scenario.backend in ("sqlite", "sharded-sqlite"):
-        options = dict(scenario.backend_options)
-        options.setdefault("path", args.sqlite_path)
-        shards = getattr(args, "shards", None)
-        if scenario.backend == "sharded-sqlite" and shards is not None:
-            options.setdefault("shards", shards)
-        options = _shared_sqlite_options(
-            options, args.journal_mode, args.busy_timeout,
-            for_processes=for_processes)
+        options = multi_writer_options({
+            **_backend_options(args, scenario.backend),
+            **scenario.backend_options})
+        if for_processes and options.get("path") == ":memory:":
+            del options["path"]
         scenario = replace(scenario, backend_options=options)
     return scenario
-
-
-def _shared_sqlite_options(options: dict, journal_mode: str,
-                           busy_timeout_ms: int,
-                           for_processes: bool) -> dict:
-    """The one policy for SQLite under multiple clients.
-
-    Explicit options win; otherwise force the multi-writer settings
-    (WAL-ish journal, counted busy budget, crash-safe ``synchronous``,
-    matching ``ParallelConfig``) so in-process and process runs
-    benchmark the same engine configuration.  Process runs drop a
-    ``':memory:'`` path — it cannot be shared — so the runner creates a
-    temp file instead.
-    """
-    options = dict(options)
-    options.setdefault("journal_mode", journal_mode)
-    options.setdefault("busy_timeout_ms", busy_timeout_ms)
-    options.setdefault("synchronous", "NORMAL")
-    if for_processes and options.get("path") == ":memory:":
-        options.pop("path")
-    return options
-
-
-def _parallel_options(args: argparse.Namespace) -> dict:
-    """Backend options for a process run, through the one shared policy."""
-    options = _backend_options(args)
-    if getattr(args, "backend", None) in ("sqlite", "sharded-sqlite"):
-        return _shared_sqlite_options(options, args.journal_mode,
-                                      args.busy_timeout,
-                                      for_processes=True)
-    return options
 
 
 def _cmd_scale(args: argparse.Namespace) -> str:
@@ -658,54 +631,52 @@ def _cmd_scale(args: argparse.Namespace) -> str:
     import tempfile
 
     from repro.backends.registry import backend_info
+    from repro.backends.sqlite import multi_writer_options
     from repro.core.scenario import Scenario
-    from repro.parallel import ParallelConfig, ParallelRunner
+    from repro.parallel import ParallelRunner
     from repro.reporting import render_scaling_sweep, summarize_parallel_run
 
     db_params, wl_params = preset(args.preset)
     database, _report = generate_database(db_params)
-    shards = None
-    if backend_info(args.backend).has_capability("sharded"):
+    info = backend_info(args.backend)
+    options = _backend_options(args)
+    if info.has_capability("sharded"):
         # One storage layout for the whole sweep: every point attaches
         # to the same shard files, so the count cannot follow the
         # worker count.  ``max(workers)`` keeps the mutation lanes of
         # every smaller width disjoint (shards is a multiple of each).
-        shards = getattr(args, "shards", None) or max(args.workers)
-    config = ParallelConfig(journal_mode=args.journal_mode,
-                            busy_timeout_ms=args.busy_timeout,
-                            shards=shards)
-    options = _parallel_options(args)
+        options.setdefault("shards", max(args.workers))
     tempdir = None
-    if backend_info(args.backend).has_capability("concurrent") \
-            and not options.get("path"):
+    if info.has_capability("concurrent") \
+            and options.get("path", ":memory:") == ":memory:":
         # One shared file for the whole sweep: the first point bulk
         # loads it, every later point attaches (after a content check)
         # instead of re-loading the identical read-only database.
         tempdir = tempfile.mkdtemp(prefix="ocb-scale-")
-        if backend_info(args.backend).has_capability("sharded"):
-            options["path"] = os.path.join(tempdir, "shards")
-        else:
-            options["path"] = os.path.join(tempdir, "shared.db")
+        options["path"] = os.path.join(
+            tempdir, "shards" if info.has_capability("sharded")
+            else "shared.db")
     points = []
     try:
         for workers in args.workers:
             scenario = Scenario.from_workload_parameters(
                 wl_params, clients=workers, backend=args.backend,
                 backend_options=options)
-            runner = ParallelRunner(database, scenario, config=config)
-            points.append(summarize_parallel_run(runner.run()))
+            points.append(summarize_parallel_run(
+                ParallelRunner(database, scenario).run()))
     finally:
         if tempdir is not None:
             shutil.rmtree(tempdir, ignore_errors=True)
     if args.json:
         from repro.obs.monitor import system_info
+        settings = multi_writer_options(options)
         return json.dumps({
             "command": "scale",
             "preset": args.preset,
             "backend": args.backend,
             "workers": list(args.workers),
-            "journal_mode": args.journal_mode,
-            "busy_timeout_ms": args.busy_timeout,
+            "journal_mode": settings["journal_mode"],
+            "busy_timeout_ms": settings["busy_timeout_ms"],
             "system": system_info(),
             "points": [point.to_dict() for point in points],
         }, indent=2)

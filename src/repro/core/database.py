@@ -99,16 +99,6 @@ class OCBDatabase:
         """A copy of the oid -> cid catalog (what a real store would keep)."""
         return dict(self._class_of)
 
-    def ref_type_of(self, oid: int, ref_index: int) -> int:
-        """Reference type of slot *ref_index* of object *oid*'s class."""
-        descriptor = self.schema.get(self.class_of(oid))
-        try:
-            return descriptor.tref[ref_index]
-        except IndexError:
-            raise GenerationError(
-                f"object {oid} (class {descriptor.cid}) has no reference "
-                f"slot {ref_index}") from None
-
     def tref_table(self) -> Dict[int, Tuple[int, ...]]:
         """cid -> reference-type tuple, for the workload's access context."""
         return {descriptor.cid: tuple(descriptor.tref)

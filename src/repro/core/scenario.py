@@ -495,7 +495,6 @@ class Scenario:
     backend: str = "simulated"
     backend_options: Dict[str, object] = field(default_factory=dict)
     seed: Optional[int] = None
-    batch: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.clients < 1:
@@ -541,8 +540,6 @@ class Scenario:
             spec["backend_options"] = dict(self.backend_options)
         if self.seed is not None:
             spec["seed"] = self.seed
-        if self.batch is not None:
-            spec["batch"] = self.batch
         return spec
 
     @classmethod
@@ -556,7 +553,7 @@ class Scenario:
             mix = WorkloadMix.from_dict(mix)
         options = dict(spec.pop("backend_options", {}) or {})
         unknown = set(spec) - {"clients", "cold_ops", "warm_ops", "backend",
-                               "seed", "batch"}
+                               "seed"}
         if unknown:
             raise ParameterError(f"unknown Scenario keys {sorted(unknown)}")
         return cls(mix=mix, backend_options=options,
@@ -1540,7 +1537,7 @@ class ScenarioRunner:
         session = Session.for_database(
             self.database, self.scenario.backend,
             backend_options=dict(self.scenario.backend_options),
-            policy=self.policy, batch=self.scenario.batch)
+            policy=self.policy)
         return session.store
 
     def _release(self, engine: Backend) -> None:
@@ -1563,8 +1560,7 @@ class ScenarioRunner:
                 else self.database
             session = Session(engine, policy=self.policy,
                               tref_table=view.tref_table(),
-                              catalog=view.catalog(),
-                              batch=scenario.batch)
+                              catalog=view.catalog())
             executors.append(ClientExecutor(
                 view, self.mix, session, client_id=client,
                 total_clients=scenario.clients, seed=scenario.seed,

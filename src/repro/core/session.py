@@ -87,10 +87,10 @@ class Measurement:
         self.wall = time.perf_counter() - self._start
         self.delta = self._store.snapshot() - self._before
         if trace.enabled:
-            # The record ends at emission, so report the time up to now
-            # (snapshot included): the record then starts where the
-            # measurement did and encloses every record emitted inside.
-            trace.emit("session.measure", time.perf_counter() - self._start,
+            # The record runs from the start reading to emission (the
+            # closing snapshot included), so it encloses every record
+            # emitted inside the measurement.
+            trace.emit("session.measure", self._start,
                        io_reads=self.delta.io_reads,
                        io_writes=self.delta.io_writes)
 
@@ -98,25 +98,19 @@ class Measurement:
 class Session:
     """Engine + policy + catalog wiring shared by every execution path.
 
-    ``store`` is any :class:`~repro.backends.base.Backend`.  ``batch``
-    controls frontier batching: ``None`` (default) follows the engine's
-    ``supports_batched_reads``, ``True``/``False`` force it on or off
-    (forcing it on against an engine without native batching runs the
-    protocol's read loop).
+    ``store`` is any :class:`~repro.backends.base.Backend`; its
+    ``supports_batched_reads`` decides whether traversals prefetch.
     """
 
     def __init__(self, store: Backend,
                  policy: Optional[ClusteringPolicy] = None,
                  tref_table: Optional[Mapping[int, Tuple[int, ...]]] = None,
-                 catalog: Optional[Mapping[int, int]] = None,
-                 batch: Optional[bool] = None) -> None:
+                 catalog: Optional[Mapping[int, int]] = None) -> None:
         self.store = store
         self.policy = policy or NoClustering()
         self._tref_table = dict(tref_table or {})
         self._catalog = dict(catalog or {})
-        self.batch_reads = store.supports_batched_reads if batch is None \
-            else batch
-        self.batch_writes = self.batch_reads and store.supports_batched_writes
+        self.batch_reads = store.supports_batched_reads
         # One pending serve per requested occurrence: the first in
         # ``_prefetched``, any further ones of the same oid in ``_repeats``
         # (one list entry per serve).
@@ -133,7 +127,6 @@ class Session:
                      store: "Backend | str | None" = None,
                      store_config: Optional[StoreConfig] = None,
                      policy: Optional[ClusteringPolicy] = None,
-                     batch: Optional[bool] = None,
                      backend_options: Optional[dict] = None,
                      load: bool = True) -> "Session":
         """Build a Session over *store* for a generated *database*.
@@ -165,7 +158,7 @@ class Session:
             store.reset_stats()
         return cls(store, policy=policy,
                    tref_table=database.tref_table(),
-                   catalog=database.catalog(), batch=batch)
+                   catalog=database.catalog())
 
     # ------------------------------------------------------------------ #
     # Catalog lookups (no I/O)
@@ -175,21 +168,13 @@ class Session:
         """Class of *oid* from the catalog (no I/O), if known."""
         return self._catalog.get(oid)
 
-    def ref_type_of(self, cid: Optional[int], index: int) -> Optional[int]:
-        """Type of reference slot *index* of class *cid*, if known."""
-        if cid is None:
-            return None
-        types = self._tref_table.get(cid)
-        if types is None or index >= len(types):
-            return None
-        return types[index]
-
     def slots_of_type(self, ref_type: int) -> SlotsByClass:
         """Per class, its reference slots of type *ref_type*, in order.
 
-        ``index in slots_of_type(t).get(cid, ())`` is
-        ``ref_type_of(cid, index) == t``; the table is fixed for the
-        Session's life, so each type's answer is worked out once.
+        ``index in slots_of_type(t).get(cid, ())`` holds when slot
+        *index* of class *cid* has type *t* in the Session's
+        ``tref_table``; the table is fixed for the Session's life, so
+        each type's answer is worked out once.
         """
         slots = self._slots_of_type.get(ref_type)
         if slots is None:
@@ -219,8 +204,8 @@ class Session:
         batching saves is fetching a duplicate within one prefetch more
         than once.
 
-        Called once per traversal visit, so the crossed slot's type
-        (:meth:`ref_type_of`) is looked up inline.
+        Called once per traversal visit, so the crossed slot's type is
+        looked up in the ``tref_table`` inline.
         """
         if self.batch_reads:
             record = self._prefetched.pop(oid, None)
@@ -351,17 +336,14 @@ class Session:
         self.store.write_object(record)
 
     def write_records(self, records: Sequence[StoredObject]) -> None:
-        """Write a batch — one round trip on engines with native batched
-        writes, an in-order loop everywhere else."""
+        """Write a batch through the engine's
+        :meth:`~repro.backends.base.Backend.write_many` — one round trip
+        on SQLite, the protocol's in-order loop everywhere else."""
         if not records:
             return
         for record in records:
             self._forget(record.oid)
-        if self.batch_writes:
-            self.store.write_many(records)
-        else:
-            for record in records:
-                self.store.write_object(record)
+        self.store.write_many(records)
 
     def insert_record(self, record: StoredObject) -> None:
         """Persist a brand-new object."""

@@ -16,7 +16,7 @@ guarded by the module flag::
     from repro.obs import trace
     ...
     if trace.enabled:
-        trace.emit("sqlite.read_many", wall, oids=len(chunk))
+        trace.emit("sqlite.read_many", started, oids=len(chunk))
 
 so a traced-off run executes no tracer code at all — not even an empty
 function call — on the hot paths the kernel batching work optimized.
@@ -27,11 +27,10 @@ them.
 Two emission styles
 -------------------
 
-* :func:`emit` — post-hoc: the caller already measured the wall time
-  and reports it; the record ends at the emission instant and starts
-  that wall time earlier, so the caller should measure up to the
-  emission.  The cheap style for hot paths.  With the default wall of
-  zero it is an instantaneous event.
+* :func:`emit` — post-hoc: the caller passes the ``time.perf_counter()``
+  reading it took when the section began; the record starts there and
+  ends at the emission instant.  The cheap style for hot paths.  Without
+  a start reading it is an instantaneous event.
 * :func:`span` — a context manager for structural sections (a protocol
   phase, one scenario operation): it times the body.
 
@@ -109,9 +108,14 @@ def _write(name: str, start_ns: int, end_ns: int,
     os.write(_fd, line.encode("utf-8"))  # type: ignore[arg-type]
 
 
-def emit(name: str, wall_seconds: float = 0.0, **attrs: object) -> None:
-    """Record a section that ended now and lasted *wall_seconds*.
+def emit(name: str, start: Optional[float] = None, **attrs: object) -> None:
+    """Record a section that began at *start* and ended now.
 
+    *start* is the ``time.perf_counter()`` reading taken when the
+    section began (``None``: an instantaneous event).  The record keeps
+    that reading as its start, so nothing done between the end of the
+    section and this call — evaluating the attributes, a preemption —
+    moves the start and lets a child that began just after it escape.
     Callers on hot paths must guard with ``if trace.enabled:`` — this
     function also no-ops when tracing is off, but the guard is what
     keeps the disabled cost at a single attribute read.
@@ -119,7 +123,7 @@ def emit(name: str, wall_seconds: float = 0.0, **attrs: object) -> None:
     if not enabled:
         return
     end = time.perf_counter_ns()
-    _write(name, end - int(wall_seconds * 1e9), end, attrs)
+    _write(name, end if start is None else round(start * 1e9), end, attrs)
 
 
 @contextmanager

@@ -8,7 +8,8 @@ OS processes:
 
 * :class:`~repro.parallel.spec.WorkerSpec` /
   :class:`~repro.parallel.spec.ParallelConfig` — the picklable job
-  description that crosses the process boundary, and the harness knobs;
+  description that crosses the process boundary (its scenario's backend
+  options carry every storage setting), and how workers start;
 * :func:`~repro.parallel.worker.run_worker` — the worker entry point:
   own connection (shared mode) or own replica (replicated mode), one
   cold/warm run of the scenario's mix on a per-client Lewis–Payne

@@ -16,10 +16,13 @@ run gives too.
 Two execution modes, chosen per backend:
 
 * **shared** — the backend declares the ``concurrent`` capability
-  (SQLite on a file).  The coordinator creates the file (WAL journal,
-  busy-timeout budget from the :class:`ParallelConfig`), bulk-loads the
-  database, closes its own connection, and every worker opens an
-  independent connection to the same file;
+  (SQLite on a file, or a directory of shard files).  The coordinator
+  creates the storage with the scenario's ``backend_options`` (the
+  multi-writer settings of
+  :func:`~repro.backends.sqlite.multi_writer_options` fill in what they
+  leave unset), bulk-loads the database through the engine's own
+  ``bulk_load``, closes its own connection, and every worker opens an
+  independent connection to the same storage;
 * **replicated** — the engine's state lives in process memory
   (simulated, memory, ``:memory:`` SQLite).  Every worker bulk-loads a
   private replica; the logical metrics are still exactly those of the
@@ -35,20 +38,19 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
-from typing import Iterator, List, Dict, Optional
+from typing import Iterator, Dict, Optional
 
 from repro.backends import create_backend
 from repro.backends.registry import backend_info
+from repro.backends.sqlite import multi_writer_options
 from repro.core.database import OCBDatabase
 from repro.core.scenario import Scenario, ScenarioReport
 from repro.errors import BackendError, WorkloadError
 from repro.parallel.pool import ProcessPool
 from repro.parallel.spec import ParallelConfig, WorkerSpec
 from repro.parallel.worker import run_worker
-from repro.store.serializer import StoredObject
 
-__all__ = ["ParallelRunner", "ShardLoadTask", "load_shard"]
+__all__ = ["ParallelRunner"]
 
 
 def _backend_capabilities(name: str) -> tuple:
@@ -56,40 +58,6 @@ def _backend_capabilities(name: str) -> tuple:
         return backend_info(name).capabilities
     except BackendError as exc:
         raise WorkloadError(str(exc)) from exc
-
-
-@dataclass
-class ShardLoadTask:
-    """One shard file's picklable bulk-load job (coordinator fan-out)."""
-
-    path: str
-    records: List[StoredObject] = field(default_factory=list)
-    page_size: int = 4096
-    cache_pages: int = 128
-    synchronous: str = "NORMAL"
-    journal_mode: str = "WAL"
-    busy_timeout_ms: int = 5000
-    ref_index: bool = True
-
-
-def load_shard(task: ShardLoadTask) -> int:
-    """Bulk-load one shard file; module-level so every start method can
-    ship it to a child process.  Returns the shard's object count."""
-    from repro.backends.sqlite import SQLiteBackend
-
-    engine = SQLiteBackend(path=task.path,
-                           page_size=task.page_size,
-                           cache_pages=task.cache_pages,
-                           synchronous=task.synchronous,
-                           journal_mode=task.journal_mode,
-                           busy_timeout_ms=task.busy_timeout_ms,
-                           ref_index=task.ref_index)
-    try:
-        if engine.object_count == 0:
-            engine.bulk_load(task.records)
-        return engine.object_count
-    finally:
-        engine.close()
 
 
 class ParallelRunner:
@@ -118,18 +86,12 @@ class ParallelRunner:
         #: Whether the engine partitions the oid space across shards —
         #: shard count and per-worker home shards only apply then.
         self.sharded = "sharded" in capabilities
-        if self.config.shards is not None and not self.sharded:
-            raise WorkloadError(
-                f"ParallelConfig.shards={self.config.shards} was set but "
-                f"backend {self.backend!r} does not have the 'sharded' "
-                f"capability; drop the knob or pick a sharded engine")
         self.shard_count: Optional[int] = None
         if self.sharded:
             # Default to shards == workers: each worker's mutation lane
             # (``oid % clients``) is then exactly its home shard, the
             # alignment that collapses write contention.
-            explicit = scenario.backend_options.get("shards")
-            self.shard_count = int(explicit or self.config.shards
+            self.shard_count = int(scenario.backend_options.get("shards")
                                    or scenario.clients)
 
     # ------------------------------------------------------------------ #
@@ -150,7 +112,7 @@ class ParallelRunner:
                                 home_shard=self._home_shard(client))
                      for client in range(scenario.clients)]
             pool = ProcessPool(
-                processes=self.config.max_workers or len(specs),
+                processes=len(specs),
                 start_method=self.config.start_method,
                 parallel=self.config.parallel)
             started = time.perf_counter()
@@ -169,9 +131,11 @@ class ParallelRunner:
     def _storage_options(self) -> Iterator[Dict[str, object]]:
         """Resolve this run's backend options; guarantee temp cleanup.
 
-        When the caller supplied no storage path, the shared database
-        (or shard directory) lives in a fresh temp directory for the
-        duration of the run.  The context form is what makes teardown
+        Shared storage gets the multi-writer settings the scenario's
+        options leave unset (:func:`multi_writer_options`).  When the
+        caller supplied no storage path, the shared database (or shard
+        directory) lives in a fresh temp directory for the duration of
+        the run.  The context form is what makes teardown
         unconditional: a worker that crashes — or a pool that breaks —
         propagates through ``run()``'s body, and the directory is still
         removed on the way out instead of leaking.
@@ -187,10 +151,7 @@ class ParallelRunner:
                     options["path"] = (
                         os.path.join(tempdir, "shards") if self.sharded
                         else os.path.join(tempdir, "shared.db"))
-                options.setdefault("journal_mode", self.config.journal_mode)
-                options.setdefault("busy_timeout_ms",
-                                   self.config.busy_timeout_ms)
-                options.setdefault("synchronous", self.config.synchronous)
+                options = multi_writer_options(options)
             yield options
         finally:
             if tempdir is not None:
@@ -212,22 +173,14 @@ class ParallelRunner:
         the :meth:`~repro.backends.base.Backend.connect_worker` contract
         is exercised once — if a backend registers the ``concurrent``
         capability without actually supporting independent connections,
-        the run fails here, loudly, instead of spawning workers against
-        storage they cannot attach to.
+        the probe raises :class:`~repro.errors.BackendError` here,
+        loudly, instead of spawning workers against storage they cannot
+        attach to.
         """
         engine = create_backend(self.backend, **options)
         try:
-            if not engine.supports_concurrent_access:
-                raise WorkloadError(
-                    f"backend {self.backend!r} is registered with the "
-                    f"'concurrent' capability but the engine does not "
-                    f"declare supports_concurrent_access; fix the "
-                    f"registration or implement connect_worker")
             if engine.object_count == 0:
-                if self.sharded and engine.shards > 1:
-                    self._load_shards_parallel(engine)
-                else:
-                    self.database.load_into(engine)
+                self.database.load_into(engine)
             elif engine.object_count != self.database.num_objects:
                 raise WorkloadError(
                     f"shared storage at {options.get('path')!r} holds "
@@ -242,39 +195,6 @@ class ParallelRunner:
             probe.close()
         finally:
             engine.close()
-
-    def _load_shards_parallel(self, engine) -> None:
-        """Bulk-load the shard files concurrently, one process per shard.
-
-        The coordinator partitions the serialized records by the
-        engine's own shard function and ships one
-        :class:`ShardLoadTask` per shard through the same
-        :class:`ProcessPool` the workers will use (honest sequential
-        fallback included), so load time scales with the slowest shard
-        instead of the whole database.
-        """
-        records = self.database.to_records()
-        partitions: List[List[StoredObject]] = [[] for _ in
-                                                range(engine.shards)]
-        for oid in sorted(records):
-            partitions[engine.shard_of(oid)].append(records[oid])
-        tasks = [ShardLoadTask(path=engine.shard_path(shard),
-                               records=partitions[shard],
-                               page_size=engine.page_size,
-                               cache_pages=engine.cache_pages,
-                               synchronous=engine.synchronous,
-                               journal_mode=engine.journal_mode,
-                               busy_timeout_ms=engine.busy_timeout_ms,
-                               ref_index=engine.ref_index)
-                 for shard in range(engine.shards)]
-        pool = ProcessPool(processes=len(tasks),
-                           start_method=self.config.start_method,
-                           parallel=self.config.parallel)
-        loaded = sum(pool.map(load_shard, tasks))
-        if loaded != self.database.num_objects:
-            raise WorkloadError(
-                f"parallel shard load stored {loaded} objects but the "
-                f"database has {self.database.num_objects}")
 
     #: Records spot-checked when attaching to pre-existing storage.
     _CONTENT_SAMPLE = 16

@@ -8,11 +8,12 @@ substream the worker derives from its ``client_id`` exactly as an
 in-process :class:`~repro.core.scenario.ScenarioRunner` does (which is
 what makes the two execution modes logically identical), and the
 backend name + options the worker resolves through the registry on its
-side of the fork.
+side of the fork.  Those options are the only place a run's storage
+settings live (path, shard count, journal mode, busy budget).
 
-:class:`ParallelConfig` collects the harness-level knobs (journal mode,
-busy budget, start method).  A worker's result is the
-:class:`~repro.core.scenario.ClientScenarioReport` it builds.
+:class:`ParallelConfig` holds how the workers are started.  A worker's
+result is the :class:`~repro.core.scenario.ClientScenarioReport` it
+builds.
 """
 
 from __future__ import annotations
@@ -31,49 +32,20 @@ _START_METHODS = (None, "fork", "spawn", "forkserver")
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """Harness-level knobs of a process-parallel run."""
+    """How a process-parallel run starts its workers (one per client)."""
 
-    #: Journal mode forced onto shared-file engines.  Multi-process SQLite
-    #: needs ``WAL`` (readers never block, writers queue); anything else
-    #: is accepted but will serialize aggressively.
-    journal_mode: str = "WAL"
-    #: Per-connection budget (ms) for retrying locked operations; every
-    #: retry is counted by the engine's contention accounting.
-    busy_timeout_ms: int = 5000
     #: ``multiprocessing`` start method (``None`` = platform default).
     start_method: Optional[str] = None
-    #: Cap on simultaneously live worker processes (``None`` = one per
-    #: client, which is the point of a contention benchmark).
-    max_workers: Optional[int] = None
     #: ``False`` runs the workers sequentially in this process — same
     #: specs, same results, no parallel wall-clock; the determinism
     #: escape hatch and the fallback when the OS refuses to fork.
     parallel: bool = True
-    #: ``synchronous`` pragma for shared SQLite files.  ``NORMAL`` is the
-    #: honest WAL setting; the single-user default of ``OFF`` would let
-    #: one worker's crash corrupt every other worker's database.
-    synchronous: str = "NORMAL"
-    #: Shard count for engines with the ``sharded`` capability: the
-    #: coordinator partitions storage into this many files and assigns
-    #: every worker the home shard of its mutation lane
-    #: (``client_id % shards``).  ``None`` keeps the engine's default;
-    #: setting it for a non-sharded backend is refused loudly.
-    shards: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.busy_timeout_ms < 0:
-            raise ParameterError(
-                f"busy_timeout_ms must be >= 0, got {self.busy_timeout_ms}")
         if self.start_method not in _START_METHODS:
             raise ParameterError(
                 f"start_method must be one of {_START_METHODS}, "
                 f"got {self.start_method!r}")
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ParameterError(
-                f"max_workers must be >= 1, got {self.max_workers}")
-        if self.shards is not None and self.shards < 1:
-            raise ParameterError(
-                f"shards must be >= 1, got {self.shards}")
 
 
 @dataclass

@@ -52,11 +52,10 @@ def run_worker(spec: WorkerSpec) -> ClientScenarioReport:
     session = Session.for_database(
         spec.database, scenario.backend,
         backend_options=backend_options,
-        batch=scenario.batch,
         load=not spec.shared)
     try:
         if trace.enabled:
-            trace.emit("worker.setup", time.perf_counter() - setup_start,
+            trace.emit("worker.setup", setup_start,
                        client=spec.client_id, shared=spec.shared)
         executor = ClientExecutor(
             spec.database, scenario.mix, session,

@@ -73,10 +73,9 @@ def stage_bulk_load(records: Iterable[StoredObject],
 class StoreConfig:
     """Everything needed to build identical stores across experiments.
 
-    The last two fields are *real-engine* knobs: engines that journal to
-    a shared file (SQLite today) honour them, the simulated store — which
-    has no journal and no concurrent writers — ignores them.  ``None``
-    leaves the engine's own default in place.
+    Real engines take the page size and buffer budget from here; their
+    own settings (a SQLite file's journal mode or busy budget) are
+    backend options.
     """
 
     page_size: int = DEFAULT_PAGE_SIZE
@@ -84,12 +83,6 @@ class StoreConfig:
     policy: ReplacementPolicy = ReplacementPolicy.LRU
     cost_model: CostModel = field(default_factory=CostModel)
     track_swizzling: bool = True
-    #: Journal mode for journaling engines (e.g. ``"WAL"``, ``"MEMORY"``).
-    #: Multi-process runs on a shared file require ``"WAL"``.
-    journal_mode: Optional[str] = None
-    #: Total budget (milliseconds) an engine may spend retrying an
-    #: operation that finds the storage locked by another connection.
-    busy_timeout_ms: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.page_size <= 0:
@@ -97,9 +90,6 @@ class StoreConfig:
         if self.buffer_pages < 1:
             raise ParameterError(
                 f"buffer_pages must be >= 1, got {self.buffer_pages}")
-        if self.busy_timeout_ms is not None and self.busy_timeout_ms < 0:
-            raise ParameterError(
-                f"busy_timeout_ms must be >= 0, got {self.busy_timeout_ms}")
 
     def build(self) -> "ObjectStore":
         """Construct a fresh, empty store with this configuration."""

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backends import available_backends, create_backend
+from repro.backends import SQLiteBackend, available_backends, \
+    create_backend
 from repro.core.generation import generate_database
 from repro.core.parameters import DatabaseParameters, WorkloadParameters
 from repro.core.scenario import ClientExecutor, Scenario, \
@@ -109,11 +110,13 @@ class TestTransactionEquivalence:
                                     cold_n=2, hot_n=10, max_visits=400,
                                     p_set=0.7, p_simple=0.1,
                                     p_hierarchy=0.1, p_stochastic=0.1)
+        class PerObjectSQLite(SQLiteBackend):
+            supports_batched_reads = False
+
         signatures = []
-        for batch in (True, False):
-            backend = _loaded("sqlite", equivalence_database)
-            report = _run_protocol(equivalence_database, backend, params,
-                                   batch=batch)
+        for backend in (_loaded("sqlite", equivalence_database),
+                        PerObjectSQLite(page_size=512, cache_pages=16)):
+            report = _run_protocol(equivalence_database, backend, params)
             totals = report.warm.classic.totals
             signatures.append((totals.count, totals.visits,
                                totals.distinct_objects))

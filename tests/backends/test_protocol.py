@@ -136,8 +136,6 @@ class TestBatchedAccess:
         from repro.backends import Backend
         if backend.supports_batched_reads:
             assert type(backend).read_many is not Backend.read_many
-        if backend.supports_batched_writes:
-            assert type(backend).write_many is not Backend.write_many
 
 
 class TestColdCacheControl:
@@ -285,7 +283,6 @@ class TestProtocolSurface:
 
     def test_supports_flags_are_bools(self, backend):
         for flag in ("supports_clustering", "supports_batched_reads",
-                     "supports_batched_writes", "supports_concurrent_access",
                      "supports_ref_index"):
             assert isinstance(getattr(backend, flag), bool), flag
 

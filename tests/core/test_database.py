@@ -34,15 +34,6 @@ class TestLookups:
         assert small_database.class_of(1) != 999 or \
             small_database.class_of(1) == small_database.get(1).cid
 
-    def test_ref_type_of(self, small_database):
-        obj = next(o for o in small_database.objects.values() if o.oref)
-        type_id = small_database.ref_type_of(obj.oid, 0)
-        assert 1 <= type_id <= small_database.parameters.num_ref_types
-
-    def test_ref_type_of_bad_index(self, small_database):
-        with pytest.raises(GenerationError):
-            small_database.ref_type_of(1, 999)
-
     def test_tref_table_covers_all_classes(self, small_database):
         table = small_database.tref_table()
         assert set(table) == set(small_database.schema.class_ids())

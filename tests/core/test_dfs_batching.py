@@ -39,12 +39,18 @@ class LoggingPolicy(NoClustering):
         self.calls.append((source, target, ref_type))
 
 
-def sqlite_session(database, batch):
-    backend = SQLiteBackend(page_size=512, cache_pages=16)
+class PerObjectSQLite(SQLiteBackend):
+    """SQLite declaring no batched reads: the Session reads per object."""
+
+    supports_batched_reads = False
+
+
+def sqlite_session(database, engine=SQLiteBackend):
+    backend = engine(page_size=512, cache_pages=16)
     records = database.to_records()
     backend.bulk_load(records.values(), order=sorted(records))
     backend.reset_stats()
-    return Session(backend, policy=LoggingPolicy(), batch=batch,
+    return Session(backend, policy=LoggingPolicy(),
                    tref_table=database.tref_table(),
                    catalog=database.catalog())
 
@@ -75,8 +81,8 @@ def run_all(session):
 class TestSQLiteBatching:
     def test_batched_matches_unbatched_in_fewer_round_trips(
             self, small_database):
-        batched = sqlite_session(small_database, batch=None)
-        plain = sqlite_session(small_database, batch=False)
+        batched = sqlite_session(small_database)
+        plain = sqlite_session(small_database, PerObjectSQLite)
         assert batched.batch_reads and not plain.batch_reads
         try:
             batched_results, batched_calls = run_all(batched)
@@ -96,7 +102,7 @@ class TestSQLiteBatching:
     def test_one_statement_per_level(self, small_database, kind, ref_type,
                                      reverse):
         depth = 4
-        session = sqlite_session(small_database, batch=None)
+        session = sqlite_session(small_database)
         try:
             for root in ROOTS:
                 before = session.store.sql_round_trips
@@ -112,7 +118,7 @@ class TestSQLiteBatching:
 
     def test_every_visit_after_the_root_is_served(self, small_database):
         # Duplicates included: each requested occurrence has its own serve.
-        backend = sqlite_session(small_database, batch=None).store
+        backend = sqlite_session(small_database).store
         store = RecordingStore(backend)
         session = Session(store, tref_table=small_database.tref_table(),
                           catalog=small_database.catalog())

@@ -48,7 +48,6 @@ class TestBatching:
     def test_auto_detects_sqlite(self, small_database):
         session = Session(loaded_sqlite(small_database))
         assert session.batch_reads
-        assert session.batch_writes
         session.close()
 
     def test_auto_detects_non_batched(self, small_database):
@@ -57,8 +56,14 @@ class TestBatching:
         session.close()
 
     def test_forced_off(self, small_database):
-        session = Session(loaded_sqlite(small_database), batch=False)
+        # The engine's flag alone decides: a SQLite engine that declares
+        # no batched reads runs per object.
+        class PerObjectSQLite(SQLiteBackend):
+            supports_batched_reads = False
+
+        session = Session(PerObjectSQLite(page_size=512, cache_pages=16))
         assert not session.batch_reads
+        assert session.prefetch([1, 2]) == 0
         session.close()
 
     def test_prefetch_serves_access_without_round_trips(self, small_database):

@@ -245,9 +245,11 @@ class TestAccessContext:
         assert CountingPolicy.ended == 1
 
     def test_ref_type_lookup_handles_unknowns(self, tree_ctx):
-        assert tree_ctx.ref_type_of(None, 0) is None
-        assert tree_ctx.ref_type_of(42, 0) is None
-        assert tree_ctx.ref_type_of(1, 99) is None
+        # Class 1's slots have types (1, 2); an unknown type or class
+        # matches no slot.
+        assert tree_ctx.slots_of_type(2) == {1: (1,)}
+        assert tree_ctx.slots_of_type(99) == {}
+        assert tree_ctx.slots_of_type(1).get(42, ()) == ()
 
     def test_class_of(self, tree_ctx):
         assert tree_ctx.class_of(1) == 1
@@ -260,7 +262,17 @@ class TestAccessContext:
 # reads in the same order, the same policy observations, the same
 # ``TransactionResult`` and the same random stream.  Only the depth-first
 # prefetch schedule was rewritten: level by level before the walk, one
-# edge at a time (``_prefetch_subtree``).
+# edge at a time (``_prefetch_subtree``).  The slot-type lookup the
+# Session no longer offers is ``_slot_type`` here.
+
+def _slot_type(ctx: Session, cid: Optional[int],
+               index: int) -> Optional[int]:
+    """Type of reference slot *index* of class *cid*, if known."""
+    types = ctx._tref_table.get(cid)
+    if types is None or index >= len(types):
+        return None
+    return types[index]
+
 
 class _Tracker:
     """Visit accounting shared by the four traversal algorithms."""
@@ -324,14 +336,14 @@ def _neighbours(ctx: Session, record: StoredObject, reverse: bool,
             if target is None:
                 continue
             if type_filter is not None and \
-                    ctx.ref_type_of(record.cid, index) != type_filter:
+                    _slot_type(ctx, record.cid, index) != type_filter:
                 continue
             edges.append((target, index, False))
     else:
         for source_oid, index in record.back_refs:
             if type_filter is not None:
                 source_cid = ctx.class_of(source_oid)
-                if ctx.ref_type_of(source_cid, index) != type_filter:
+                if _slot_type(ctx, source_cid, index) != type_filter:
                     continue
             edges.append((source_oid, index, True))
     return edges

@@ -25,6 +25,12 @@ def path(tmp_path):
     return str(tmp_path / "trace.jsonl")
 
 
+def ago(seconds):
+    """The ``perf_counter`` reading *seconds* before now: the start of a
+    section that has lasted that long."""
+    return time.perf_counter() - seconds
+
+
 def depths(spans):
     """Nesting depth per record name, from the parent links."""
     parent_of = {span.name: span.parent for span in spans}
@@ -40,19 +46,22 @@ class TestEmission:
     def test_disabled_emit_writes_nothing(self, path):
         trace.enable(path)
         trace.disable()
-        trace.emit("after.disable", 1.0)
+        trace.emit("after.disable", ago(1.0))
         assert list(trace.spans(path)) == []
         assert trace.enabled is False
 
     def test_emit_records_name_wall_and_attrs(self, path):
         trace.enable(path)
-        trace.emit("kernel.read", 0.25, oids=7)
+        started = ago(0.25)
+        trace.emit("kernel.read", started, oids=7)
         trace.disable()
         (record,) = trace.spans(path)
         assert record.name == "kernel.read"
         assert record.pid == os.getpid()
-        assert record.end_ns - record.start_ns == 250_000_000
-        assert record.self_ns == 250_000_000
+        # The record starts at the caller's reading and ends at emission.
+        assert record.start_ns == round(started * 1e9)
+        assert record.end_ns - record.start_ns >= 250_000_000
+        assert record.self_ns == record.end_ns - record.start_ns
         assert record.parent is None
         assert record.attrs == {"oids": 7}
 
@@ -75,13 +84,31 @@ class TestEmission:
             time.sleep(0.001)
             with trace.span("engine.read"):
                 pass
-            trace.emit("engine.read_many", 0.0, oids=3)
-            trace.emit("session.measure", time.perf_counter() - started)
+            trace.emit("engine.read_many", oids=3)
+            trace.emit("session.measure", started)
         trace.disable()
         parents = {span.name: span.parent for span in trace.spans(path)}
         assert parents == {"engine.read": "session.measure",
                            "engine.read_many": "session.measure",
                            "session.measure": "op", "op": None}
+
+    def test_child_starting_a_microsecond_after_its_parent_nests(self, path):
+        """Both records start at their callers' readings, so a child that
+        began 1 us after its parent nests under it however late either
+        is emitted."""
+        trace.enable(path)
+        for _ in range(20):
+            parent_start = time.perf_counter()
+            child_start = parent_start + 1e-6
+            while time.perf_counter() <= child_start:
+                pass
+            trace.emit("engine.read", child_start)
+            time.sleep(0.0002)  # A late emission of the parent.
+            trace.emit("session.measure", parent_start)
+        trace.disable()
+        parents = [span.parent for span in trace.spans(path)
+                   if span.name == "engine.read"]
+        assert parents == ["session.measure"] * 20
 
     def test_measurement_encloses_the_records_it_measured(
             self, path, loaded_store, monkeypatch):
@@ -119,7 +146,7 @@ class TestEmission:
         with pytest.raises(RuntimeError):
             with trace.span("failing"):
                 raise RuntimeError("boom")
-        trace.emit("after", 0.0)
+        trace.emit("after")
         trace.disable()
         assert depths(trace.spans(path)) == {"failing": 0, "after": 0}
 
@@ -136,7 +163,7 @@ class TestJsonl:
     def test_round_trip(self, path):
         trace.enable(path)
         with trace.span("outer", phase="warm"):
-            trace.emit("inner", 0.002, oids=3)
+            trace.emit("inner", ago(0.002), oids=3)
         trace.disable()
         lines = [json.loads(line) for line in open(path)]
         assert [line["name"] for line in lines] == ["inner", "outer"]
@@ -146,7 +173,7 @@ class TestJsonl:
         inner, outer = sorted(trace.spans(path), key=lambda s: s.name)
         assert inner.attrs == {"oids": 3}
         assert outer.attrs == {"phase": "warm"}
-        assert inner.end_ns - inner.start_ns == 2_000_000
+        assert inner.end_ns - inner.start_ns >= 2_000_000
 
     def test_disable_closes_sink(self, path):
         trace.enable(path)
@@ -159,29 +186,30 @@ class TestJsonl:
 class TestSummary:
     def test_summary_sorted_by_total_wall(self, path):
         trace.enable(path)
-        trace.emit("cheap", 0.001)
-        trace.emit("cheap", 0.001)
-        trace.emit("dear", 1.5)
-        trace.emit("outer", 2.0)
+        trace.emit("cheap", ago(0.001))
+        trace.emit("cheap", ago(0.001))
+        trace.emit("dear", ago(1.5))
+        trace.emit("outer", ago(2.0))
         trace.disable()
         rows = trace.summary(path).rows
-        # Each record's reported wall encloses the ones before it, so
-        # "outer" leads although "dear" has more self time.
+        # Each record's start precedes the ones before it, so "outer"
+        # encloses them and leads although "dear" has more self time.
         assert [row.name for row in rows] == ["outer", "dear", "cheap"]
         assert rows[0].self_time < rows[1].self_time
         name, count, total, self_time, p999 = rows[2]
         assert count == 2
-        assert total == pytest.approx(0.002)
-        assert self_time == pytest.approx(0.002)
+        # Each lasted 1 ms plus the few microseconds until its emission.
+        assert 0.002 <= total < 0.0025
+        assert self_time == pytest.approx(total)
         # The tail column comes from a log-bucketed histogram: accurate
         # to its relative precision, not exact.
-        assert p999 == pytest.approx(0.001, rel=0.02)
+        assert 0.001 * 0.99 <= p999 < 0.00125
 
     def test_summary_p999_tracks_the_slowest_emission(self, path):
         trace.enable(path)
         for _ in range(99):
-            trace.emit("op", 0.001)
-        trace.emit("op", 0.5)
+            trace.emit("op", ago(0.001))
+        trace.emit("op", ago(0.5))
         trace.disable()
         ((_, count, _, _, p999),) = trace.summary(path).rows
         assert count == 100
@@ -190,8 +218,8 @@ class TestSummary:
     def test_self_time_counts_nested_time_once(self, path):
         trace.enable(path)
         with trace.span("outer.section"):
-            trace.emit("inner.call", 0.0002)
-            trace.emit("inner.call", 0.0002)
+            trace.emit("inner.call", ago(0.0002))
+            trace.emit("inner.call", ago(0.0002))
         trace.disable()
         summary = trace.summary(path)
         assert summary.records == 3

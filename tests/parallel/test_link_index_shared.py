@@ -19,7 +19,6 @@ from repro.core.generation import generate_database
 from repro.core.parameters import DatabaseParameters
 from repro.core.presets import scenario_preset
 from repro.core.scenario import ScenarioRunner
-from repro.parallel import ParallelConfig
 
 CLIENTS = 2
 
@@ -37,9 +36,9 @@ def test_shared_write_heavy_keeps_links_matching_blobs(backend, tmp_path):
                            else "shared.db"))
     scenario = replace(scenario_preset("write_heavy"), clients=CLIENTS,
                        cold_ops=2, warm_ops=40, backend=backend,
-                       backend_options={"path": path, "ref_index": True})
-    report = ScenarioRunner(make_database(), scenario).run_processes(
-        config=ParallelConfig(busy_timeout_ms=10000))
+                       backend_options={"path": path, "ref_index": True,
+                                        "busy_timeout_ms": 10000})
+    report = ScenarioRunner(make_database(), scenario).run_processes()
     assert report.mode == "shared"
     assert report.write_operations > 0
     if backend == "sharded-sqlite":

@@ -28,7 +28,6 @@ class TestConnectWorker:
     def test_default_refuses(self):
         for backend in (MemoryBackend(),
                         StoreConfig(page_size=512, buffer_pages=16).build()):
-            assert backend.supports_concurrent_access is False
             with pytest.raises(BackendError, match="concurrent"):
                 backend.connect_worker()
 
@@ -166,34 +165,13 @@ class TestStatsExposure:
         finally:
             backend.close()
 
-    def test_store_config_knobs_reach_the_engine(self, tmp_path):
-        from repro.backends import create_backend
+    def test_multi_writer_options_fill_in_only_what_is_unset(self):
+        from repro.backends.sqlite import multi_writer_options
 
-        config = StoreConfig(page_size=512, buffer_pages=16,
-                             journal_mode="WAL", busy_timeout_ms=777)
-        backend = create_backend("sqlite", config,
-                                 path=str(tmp_path / "cfg.db"))
-        try:
-            stats = backend.stats()
-            assert stats["journal_mode"] == "wal"
-            assert stats["busy_timeout_ms"] == 777
-        finally:
-            backend.close()
-
-    def test_explicit_options_override_store_config(self, tmp_path):
-        from repro.backends import create_backend
-
-        config = StoreConfig(journal_mode="WAL", busy_timeout_ms=777)
-        backend = create_backend("sqlite", config,
-                                 path=str(tmp_path / "ovr.db"),
-                                 journal_mode="DELETE",
-                                 busy_timeout_ms=55)
-        try:
-            stats = backend.stats()
-            assert stats["journal_mode"] == "delete"
-            assert stats["busy_timeout_ms"] == 55
-        finally:
-            backend.close()
+        explicit = {"path": "x.db", "journal_mode": "DELETE",
+                    "busy_timeout_ms": 55}
+        assert multi_writer_options(explicit) == {
+            **explicit, "synchronous": "NORMAL"}
 
     def test_reset_stats_zeroes_contention_counters(self, tmp_path):
         backend = _file_backend(tmp_path)

@@ -18,7 +18,7 @@ import pytest
 from repro.core.generation import generate_database
 from repro.core.parameters import DatabaseParameters, WorkloadParameters
 from repro.core.scenario import ENGINE_COUNTERS, Scenario, ScenarioRunner
-from repro.errors import WorkloadError
+from repro.errors import BackendError, WorkloadError
 from repro.parallel import ParallelConfig, ParallelRunner
 
 PARAMS = WorkloadParameters(clients=3, cold_n=2, hot_n=8,
@@ -26,13 +26,17 @@ PARAMS = WorkloadParameters(clients=3, cold_n=2, hot_n=8,
                             hierarchy_depth=2, stochastic_depth=5,
                             max_visits=150)
 
-#: Config used throughout: small busy budget, platform start method.
-CONFIG = ParallelConfig(busy_timeout_ms=2000)
+#: SQLite setting used throughout: a small busy budget.
+BUSY_BUDGET = {"busy_timeout_ms": 2000}
 
 
-def table2(backend="sqlite", params=PARAMS, **fields):
+def table2(backend="sqlite", params=PARAMS, backend_options=None,
+           **fields):
     """The Table 2 protocol of *params* as a scenario on *backend*."""
+    options = dict(BUSY_BUDGET) if backend == "sqlite" else {}
+    options.update(backend_options or {})
     return Scenario.from_workload_parameters(params, backend=backend,
+                                             backend_options=options,
                                              **fields)
 
 
@@ -76,8 +80,7 @@ class TestDeterminism:
         pool, while in-process clients share one."""
         parallel = ParallelRunner(
             parallel_database, table2(backend),
-            config=ParallelConfig(busy_timeout_ms=2000,
-                                  parallel=False)).run()
+            config=ParallelConfig(parallel=False)).run()
         in_process = ScenarioRunner(parallel_database,
                                     table2(backend)).run()
         assert _logical_signature(parallel.clients) \
@@ -85,12 +88,10 @@ class TestDeterminism:
 
     def test_sequential_fallback_equals_parallel(self, parallel_database):
         """parallel=False runs the same specs in-process — same metrics."""
-        contended = ParallelRunner(parallel_database, table2(),
-                                   config=CONFIG).run()
+        contended = ParallelRunner(parallel_database, table2()).run()
         sequential = ParallelRunner(
             parallel_database, table2(),
-            config=ParallelConfig(busy_timeout_ms=2000,
-                                  parallel=False)).run()
+            config=ParallelConfig(parallel=False)).run()
         assert sequential.executed_parallel is False
         assert _logical_signature(contended.clients) \
             == _logical_signature(sequential.clients)
@@ -102,41 +103,53 @@ class TestDeterminism:
         for clients in (1, PARAMS.clients):
             params = dataclasses.replace(PARAMS, clients=clients)
             report = ParallelRunner(parallel_database,
-                                    table2(params=params),
-                                    config=CONFIG).run()
+                                    table2(params=params)).run()
             signatures.add(_logical_signature(report.clients[:1]))
         assert len(signatures) == 1
 
     def test_repeated_runs_identical(self, parallel_database):
-        first = ParallelRunner(parallel_database, table2(),
-                               config=CONFIG).run()
-        second = ParallelRunner(parallel_database, table2(),
-                                config=CONFIG).run()
+        first = ParallelRunner(parallel_database, table2()).run()
+        second = ParallelRunner(parallel_database, table2()).run()
         assert _logical_signature(first.clients) \
             == _logical_signature(second.clients)
 
 
 class TestExecutionModes:
     def test_sqlite_runs_shared_with_wal(self, parallel_database):
-        report = ParallelRunner(parallel_database, table2(),
-                                config=CONFIG).run()
+        report = ParallelRunner(parallel_database, table2()).run()
         assert report.mode == "shared"
         assert report.client_count == PARAMS.clients
         for client in report.clients:
             assert client.engine_stats["journal_mode"] == "wal"
             assert client.engine_stats["busy_timeout_ms"] == 2000
 
+    @pytest.mark.parametrize("backend,options", [
+        ("sqlite", {}), ("sharded-sqlite", {"shards": 2})])
+    def test_backend_options_configure_every_worker(
+            self, parallel_database, backend, options):
+        """The scenario's backend options are the one place a run's
+        storage settings live: every worker's engine reports them."""
+        settings = {"busy_timeout_ms": 1234, "journal_mode": "WAL"}
+        report = ParallelRunner(
+            parallel_database,
+            table2(backend, backend_options={**settings, **options})).run()
+        assert report.mode == "shared"
+        assert len(report.clients) == PARAMS.clients
+        for client in report.clients:
+            assert client.engine_stats["busy_timeout_ms"] == 1234
+            assert client.engine_stats["journal_mode"] == "wal"
+            if options:
+                assert client.engine_stats["shards"] == 2
+
     def test_workers_ran_as_distinct_processes(self, parallel_database):
-        report = ParallelRunner(parallel_database, table2(),
-                                config=CONFIG).run()
+        report = ParallelRunner(parallel_database, table2()).run()
         if report.executed_parallel:
             pids = {client.pid for client in report.clients}
             assert os.getpid() not in pids
             assert len(pids) == PARAMS.clients
 
     def test_simulated_runs_replicated(self, parallel_database):
-        report = ParallelRunner(parallel_database, table2("simulated"),
-                                config=CONFIG).run()
+        report = ParallelRunner(parallel_database, table2("simulated")).run()
         assert report.mode == "replicated"
         # Cost-model engines keep their simulated counters in parallel
         # (the small database is fully buffer-resident, so the evidence
@@ -145,8 +158,7 @@ class TestExecutionModes:
         assert totals.buffer_hits + totals.buffer_misses > 0
 
     def test_memory_runs_replicated(self, parallel_database):
-        report = ParallelRunner(parallel_database, table2("memory"),
-                                config=CONFIG).run()
+        report = ParallelRunner(parallel_database, table2("memory")).run()
         assert report.mode == "replicated"
         assert report.total_operations == \
             PARAMS.clients * (PARAMS.cold_n + PARAMS.hot_n)
@@ -155,21 +167,19 @@ class TestExecutionModes:
                                                    tmp_path):
         path = str(tmp_path / "explicit.db")
         report = ParallelRunner(
-            parallel_database, table2(backend_options={"path": path}),
-            config=CONFIG).run()
+            parallel_database, table2(backend_options={"path": path})).run()
         assert report.mode == "shared"
         assert os.path.exists(path)
         # A second run attaches to the existing file instead of reloading.
         again = ParallelRunner(
-            parallel_database, table2(backend_options={"path": path}),
-            config=CONFIG).run()
+            parallel_database, table2(backend_options={"path": path})).run()
         assert again.total_operations == report.total_operations
 
     def test_temp_storage_is_cleaned_up(self, parallel_database):
         import tempfile
         before = set(glob.glob(os.path.join(tempfile.gettempdir(),
                                             "ocb-parallel-*")))
-        ParallelRunner(parallel_database, table2(), config=CONFIG).run()
+        ParallelRunner(parallel_database, table2()).run()
         after = set(glob.glob(os.path.join(tempfile.gettempdir(),
                                            "ocb-parallel-*")))
         assert after == before
@@ -206,8 +216,7 @@ class TestExecutionModes:
         monkeypatch.setattr(runner_module, "run_worker", _exit_hard)
         runner = ParallelRunner(
             parallel_database, table2(),
-            config=ParallelConfig(busy_timeout_ms=2000,
-                                  start_method="fork"))
+            config=ParallelConfig(start_method="fork"))
         with pytest.raises(Exception):
             runner.run()
         assert len(created) == 1
@@ -215,8 +224,7 @@ class TestExecutionModes:
 
     def test_memory_path_falls_back_to_replicated(self, parallel_database):
         report = ParallelRunner(
-            parallel_database, table2(backend_options={"path": ":memory:"}),
-            config=CONFIG).run()
+            parallel_database, table2(backend_options={"path": ":memory:"})).run()
         assert report.mode == "replicated"
 
     def test_rejects_backend_instances(self, parallel_database):
@@ -229,25 +237,31 @@ class TestExecutionModes:
             ParallelRunner(parallel_database, table2("teleport")).run()
 
     def test_mistagged_concurrent_backend_fails_loudly(self,
-                                                       parallel_database):
+                                                       parallel_database,
+                                                       monkeypatch):
         """A backend registered 'concurrent' whose engine cannot share
         storage must fail before any worker spawns, not run workers
-        against freshly-created empty replicas."""
+        against freshly-created empty replicas: the coordinator's
+        connect_worker probe refuses it."""
         from repro.backends import (
             MemoryBackend,
             register_backend,
             unregister_backend,
         )
+        from repro.parallel import runner as runner_module
+
+        started = []
+        monkeypatch.setattr(runner_module.ProcessPool, "map",
+                            lambda pool, fn, specs: started.append(specs))
         register_backend("mistagged", lambda config, **opts: MemoryBackend(),
                          "claims concurrency it does not implement",
                          capabilities=("concurrent",), overwrite=True)
         try:
-            with pytest.raises(WorkloadError,
-                               match="supports_concurrent_access"):
-                ParallelRunner(parallel_database, table2("mistagged"),
-                               config=CONFIG).run()
+            with pytest.raises(BackendError, match="concurrent"):
+                ParallelRunner(parallel_database, table2("mistagged")).run()
         finally:
             unregister_backend("mistagged")
+        assert started == []
 
     def test_stale_same_size_storage_refused(self, parallel_database,
                                              tmp_path):
@@ -258,12 +272,10 @@ class TestExecutionModes:
                                           num_ref_types=4, seed=2024)
         other, _ = generate_database(other_params)
         path = str(tmp_path / "seeded.db")
-        ParallelRunner(other, table2(backend_options={"path": path}),
-                       config=CONFIG).run()
+        ParallelRunner(other, table2(backend_options={"path": path})).run()
         with pytest.raises(WorkloadError, match="stale"):
             ParallelRunner(parallel_database,
-                           table2(backend_options={"path": path}),
-                           config=CONFIG).run()
+                           table2(backend_options={"path": path})).run()
 
     def test_mismatched_existing_storage_refused(self, parallel_database,
                                                  tmp_path):
@@ -275,8 +287,7 @@ class TestExecutionModes:
         stale.close()
         with pytest.raises(WorkloadError, match="mismatched"):
             ParallelRunner(parallel_database,
-                           table2(backend_options={"path": path}),
-                           config=CONFIG).run()
+                           table2(backend_options={"path": path})).run()
 
 
 class TestParallelReport:
@@ -284,8 +295,7 @@ class TestParallelReport:
 
     @pytest.fixture(scope="class")
     def report(self, parallel_database):
-        return ParallelRunner(parallel_database, table2(),
-                              config=CONFIG).run()
+        return ParallelRunner(parallel_database, table2()).run()
 
     def test_folds_into_multiuser_shape(self, report):
         assert report.client_count == PARAMS.clients

@@ -15,23 +15,19 @@ from repro.parallel import ParallelConfig, WorkerSpec
 
 class TestParallelConfig:
     def test_defaults_are_wal_with_busy_budget(self):
-        config = ParallelConfig()
-        assert config.journal_mode == "WAL"
-        assert config.busy_timeout_ms > 0
-        assert config.parallel is True
-        assert config.synchronous == "NORMAL"
+        # A process run starts one worker per client in parallel; its
+        # shared storage defaults to the multi-writer SQLite settings.
+        from repro.backends.sqlite import multi_writer_options
 
-    def test_rejects_negative_busy_timeout(self):
-        with pytest.raises(ParameterError):
-            ParallelConfig(busy_timeout_ms=-1)
+        assert ParallelConfig().parallel is True
+        defaults = multi_writer_options({})
+        assert defaults["journal_mode"] == "WAL"
+        assert defaults["busy_timeout_ms"] > 0
+        assert defaults["synchronous"] == "NORMAL"
 
     def test_rejects_unknown_start_method(self):
         with pytest.raises(ParameterError):
             ParallelConfig(start_method="teleport")
-
-    def test_rejects_zero_max_workers(self):
-        with pytest.raises(ParameterError):
-            ParallelConfig(max_workers=0)
 
     def test_accepts_standard_start_methods(self):
         for method in (None, "fork", "spawn", "forkserver"):

@@ -27,16 +27,12 @@ from repro.core.generation import generate_database
 from repro.core.parameters import DatabaseParameters
 from repro.core.presets import scenario_preset
 from repro.core.scenario import ScenarioRunner
-from repro.parallel import ParallelConfig
 
 #: Heavily contended shape: 3 writers, enough operations that the WAL
 #: write locks overlap on any scheduler.
 CLIENTS = 3
 COLD_OPS = 2
 WARM_OPS = 40
-
-CONFIG = ParallelConfig(busy_timeout_ms=10000)
-
 
 def make_database():
     params = DatabaseParameters(num_classes=6, max_nref=4, base_size=25,
@@ -47,7 +43,8 @@ def make_database():
 
 def make_scenario():
     return replace(scenario_preset("write_heavy"), clients=CLIENTS,
-                   cold_ops=COLD_OPS, warm_ops=WARM_OPS)
+                   cold_ops=COLD_OPS, warm_ops=WARM_OPS,
+                   backend_options={"busy_timeout_ms": 10000})
 
 
 def logical_signature(report):
@@ -64,7 +61,7 @@ def logical_signature(report):
 @pytest.fixture(scope="module")
 def process_report():
     report = ScenarioRunner(make_database(),
-                            make_scenario()).run_processes(config=CONFIG)
+                            make_scenario()).run_processes()
     return report
 
 
@@ -103,7 +100,7 @@ class TestLogicalDeterminism:
 
     def test_repeated_process_runs_identical(self, process_report):
         again = ScenarioRunner(make_database(),
-                               make_scenario()).run_processes(config=CONFIG)
+                               make_scenario()).run_processes()
         assert logical_signature(again) == logical_signature(process_report)
 
     def test_distinct_client_streams(self, process_report):

@@ -24,7 +24,6 @@ import pytest
 from repro.core.generation import generate_database
 from repro.core.parameters import DatabaseParameters
 from repro.core.scenario import MixEntry, Scenario, WorkloadMix
-from repro.parallel import ParallelConfig
 from repro.parallel.runner import ParallelRunner
 
 CLIENTS = 3
@@ -46,12 +45,14 @@ def make_database():
 
 
 def run_update_only(backend, shards=None):
+    options = {"ref_index": False, "busy_timeout_ms": 10000}
+    if shards is not None:
+        options["shards"] = shards
     runner = ParallelRunner(
         make_database(),
         Scenario(mix=UPDATE_ONLY, clients=CLIENTS, cold_ops=COLD_OPS,
                  warm_ops=WARM_OPS, seed=1998, backend=backend,
-                 backend_options={"ref_index": False}),
-        config=ParallelConfig(busy_timeout_ms=10000, shards=shards))
+                 backend_options=options))
     assert runner.shard_count == shards
     return runner.run()
 
