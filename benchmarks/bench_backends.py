@@ -181,24 +181,24 @@ def test_sqlite_traversal_answers_frontiers_without_record_decode():
 
     plain = SQLiteBackend(page_size=4096, cache_pages=256)
     plain.bulk_load(records.values(), order=sorted(records))
-    indexed = SQLiteBackend(page_size=4096, cache_pages=256, ref_index=True)
-    indexed.bulk_load(records.values(), order=sorted(records))
+    structure = SQLiteBackend(page_size=4096, cache_pages=256)
+    structure.bulk_load(records.values(), order=sorted(records))
 
     # Same frontier expansion, same answers.
     assert plain.read_many(frontier_seed).keys() == \
-        indexed.traverse_refs_many(frontier_seed).keys()
+        structure.traverse_refs_many(frontier_seed).keys()
     assert via_records(plain, frontier_seed) == \
-        via_structure(indexed, frontier_seed)
+        via_structure(structure, frontier_seed)
 
     record_trips, record_time = expand(plain, via_records)
-    structure_trips, structure_time = expand(indexed, via_structure)
+    structure_trips, structure_time = expand(structure, via_structure)
     term_print(f"SQLite frontier expansion (3 BFS levels): "
                f"{record_trips} round trips decoding records vs "
                f"{structure_trips} structure-only "
                f"({record_time * 1e3:.1f} ms vs "
                f"{structure_time * 1e3:.1f} ms)")
     plain.close()
-    indexed.close()
+    structure.close()
     # Same number of set-oriented queries, but the structure-only path
     # never builds a record — it must not cost *more* round trips.
     assert structure_trips <= record_trips

@@ -23,7 +23,8 @@ Adding an engine is two steps: subclass
 
 from __future__ import annotations
 
-from typing import Optional
+import inspect
+from typing import Dict, Optional
 
 from repro.backends.base import Backend
 from repro.backends.memory import MemoryBackend
@@ -39,6 +40,7 @@ from repro.backends.registry import (
 )
 from repro.backends.sharded import ShardedSQLiteBackend
 from repro.backends.sqlite import SQLiteBackend
+from repro.errors import BackendError
 from repro.store.storage import StoreConfig
 
 __all__ = [
@@ -66,7 +68,19 @@ def _make_memory(store_config: StoreConfig, **options: object) -> Backend:
     return MemoryBackend()
 
 
+def _check_options(engine: type, options: Dict[str, object]) -> None:
+    """Raise :class:`BackendError` unless every name in *options* is a
+    parameter of *engine*'s constructor."""
+    accepted = list(inspect.signature(engine).parameters)
+    unknown = [name for name in options if name not in accepted]
+    if unknown:
+        raise BackendError(
+            f"backend {engine.name!r} takes no option {unknown[0]!r}; "
+            f"accepted: {', '.join(accepted)}")
+
+
 def _make_sqlite(store_config: StoreConfig, **options: object) -> Backend:
+    _check_options(SQLiteBackend, options)
     path = str(options.pop("path", ":memory:"))
     kwargs = {"page_size": store_config.page_size,
               "cache_pages": store_config.buffer_pages, **options}
@@ -82,7 +96,10 @@ register_backend(
     "memory", _make_memory,
     "dict-based upper bound (no serialization, wall clock only)",
     overwrite=True)
+
+
 def _make_sharded(store_config: StoreConfig, **options: object) -> Backend:
+    _check_options(ShardedSQLiteBackend, options)
     path = options.pop("path", None)
     kwargs = {"page_size": store_config.page_size,
               "cache_pages": store_config.buffer_pages, **options}
@@ -94,13 +111,12 @@ def _make_sharded(store_config: StoreConfig, **options: object) -> Backend:
 register_backend(
     "sqlite", _make_sqlite,
     "serialized objects in an indexed SQLite table (wall clock only)",
-    capabilities=("batched-reads", "cold-cache", "concurrent", "ref_index"),
+    capabilities=("batched-reads", "cold-cache", "concurrent"),
     overwrite=True)
 register_backend(
     "sharded-sqlite", _make_sharded,
     "oid-residue sharding over N SQLite files (home-shard affinity)",
-    capabilities=("batched-reads", "cold-cache", "concurrent", "sharded",
-                  "ref_index"),
+    capabilities=("batched-reads", "cold-cache", "concurrent", "sharded"),
     overwrite=True)
 
 

@@ -159,12 +159,6 @@ class Backend(abc.ABC):
         """
         return self.read_object(oid).non_null_refs()
 
-    #: Whether the engine maintains a ``links`` index of the reference
-    #: graph alongside the records (SQLite and sharded SQLite built with
-    #: ``ref_index=True``).  The index is kept current on every mutation
-    #: and diffed on rewrite; :meth:`traverse_refs_many` does not read it.
-    supports_ref_index: bool = False
-
     def traverse_refs_many(self, oids: Sequence[int]
                            ) -> Dict[int, Tuple[int, ...]]:
         """Non-NIL forward references of a whole batch, keyed by oid.
@@ -172,8 +166,7 @@ class Backend(abc.ABC):
         The structure-only answer to "where does this BFS frontier go
         next": engines with batched reads resolve the entire batch in
         one set-oriented query that decodes only each record's reference
-        vector (SQLite reads the blob whether or not it maintains a link
-        index); the fallback loops over :meth:`traverse_refs` in
+        vector; the fallback loops over :meth:`traverse_refs` in
         first-occurrence order.  Duplicate oids are answered once; any
         missing oid raises :class:`~repro.errors.UnknownObject`, exactly
         like the loop.

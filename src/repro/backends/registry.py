@@ -47,8 +47,6 @@ KNOWN_CAPABILITIES: Tuple[str, ...] = (
                        # per OS process (the parallel subsystem's input)
     "sharded",         # oid-residue partitioning across independent
                        # stores with per-worker home-shard affinity
-    "ref_index",       # a maintained ``links`` index of the reference
-                       # graph (diffed on write; traversal reads blobs)
 )
 
 

@@ -19,8 +19,7 @@ protocol by fan-out over per-shard :class:`SQLiteBackend` instances:
   home shard first;
 * :meth:`traverse_refs_many` answers each shard's slice from that
   shard's blobs and counts frontier edges that leave the home shard as
-  ``remote_reads``; each shard maintains its own link index
-  (``ref_index`` is on by default here), diffed on write;
+  ``remote_reads``;
 * :meth:`bulk_load` stages once, partitions, and loads each shard in
   turn, home shard first; the parallel coordinator loads shared shard
   files through it like any other engine.
@@ -44,7 +43,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, \
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, \
     Tuple
 
 from repro.backends.base import Backend
@@ -88,8 +87,8 @@ class ShardedSQLiteBackend(Backend):
                  cache_pages: int = 128,
                  synchronous: str = "OFF",
                  journal_mode: str = "MEMORY",
-                 busy_timeout_ms: int = SQLiteBackend.DEFAULT_BUSY_TIMEOUT_MS,
-                 ref_index: bool = True) -> None:
+                 busy_timeout_ms: int = SQLiteBackend.DEFAULT_BUSY_TIMEOUT_MS
+                 ) -> None:
         super().__init__()
         shards = int(shards)
         if shards < 1:
@@ -111,8 +110,6 @@ class ShardedSQLiteBackend(Backend):
         self.synchronous = synchronous
         self.journal_mode = journal_mode
         self.busy_timeout_ms = busy_timeout_ms
-        self.ref_index = bool(ref_index)
-        self.supports_ref_index = self.ref_index
         #: Reads (and traverse lookups) routed to a non-home shard, plus
         #: traversal frontier edges leaving the home shard.  Only counted
         #: when the engine has a home shard (worker connections do).
@@ -142,8 +139,7 @@ class ShardedSQLiteBackend(Backend):
                 cache_pages=cache_pages,
                 synchronous=synchronous,
                 journal_mode=journal_mode,
-                busy_timeout_ms=busy_timeout_ms,
-                ref_index=self.ref_index)
+                busy_timeout_ms=busy_timeout_ms)
         self._engines: List[SQLiteBackend] = [engines[shard]
                                               for shard in range(shards)]
 
@@ -332,14 +328,6 @@ class ShardedSQLiteBackend(Backend):
                         and dst_shard != self.home_shard:
                     self.remote_reads += 1
 
-    def link_index_drift(self) -> Set[Tuple[int, int, int]]:
-        """Every shard's :meth:`SQLiteBackend.link_index_drift`, merged
-        (a link row lives in the shard of its source oid)."""
-        drift: Set[Tuple[int, int, int]] = set()
-        for engine in self._engines:
-            drift |= engine.link_index_drift()
-        return drift
-
     # -- cache / durability --------------------------------------------- #
 
     def drop_caches(self) -> bool:
@@ -377,8 +365,7 @@ class ShardedSQLiteBackend(Backend):
             cache_pages=self.cache_pages,
             synchronous=self.synchronous,
             journal_mode=self.journal_mode,
-            busy_timeout_ms=self.busy_timeout_ms,
-            ref_index=self.ref_index)
+            busy_timeout_ms=self.busy_timeout_ms)
 
     # -- accounting surface --------------------------------------------- #
 
@@ -408,7 +395,6 @@ class ShardedSQLiteBackend(Backend):
             "cache_pages": self.cache_pages,
             "journal_mode": shard_stats[0]["journal_mode"],
             "busy_timeout_ms": self.busy_timeout_ms,
-            "ref_index": self.ref_index,
             "pages": sum(int(s["pages"]) for s in shard_stats),
             "objects": sum(int(s["objects"]) for s in shard_stats),
             "objects_per_shard": [int(s["objects"]) for s in shard_stats],

@@ -19,7 +19,7 @@ ablations (``--buffer-pages``) carry over unchanged: a run with a
 All measurements are wall-clock — SQLite does its own paging, caching
 and journaling, which is exactly what the benchmark wants to observe.
 
-Three kernel hooks make the engine first-class under the unified
+Four kernel hooks make the engine first-class under the unified
 :class:`~repro.core.session.Session` and the process-parallel harness:
 
 * **batched access** — :meth:`SQLiteBackend.read_many` answers a whole
@@ -34,17 +34,7 @@ Three kernel hooks make the engine first-class under the unified
   :meth:`SQLiteBackend.traverse_refs_many` answers a whole BFS
   frontier's outgoing references with one ``IN``-clause query and a
   structure-only decode (:func:`~repro.store.serializer.decode_refs`:
-  header + reference vector, **no record decode**) — always from the
-  blob;
-* **link index** — constructed with ``ref_index=True`` the engine also
-  maintains a ``links`` side table (src, idx, dst), the classic
-  secondary index of the reference graph.  Traversal does not read it;
-  its cost is the write path's.  A rewrite reads the stored slot
-  vectors first and touches only the ``links`` rows whose slot changed
-  (a record whose forward refs are unchanged costs no link statement);
-  every statement is counted in ``sql_round_trips``, and
-  :meth:`SQLiteBackend.link_index_drift` audits the table against the
-  blobs;
+  header + reference vector, **no record decode**);
 * **concurrent connections** — :meth:`SQLiteBackend.connect_worker`
   opens an independent connection to the same database file (its own
   pager cache, its own locks), which is how each process of a
@@ -61,16 +51,15 @@ from __future__ import annotations
 
 import sqlite3
 import time
-from itertools import zip_longest
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, \
-    Optional, Sequence, Set, Tuple, TypeVar
+    Optional, Sequence, Tuple, TypeVar
 
 from repro.backends.base import Backend
 from repro.errors import BackendError, StorageError, UnknownObject
 from repro.obs import trace
 from repro.store.costs import DEFAULT_PAGE_SIZE
 from repro.store.serializer import StoredObject, decode_object, \
-    decode_ref_slots, decode_refs, encode_object
+    decode_refs, encode_object
 from repro.store.storage import stage_bulk_load
 
 __all__ = ["SQLiteBackend", "multi_writer_options"]
@@ -113,6 +102,7 @@ class SQLiteBackend(Backend):
                  synchronous: str = "OFF",
                  journal_mode: str = "MEMORY",
                  busy_timeout_ms: int = DEFAULT_BUSY_TIMEOUT_MS,
+                 # Ignored; benchmarks/ocb_bench/workloads.py passes it.
                  ref_index: bool = False) -> None:
         super().__init__()
         if page_size not in _VALID_PAGE_SIZES:
@@ -130,11 +120,6 @@ class SQLiteBackend(Backend):
         self.synchronous = synchronous
         self.journal_mode = journal_mode
         self.busy_timeout_ms = busy_timeout_ms
-        #: Opt-in secondary link index (``links`` table), maintained on
-        #: every mutation and diffed against the stored slots on rewrite.
-        #: :meth:`traverse_refs_many` reads the blob, not this table.
-        self.ref_index = bool(ref_index)
-        self.supports_ref_index = self.ref_index
         self.sql_round_trips = 0
         self.busy_retries = 0
         self.busy_wait_seconds = 0.0
@@ -165,14 +150,6 @@ class SQLiteBackend(Backend):
         self._retrying(
             cur.execute,
             "CREATE INDEX IF NOT EXISTS objects_by_class ON objects (cid)")
-        if self.ref_index:
-            self._retrying(
-                cur.execute,
-                "CREATE TABLE IF NOT EXISTS links ("
-                " src INTEGER NOT NULL,"
-                " idx INTEGER NOT NULL,"
-                " dst INTEGER NOT NULL,"
-                " PRIMARY KEY (src, idx)) WITHOUT ROWID")
         conn.commit()
         return conn
 
@@ -252,13 +229,6 @@ class SQLiteBackend(Backend):
             self._conn.executemany(
                 "INSERT INTO objects (oid, cid, data) VALUES (?, ?, ?)",
                 ((r.oid, r.cid, encode_object(r)) for r in sequence))
-            if self.ref_index:
-                self._conn.executemany(
-                    "INSERT INTO links (src, idx, dst) VALUES (?, ?, ?)",
-                    ((record.oid, index, target)
-                     for record in sequence
-                     for index, target in enumerate(record.refs)
-                     if target is not None))
         except BaseException:
             self._conn.rollback()
             raise
@@ -307,8 +277,7 @@ class SQLiteBackend(Backend):
         self.object_accesses += 1
 
     def write_many(self, records: Sequence[StoredObject]) -> None:
-        """One ``executemany`` UPDATE for the whole batch (see
-        :meth:`_rewrite` for the link-index statements around it)."""
+        """One ``executemany`` UPDATE for the whole batch."""
         if not records:
             return
         started = time.perf_counter() if trace.enabled else 0.0
@@ -318,82 +287,22 @@ class SQLiteBackend(Backend):
             trace.emit("sqlite.write_many", started, records=len(records))
 
     def _rewrite(self, records: Sequence[StoredObject]) -> None:
-        """UPDATE existing rows — and, with ``ref_index``, diff their links.
+        """UPDATE existing rows: the one write path of
+        :meth:`write_object` and :meth:`write_many`.
 
-        The one write path of :meth:`write_object` and
-        :meth:`write_many`.  Rows the batch names but the table lacks
-        match no UPDATE; the rest of the batch is still written (links
-        included) before :class:`UnknownObject` names the first miss.
+        Rows the batch names but the table lacks match no UPDATE; the
+        rest of the batch is still written before :class:`UnknownObject`
+        names the first miss.
         """
-        stored = self._stored_slots(records) if self.ref_index else None
         self.sql_round_trips += 1
         cur = self._executemany(
             "UPDATE objects SET cid = ?, data = ? WHERE oid = ?",
             [(r.cid, encode_object(r), r.oid) for r in records])
-        if stored is not None:
-            self._diff_links(records, stored)
         if cur.rowcount != len(records):
-            # The stored-slot read already knows which rows exist.
-            present = self if stored is None else stored
-            missing = next((r.oid for r in records if r.oid not in present),
+            missing = next((r.oid for r in records if r.oid not in self),
                            None)
             if missing is not None:
                 raise UnknownObject(missing)
-
-    def _stored_slots(self, records: Sequence[StoredObject]
-                      ) -> Dict[int, Tuple[Optional[int], ...]]:
-        """The stored ref-slot vectors of *records*' rows, keyed by oid.
-
-        Read inside the write transaction (``BEGIN IMMEDIATE`` unless
-        one is already open), so no concurrent writer can change a row
-        between this read and the UPDATE the link diff is taken for.
-        """
-        if not self._conn.in_transaction:
-            self._retrying(self._conn.execute, "BEGIN IMMEDIATE")
-        unique: List[int] = list(dict.fromkeys(r.oid for r in records))
-        slots: Dict[int, Tuple[Optional[int], ...]] = {}
-        for start in range(0, len(unique), _MAX_BATCH_VARIABLES):
-            chunk = unique[start:start + _MAX_BATCH_VARIABLES]
-            placeholders = ",".join("?" * len(chunk))
-            self.sql_round_trips += 1
-            for oid, data in self._execute(
-                    f"SELECT oid, data FROM objects "
-                    f"WHERE oid IN ({placeholders})", chunk):
-                slots[oid] = decode_ref_slots(data)
-        return slots
-
-    def _diff_links(self, records: Sequence[StoredObject],
-                    stored: Dict[int, Tuple[Optional[int], ...]]) -> None:
-        """Touch only the ``links`` rows whose slot changed.
-
-        A slot that became NULL (or fell off the end of a shorter
-        vector) is deleted; one that gained or changed its target is
-        upserted; a record whose slots are unchanged costs nothing.
-        """
-        deletes: List[Tuple[int, int]] = []
-        upserts: List[Tuple[int, int, int]] = []
-        # The last record of an oid is the one its row ends up holding.
-        for oid, record in {r.oid: r for r in records}.items():
-            old = stored.get(oid)
-            if old is None or old == record.refs:
-                continue
-            for index, (before, after) in enumerate(
-                    zip_longest(old, record.refs)):
-                if before == after:
-                    continue
-                if after is None:
-                    deletes.append((oid, index))
-                else:
-                    upserts.append((oid, index, after))
-        if deletes:
-            self.sql_round_trips += 1
-            self._executemany(
-                "DELETE FROM links WHERE src = ? AND idx = ?", deletes)
-        if upserts:
-            self.sql_round_trips += 1
-            self._executemany(
-                "INSERT OR REPLACE INTO links (src, idx, dst) "
-                "VALUES (?, ?, ?)", upserts)
 
     def insert_object(self, record: StoredObject) -> None:
         self.sql_round_trips += 1
@@ -403,15 +312,6 @@ class SQLiteBackend(Backend):
                 (record.oid, record.cid, encode_object(record)))
         except sqlite3.IntegrityError:
             raise StorageError(f"oid {record.oid} already exists") from None
-        if self.ref_index:
-            rows = [(record.oid, index, target)
-                    for index, target in enumerate(record.refs)
-                    if target is not None]
-            if rows:
-                self.sql_round_trips += 1
-                self._executemany(
-                    "INSERT INTO links (src, idx, dst) VALUES (?, ?, ?)",
-                    rows)
         self.object_accesses += 1
 
     def delete_object(self, oid: int) -> None:
@@ -419,9 +319,6 @@ class SQLiteBackend(Backend):
         cur = self._execute("DELETE FROM objects WHERE oid = ?", (oid,))
         if cur.rowcount == 0:
             raise UnknownObject(oid)
-        if self.ref_index:
-            self.sql_round_trips += 1
-            self._execute("DELETE FROM links WHERE src = ?", (oid,))
         self.object_accesses += 1
 
     def traverse_refs_many(self, oids: Sequence[int]
@@ -433,14 +330,6 @@ class SQLiteBackend(Backend):
         bulk unpack of the reference vector, no :class:`StoredObject`,
         no back-ref/payload decode.  A missing oid raises exactly like
         the loop fallback.
-
-        This deliberately reads the blob *instead of* the ``links``
-        index, whatever ``ref_index`` is: profiling showed the
-        one-row-per-edge ``LEFT JOIN`` spends ~3x the wall time of this
-        path in the driver's per-row overhead, while ``decode_refs``
-        touches only the first ``22 + 8*nref`` bytes of each blob.  The
-        narrow ``links`` rows remain a maintained physical index,
-        audited by :meth:`link_index_drift`.
         """
         started = time.perf_counter() if trace.enabled else 0.0
         unique: List[int] = list(dict.fromkeys(oids))
@@ -464,25 +353,6 @@ class SQLiteBackend(Backend):
             trace.emit("sqlite.traverse_refs_many", started,
                        oids=len(unique))
         return refs
-
-    def link_index_drift(self) -> Set[Tuple[int, int, int]]:
-        """``(src, idx, dst)`` rows on which ``links`` and the blobs disagree.
-
-        The symmetric difference of the ``links`` table and the non-NULL
-        slots of every stored record, decoded with the full record
-        decoder (not the write path's slot decoder) so a decoding bug
-        cannot hide itself.  Empty when the index is consistent — and
-        always empty on an engine built without ``ref_index``.
-        """
-        if not self.ref_index:
-            return set()
-        slots = {(oid, index, target)
-                 for oid, data in self._execute(
-                     "SELECT oid, data FROM objects")
-                 for index, target in enumerate(decode_object(data).refs)
-                 if target is not None}
-        links = set(self._execute("SELECT src, idx, dst FROM links"))
-        return slots ^ links
 
     def drop_caches(self) -> bool:
         """Cold restart: drop the pager cache (and any OS-visible state).
@@ -527,8 +397,7 @@ class SQLiteBackend(Backend):
                              cache_pages=self.cache_pages,
                              synchronous=self.synchronous,
                              journal_mode=self.journal_mode,
-                             busy_timeout_ms=self.busy_timeout_ms,
-                             ref_index=self.ref_index)
+                             busy_timeout_ms=self.busy_timeout_ms)
 
     def stats(self) -> Dict[str, object]:
         return {
@@ -537,7 +406,6 @@ class SQLiteBackend(Backend):
             "cache_pages": self.cache_pages,
             "journal_mode": self._pragma_str("journal_mode"),
             "busy_timeout_ms": self.busy_timeout_ms,
-            "ref_index": self.ref_index,
             "pages": self._pragma_int("page_count"),
             "freelist_pages": self._pragma_int("freelist_count"),
             "objects": self.object_count,

@@ -390,9 +390,7 @@ def _graph_walk_scenario() -> Scenario:
     Dominated by ``structure_traversal`` operations, which answer BFS
     frontiers from each blob's reference vector alone — the engine never
     decodes a record body, so this preset is the canonical way to
-    exercise (and CI-assert) a non-zero ``decodes_avoided`` count.  The
-    ``links`` index ``ref_index`` enables is maintained (and diffed on
-    write) but not read by the traversal."""
+    exercise (and CI-assert) a non-zero ``decodes_avoided`` count."""
     return Scenario(
         mix=WorkloadMix(name="graph_walk", entries=(
             MixEntry("structure_traversal", weight=0.80, depth=5),
@@ -400,7 +398,7 @@ def _graph_walk_scenario() -> Scenario:
             MixEntry("sequential_scan", weight=0.05),
         )),
         clients=1, cold_ops=10, warm_ops=80,
-        backend="sqlite", backend_options={"ref_index": True})
+        backend="sqlite")
 
 
 def _hot_spot_scenario() -> Scenario:

@@ -311,9 +311,8 @@ class Session:
 
         Structure-only frontier expansion: the SQLite engines answer the
         whole batch in one set-oriented round trip that decodes only the
-        reference vector of each blob, never a full record (their
-        ``links`` index, when built, is maintained but not read here);
-        everywhere else the backend's loop fallback runs.  No policy
+        reference vector of each blob, never a full record; everywhere
+        else the backend's loop fallback runs.  No policy
         observations are made — callers that *visit* the targets still
         go through :meth:`access`.
         """

@@ -49,9 +49,7 @@ Two kinds of decoder share the wire format:
   Python loop unless the ref vector holds a NULL;
 * :func:`decode_refs` skips record construction entirely and returns just
   the non-null reference vector — the structure-only decode batched
-  frontier expansion (``traverse_refs_many``) runs on;
-  :func:`decode_ref_slots` is its slot-preserving twin (NULLs kept in
-  place), which the SQLite write path diffs link rows against.
+  frontier expansion (``traverse_refs_many``) runs on.
 
 :func:`encode_object` is the mirror image: the ref vector goes out in one
 precompiled ``pack`` and each back-ref pair through ``Struct.pack``.
@@ -68,7 +66,7 @@ from typing import Optional, Tuple
 from repro.errors import StorageError
 
 __all__ = ["StoredObject", "encode_object", "decode_object", "decode_refs",
-           "decode_ref_slots", "encoded_size",
+           "encoded_size",
            "HEADER_SIZE", "REF_SIZE", "BACKREF_SIZE", "MAGIC"]
 
 MAGIC = 0x0CB1
@@ -293,26 +291,3 @@ def decode_refs(data, offset: int = 0) -> Tuple[int, ...]:
     if 0 in refs:
         return tuple([ref for ref in refs if ref])
     return refs
-
-
-def decode_ref_slots(data, offset: int = 0) -> Tuple[Optional[int], ...]:
-    """The full forward-reference slot vector of one encoded record.
-
-    Like :func:`decode_refs` (same header, magic and length checks, no
-    record object), but NULL slots stay in place as ``None`` — slot *i*
-    of the result is ``refs[i]`` of the record, so two vectors can be
-    compared slot by slot.
-    """
-    try:
-        magic, oid, _cid, nref, _nback, _filler = _HEADER.unpack_from(
-            data, offset)
-    except struct.error as exc:
-        raise StorageError(f"truncated object header at offset {offset}") from exc
-    if magic != MAGIC:
-        raise StorageError(
-            f"bad magic 0x{magic:04X} at offset {offset} (corrupt store?)")
-    try:
-        return _unpack_refs(data, offset + HEADER_SIZE, nref)
-    except struct.error as exc:
-        raise StorageError(
-            f"truncated object body for oid {oid} at offset {offset}") from exc

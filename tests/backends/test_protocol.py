@@ -282,8 +282,7 @@ class TestProtocolSurface:
         assert isinstance(loaded_backend.flush(), int)
 
     def test_supports_flags_are_bools(self, backend):
-        for flag in ("supports_clustering", "supports_batched_reads",
-                     "supports_ref_index"):
+        for flag in ("supports_clustering", "supports_batched_reads"):
             assert isinstance(getattr(backend, flag), bool), flag
 
 
@@ -314,12 +313,11 @@ class TestObjectStoreBackend:
 
 
 class TestTraverseRefsMany:
-    """Batched reference traversal: loop fallback + SQLite link index."""
+    """Batched reference traversal: loop fallback + SQLite blob walk."""
 
-    def _ref_indexed(self, small_database):
+    def _sqlite(self, small_database):
         from repro.backends import SQLiteBackend
-        backend = SQLiteBackend(page_size=512, cache_pages=16,
-                                ref_index=True)
+        backend = SQLiteBackend(page_size=512, cache_pages=16)
         records = small_database.to_records()
         backend.bulk_load(records.values(), order=sorted(records))
         backend.reset_stats()
@@ -338,8 +336,7 @@ class TestTraverseRefsMany:
             loaded_backend.traverse_refs_many([999999])
 
     def test_link_index_one_round_trip_no_decode(self, small_database):
-        backend = self._ref_indexed(small_database)
-        assert backend.supports_ref_index
+        backend = self._sqlite(small_database)
         oids = sorted(small_database.objects)[:50]
         expected = {oid: small_database.to_records()[oid].non_null_refs()
                     for oid in oids}
@@ -350,7 +347,7 @@ class TestTraverseRefsMany:
         backend.close()
 
     def test_link_index_covers_zero_ref_objects(self, small_database):
-        backend = self._ref_indexed(small_database)
+        backend = self._sqlite(small_database)
         oids = sorted(small_database.objects)
         answered = backend.traverse_refs_many(oids)
         assert set(answered) == set(oids)
@@ -358,13 +355,13 @@ class TestTraverseRefsMany:
 
     def test_link_index_missing_oid_raises(self, small_database):
         from repro.errors import UnknownObject
-        backend = self._ref_indexed(small_database)
+        backend = self._sqlite(small_database)
         with pytest.raises(UnknownObject):
             backend.traverse_refs_many([1, 999999])
         backend.close()
 
     def test_link_index_maintained_across_mutations(self, small_database):
-        backend = self._ref_indexed(small_database)
+        backend = self._sqlite(small_database)
         records = small_database.to_records()
         oids = sorted(records)
         first, second = oids[0], oids[1]
@@ -378,49 +375,16 @@ class TestTraverseRefsMany:
                              refs=(first, None), filler=16)
         backend.insert_object(fresh)
         assert backend.traverse_refs_many([fresh.oid])[fresh.oid] == (first,)
-        # Delete: the victim's link rows disappear with it.
+        # Delete: the victim is gone from the walk too.
         backend.delete_object(fresh.oid)
         from repro.errors import UnknownObject
         with pytest.raises(UnknownObject):
             backend.traverse_refs_many([fresh.oid])
         backend.close()
 
-    def test_default_engine_has_no_index_and_unchanged_write_cost(
-            self, small_database):
-        from repro.backends import SQLiteBackend
-        backend = SQLiteBackend(page_size=512, cache_pages=16)
-        assert not backend.supports_ref_index
-        records = small_database.to_records()
-        backend.bulk_load(records.values(), order=sorted(records))
-        backend.reset_stats()
-        oid = sorted(records)[0]
-        before = backend.sql_round_trips
-        backend.write_object(records[oid])
-        assert backend.sql_round_trips == before + 1
-        backend.close()
-
-    def test_connect_worker_inherits_ref_index(self, small_database,
-                                               tmp_path):
-        from repro.backends import SQLiteBackend
-        backend = SQLiteBackend(path=str(tmp_path / "refidx.db"),
-                                page_size=512, cache_pages=16,
-                                ref_index=True, journal_mode="WAL",
-                                synchronous="NORMAL")
-        records = small_database.to_records()
-        backend.bulk_load(records.values(), order=sorted(records))
-        worker = backend.connect_worker()
-        try:
-            assert worker.ref_index
-            oids = sorted(records)[:10]
-            assert worker.traverse_refs_many(oids) == \
-                {oid: records[oid].non_null_refs() for oid in oids}
-        finally:
-            worker.close()
-            backend.close()
-
     def test_session_passthrough(self, small_database):
         from repro.core.session import Session
-        backend = self._ref_indexed(small_database)
+        backend = self._sqlite(small_database)
         session = Session(backend)
         oids = sorted(small_database.objects)[:10]
         expected = {oid: small_database.to_records()[oid].non_null_refs()
@@ -430,10 +394,10 @@ class TestTraverseRefsMany:
 
     def test_link_index_consistent_after_partial_write_many(
             self, small_database):
-        """A write_many batch that hits a missing oid must still leave
-        the link index in lockstep with every blob it did update."""
+        """A write_many batch that hits a missing oid still writes, and
+        walks, every row it did update."""
         from repro.errors import UnknownObject
-        backend = self._ref_indexed(small_database)
+        backend = self._sqlite(small_database)
         records = small_database.to_records()
         first, second = sorted(records)[:2]
         changed = records[first].with_refs((second,))
@@ -448,17 +412,16 @@ class TestTraverseRefsMany:
         backend.close()
 
     def test_no_phantom_round_trips_for_leaf_records(self, small_database):
-        """Link maintenance with nothing to insert must not inflate the
-        round-trip counter the benchmarks compare."""
+        """One statement per insert and one per write: the round-trip
+        counter the benchmarks compare carries no extra statement."""
         from repro.store.serializer import StoredObject
-        backend = self._ref_indexed(small_database)
+        backend = self._sqlite(small_database)
         leaf = StoredObject(oid=max(small_database.objects) + 1, cid=1,
                             refs=(None, None), filler=8)
         before = backend.sql_round_trips
         backend.insert_object(leaf)
-        assert backend.sql_round_trips == before + 1  # objects INSERT only
+        assert backend.sql_round_trips == before + 1  # objects INSERT
         before = backend.sql_round_trips
         backend.write_object(leaf)
-        # stored-refs SELECT + objects UPDATE
-        assert backend.sql_round_trips == before + 2
+        assert backend.sql_round_trips == before + 1  # objects UPDATE
         backend.close()

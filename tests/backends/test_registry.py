@@ -71,6 +71,12 @@ class TestErrors:
         with pytest.raises(BackendError, match="unknown backend"):
             create_backend("does-not-exist")
 
+    @pytest.mark.parametrize("name, option", [("sqlite", "shards"),
+                                              ("sharded-sqlite", "ref_index")])
+    def test_unknown_engine_option(self, name, option):
+        with pytest.raises(BackendError, match=f"no option '{option}'"):
+            create_backend(name, **{option: 2})
+
     def test_duplicate_registration_rejected(self):
         register_backend("registry-test", lambda config, **kw: MemoryBackend(),
                          "temporary")

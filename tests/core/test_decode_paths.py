@@ -97,7 +97,7 @@ class TestGraphWalkPreset:
     def test_preset_shape(self):
         scenario = scenario_preset("graph_walk")
         assert scenario.backend == "sqlite"
-        assert scenario.backend_options.get("ref_index") is True
+        assert scenario.backend_options == {}
         kinds = {entry.kind for entry in scenario.mix.entries}
         assert "structure_traversal" in kinds
         assert not scenario.mix.mutates

@@ -7,7 +7,10 @@ three properties the ISSUE names:
 
 * a ``write_heavy`` scenario on one shared WAL SQLite file with >= 2
   worker processes records **> 0 busy retries** (real write-write lock
-  collisions, counted by the engine);
+  collisions, counted by the engine).  So that the count does not hang
+  on the scheduler overlapping the writers, a third connection, in its
+  own process, holds the write lock while the workers start: their first
+  writes collide with it however the workers are scheduled;
 * the same seed executed in-process (round-robin, one connection)
   records **0** — a single connection cannot collide with itself;
 * per-client *logical* metrics are deterministic: identical between the
@@ -19,6 +22,8 @@ three properties the ISSUE names:
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -27,6 +32,7 @@ from repro.core.generation import generate_database
 from repro.core.parameters import DatabaseParameters
 from repro.core.presets import scenario_preset
 from repro.core.scenario import ScenarioRunner
+from repro.parallel.pool import ProcessPool
 
 #: Heavily contended shape: 3 writers, enough operations that the WAL
 #: write locks overlap on any scheduler.
@@ -41,10 +47,47 @@ def make_database():
     return database
 
 
-def make_scenario():
+def make_scenario(**backend_options):
     return replace(scenario_preset("write_heavy"), clients=CLIENTS,
                    cold_ops=COLD_OPS, warm_ops=WARM_OPS,
-                   backend_options={"busy_timeout_ms": 10000})
+                   backend_options={"busy_timeout_ms": 10000,
+                                    **backend_options})
+
+
+#: How long the third connection keeps the write lock once the workers
+#: are being started — far inside the 10 s busy budget.
+HOLD_SECONDS = 0.3
+
+#: The lock holder: a separate process, so no forked worker inherits a
+#: connection that holds a lock on the shared file.
+HOLDER = """
+import sqlite3, sys, time
+conn = sqlite3.connect(sys.argv[1], isolation_level=None)
+conn.execute("BEGIN IMMEDIATE")
+print("locked", flush=True)
+time.sleep(float(sys.argv[2]))
+conn.execute("COMMIT")
+conn.close()
+"""
+
+
+def map_under_held_lock(path):
+    """A ``ProcessPool.map`` that starts the workers while a third
+    connection holds the write lock of the SQLite file at *path*."""
+    original = ProcessPool.map
+
+    def held_map(pool, fn, items):
+        holder = subprocess.Popen(
+            [sys.executable, "-c", HOLDER, path, str(HOLD_SECONDS)],
+            stdout=subprocess.PIPE, text=True)
+        try:
+            assert holder.stdout.readline().strip() == "locked"
+            return original(pool, fn, items)
+        finally:
+            holder.stdout.close()
+            holder.wait(timeout=30)
+
+    return held_map
 
 
 def logical_signature(report):
@@ -59,10 +102,12 @@ def logical_signature(report):
 
 
 @pytest.fixture(scope="module")
-def process_report():
-    report = ScenarioRunner(make_database(),
-                            make_scenario()).run_processes()
-    return report
+def process_report(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("contention") / "shared.db")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ProcessPool, "map", map_under_held_lock(path))
+        return ScenarioRunner(make_database(),
+                              make_scenario(path=path)).run_processes()
 
 
 @pytest.fixture(scope="module")

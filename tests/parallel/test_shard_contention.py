@@ -45,7 +45,7 @@ def make_database():
 
 
 def run_update_only(backend, shards=None):
-    options = {"ref_index": False, "busy_timeout_ms": 10000}
+    options = {"busy_timeout_ms": 10000}
     if shards is not None:
         options["shards"] = shards
     runner = ParallelRunner(

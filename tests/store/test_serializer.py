@@ -16,7 +16,6 @@ from repro.store.serializer import (
     REF_SIZE,
     StoredObject,
     decode_object,
-    decode_ref_slots,
     decode_refs,
     encode_object,
     encoded_size,
@@ -82,7 +81,6 @@ class TestRoundTrip:
         record = StoredObject(oid=9, cid=3, filler=100)
         assert decode_object(encode_object(record)) == record
         assert decode_refs(encode_object(record)) == ()
-        assert decode_ref_slots(encode_object(record)) == ()
 
     def test_null_refs_preserved(self):
         for refs in ((None, None, 4), (4, None), (None,)):
@@ -95,7 +93,6 @@ class TestRoundTrip:
         data = b"\xAA" * 13 + encode_object(record)
         assert decode_object(data, offset=13) == record
         assert decode_refs(data, offset=13) == (3, 5)
-        assert decode_ref_slots(data, offset=13) == (3, None, 5)
 
     def test_concatenated_records(self):
         a = make_record(oid=1)
@@ -109,7 +106,7 @@ class TestRoundTrip:
         assert decode_object(encode_object(record)).oid == 2**60
 
 
-DECODERS = (decode_object, decode_refs, decode_ref_slots)
+DECODERS = (decode_object, decode_refs)
 
 
 class TestCorruption:
@@ -173,7 +170,6 @@ def test_roundtrip_property(oid, cid, refs, back_refs, filler):
     assert decode_object(encoded).refs == record.refs
     assert decode_object(encoded).back_refs == record.back_refs
     assert decode_refs(encoded) == record.non_null_refs()
-    assert decode_ref_slots(encoded) == record.refs
 
 
 # ---------------------------------------------------------------------- #
@@ -257,7 +253,6 @@ def test_kernels_match_the_reference(records, prefix, as_view):
         refs = decode_refs(buffer, offset)
         assert type(refs) is tuple
         assert refs == _reference_decode_refs(data, offset)
-        assert decode_ref_slots(buffer, offset) == record.refs
         offset += len(blob)
 
 

@@ -3,6 +3,7 @@ benchmarks and tests/test_experiments.py)."""
 
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
@@ -273,6 +274,21 @@ class TestScenarioCommand:
         assert document["clients"] == 2
         assert document["operations"] == 2 * 6
 
+    def test_unknown_backend_option_fails_cleanly(self, tmp_path, capsys):
+        spec = {
+            "mix": {"name": "probe", "entries": [
+                {"kind": "update", "weight": 1.0}]},
+            "cold_ops": 1, "warm_ops": 2,
+            "backend": "sqlite", "backend_options": {"shards": 2},
+        }
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(spec))
+        assert main(["scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ocb: error:")
+        assert "'shards'" in err
+        assert "busy_timeout_ms" in err  # The accepted options are listed.
+
     def test_unknown_scenario_fails_cleanly(self, capsys):
         assert main(["scenario", "nope"]) == 1
         assert "unknown scenario" in capsys.readouterr().err
@@ -344,6 +360,8 @@ class TestEngineLifecycle:
         opened, closed = [], []
         init, close = SQLiteBackend.__init__, SQLiteBackend.close
 
+        # The registry checks option names against this signature.
+        @functools.wraps(init)
         def spy_init(self, *args, **kwargs):
             opened.append(self)
             init(self, *args, **kwargs)
