@@ -60,27 +60,30 @@ __all__ = [
 ]
 
 
+def _check_options(name: str, options: Dict[str, object],
+                   engine: Optional[type] = None) -> None:
+    """Raise :class:`BackendError` unless every name in *options* is a
+    parameter of *engine*'s constructor (no engine: no option at all)."""
+    accepted = list(inspect.signature(engine).parameters) if engine else []
+    unknown = [option for option in options if option not in accepted]
+    if unknown:
+        raise BackendError(
+            f"backend {name!r} takes no option {unknown[0]!r}; "
+            f"accepted: {', '.join(accepted) or 'none'}")
+
+
 def _make_simulated(store_config: StoreConfig, **options: object) -> Backend:
+    _check_options("simulated", options)
     return store_config.build()
 
 
 def _make_memory(store_config: StoreConfig, **options: object) -> Backend:
+    _check_options("memory", options)
     return MemoryBackend()
 
 
-def _check_options(engine: type, options: Dict[str, object]) -> None:
-    """Raise :class:`BackendError` unless every name in *options* is a
-    parameter of *engine*'s constructor."""
-    accepted = list(inspect.signature(engine).parameters)
-    unknown = [name for name in options if name not in accepted]
-    if unknown:
-        raise BackendError(
-            f"backend {engine.name!r} takes no option {unknown[0]!r}; "
-            f"accepted: {', '.join(accepted)}")
-
-
 def _make_sqlite(store_config: StoreConfig, **options: object) -> Backend:
-    _check_options(SQLiteBackend, options)
+    _check_options(SQLiteBackend.name, options, SQLiteBackend)
     path = str(options.pop("path", ":memory:"))
     kwargs = {"page_size": store_config.page_size,
               "cache_pages": store_config.buffer_pages, **options}
@@ -99,7 +102,8 @@ register_backend(
 
 
 def _make_sharded(store_config: StoreConfig, **options: object) -> Backend:
-    _check_options(ShardedSQLiteBackend, options)
+    _check_options(ShardedSQLiteBackend.name, options,
+                   ShardedSQLiteBackend)
     path = options.pop("path", None)
     kwargs = {"page_size": store_config.page_size,
               "cache_pages": store_config.buffer_pages, **options}

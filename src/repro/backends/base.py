@@ -12,7 +12,9 @@ contract that makes that concrete: anything that can
   batches (loop fallbacks here; engines with a native set-oriented
   access path override them — SQLite answers a whole BFS frontier with
   one ``IN``-clause query),
-* :meth:`~Backend.traverse_refs` an object's outgoing references,
+* :meth:`~Backend.traverse_refs` an object's outgoing references, and
+  :meth:`~Backend.traverse_refs_many` a whole frontier's, stopping at
+  the answer an ``until`` callback accepts,
 * :meth:`~Backend.drop_caches` for honest cold runs, and
 * report :meth:`~Backend.stats`
 
@@ -41,11 +43,17 @@ the metrics pipeline identical for all engines.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
+    Tuple
 
 from repro.errors import BackendError
 
-__all__ = ["Backend"]
+__all__ = ["Backend", "Until"]
+
+#: A per-answer callback of :meth:`Backend.traverse_refs_many`: called
+#: with each ``(oid, refs)`` answer as the engine produces it; a true
+#: return stops the read.
+Until = Callable[[int, Tuple[int, ...]], bool]
 
 
 class Backend(abc.ABC):
@@ -159,7 +167,8 @@ class Backend(abc.ABC):
         """
         return self.read_object(oid).non_null_refs()
 
-    def traverse_refs_many(self, oids: Sequence[int]
+    def traverse_refs_many(self, oids: Sequence[int],
+                           until: Optional[Until] = None
                            ) -> Dict[int, Tuple[int, ...]]:
         """Non-NIL forward references of a whole batch, keyed by oid.
 
@@ -170,11 +179,22 @@ class Backend(abc.ABC):
         first-occurrence order.  Duplicate oids are answered once; any
         missing oid raises :class:`~repro.errors.UnknownObject`, exactly
         like the loop.
+
+        *until*, if given, is called as ``until(oid, refs)`` on each
+        answer as the engine produces it, in the engine's own answer
+        order.  Once it returns true the engine stops reading and
+        returns the answers produced so far, that one included: a walk
+        whose visit budget fills partway through a frontier reads no
+        further.  A missing oid the engine reaches before the stop
+        still raises; oids after the stop are neither answered nor
+        checked.
         """
         refs: Dict[int, Tuple[int, ...]] = {}
         for oid in oids:
             if oid not in refs:
-                refs[oid] = self.traverse_refs(oid)
+                answer = refs[oid] = self.traverse_refs(oid)
+                if until is not None and until(oid, answer):
+                    break
         return refs
 
     @abc.abstractmethod

@@ -46,7 +46,7 @@ import time
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, \
     Tuple
 
-from repro.backends.base import Backend
+from repro.backends.base import Backend, Until
 from repro.backends.sqlite import SQLiteBackend
 from repro.errors import BackendError, StorageError
 from repro.obs import trace
@@ -291,7 +291,8 @@ class ShardedSQLiteBackend(Backend):
         self._account_edges({oid: refs})
         return refs
 
-    def traverse_refs_many(self, oids: Sequence[int]
+    def traverse_refs_many(self, oids: Sequence[int],
+                           until: Optional[Until] = None
                            ) -> Dict[int, Tuple[int, ...]]:
         """Each shard's slice, one batched blob query per shard.
 
@@ -299,6 +300,11 @@ class ShardedSQLiteBackend(Backend):
         the home shard is counted as a ``remote_reads`` unit — that edge
         is the next hop's off-shard fetch, which makes traversal
         locality visible before it is paid for.
+
+        *until* is applied to the merged answers, in request order,
+        after every shard has answered its whole slice: the reads and
+        the counters are those of a call without it, and a missing oid
+        anywhere in the batch raises.
         """
         started = time.perf_counter() if trace.enabled else 0.0
         unique: List[int] = list(dict.fromkeys(oids))
@@ -310,10 +316,15 @@ class ShardedSQLiteBackend(Backend):
             self._count_remote_read(shard, len(groups[shard]))
         self.object_accesses += len(unique)
         self._account_edges(refs)
+        answers: Dict[int, Tuple[int, ...]] = {}
+        for oid in unique:
+            answer = answers[oid] = refs[oid]
+            if until is not None and until(oid, answer):
+                break
         if trace.enabled:
             trace.emit("sharded.traverse_refs_many", started,
                        oids=len(unique), shards=len(groups))
-        return {oid: refs[oid] for oid in unique}
+        return answers
 
     def _account_edges(self, refs: Dict[int, Tuple[int, ...]]) -> None:
         """Shard-crossing accounting for a batch of resolved references."""

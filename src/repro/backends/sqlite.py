@@ -34,7 +34,11 @@ Four kernel hooks make the engine first-class under the unified
   :meth:`SQLiteBackend.traverse_refs_many` answers a whole BFS
   frontier's outgoing references with one ``IN``-clause query and a
   structure-only decode (:func:`~repro.store.serializer.decode_refs`:
-  header + reference vector, **no record decode**);
+  header + reference vector, **no record decode**).  It steps the
+  cursor row by row and hands each answer to the caller's ``until``
+  callback, closing the cursor once the callback says the walk's visit
+  budget is spent, so a level is read only as far as the budget
+  reaches; the callback's time counts inside the call's trace record;
 * **concurrent connections** — :meth:`SQLiteBackend.connect_worker`
   opens an independent connection to the same database file (its own
   pager cache, its own locks), which is how each process of a
@@ -54,7 +58,7 @@ import time
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, \
     Optional, Sequence, Tuple, TypeVar
 
-from repro.backends.base import Backend
+from repro.backends.base import Backend, Until
 from repro.errors import BackendError, StorageError, UnknownObject
 from repro.obs import trace
 from repro.store.costs import DEFAULT_PAGE_SIZE
@@ -321,37 +325,63 @@ class SQLiteBackend(Backend):
             raise UnknownObject(oid)
         self.object_accesses += 1
 
-    def traverse_refs_many(self, oids: Sequence[int]
+    def traverse_refs_many(self, oids: Sequence[int],
+                           until: Optional[Until] = None
                            ) -> Dict[int, Tuple[int, ...]]:
         """A whole frontier's outgoing references, no record decode.
 
-        One ``IN``-clause blob query per chunk, folded through
+        One ``IN``-clause blob query per chunk, its rows in ascending
+        oid order, each folded through
         :func:`~repro.store.serializer.decode_refs` — header plus one
         bulk unpack of the reference vector, no :class:`StoredObject`,
         no back-ref/payload decode.  A missing oid raises exactly like
         the loop fallback.
+
+        The cursor is stepped row by row.  When *until* returns true on
+        a row, the cursor is closed there: later rows are neither
+        stepped nor decoded, later chunks are never issued, and the
+        counters count only the rows stepped.  A missing oid the read
+        passed before the stop (any in an earlier chunk, or one below
+        the stopping oid in its chunk) still raises.  The cursor is
+        closed on every exit, so no read lock outlives the call even
+        when *until* raises; *until*'s own time counts inside this call.
         """
         started = time.perf_counter() if trace.enabled else 0.0
         unique: List[int] = list(dict.fromkeys(oids))
         refs: Dict[int, Tuple[int, ...]] = {}
-        for start in range(0, len(unique), _MAX_BATCH_VARIABLES):
-            chunk = unique[start:start + _MAX_BATCH_VARIABLES]
-            placeholders = ",".join("?" * len(chunk))
-            self.sql_round_trips += 1
-            for oid, data in self._execute(
+        reached = unique
+        try:
+            for start in range(0, len(unique), _MAX_BATCH_VARIABLES):
+                chunk = unique[start:start + _MAX_BATCH_VARIABLES]
+                placeholders = ",".join("?" * len(chunk))
+                self.sql_round_trips += 1
+                cursor = self._execute(
                     f"SELECT oid, data FROM objects "
-                    f"WHERE oid IN ({placeholders})", chunk):
-                refs[oid] = decode_refs(data)
-        if len(refs) != len(unique):
-            missing = next(oid for oid in unique if oid not in refs)
-            raise UnknownObject(missing)
-        self.object_accesses += len(unique)
-        # The frontier was answered from structure alone — each oid
+                    f"WHERE oid IN ({placeholders}) ORDER BY oid", chunk)
+                try:
+                    for oid, data in cursor:
+                        answer = refs[oid] = decode_refs(data)
+                        if until is not None and until(oid, answer):
+                            reached = unique[:start] + [
+                                other for other in chunk if other < oid]
+                            break
+                finally:
+                    cursor.close()
+                if reached is not unique:
+                    break
+            if len(refs) != len(unique):
+                missing = next((oid for oid in reached if oid not in refs),
+                               None)
+                if missing is not None:
+                    raise UnknownObject(missing)
+        finally:
+            if trace.enabled:
+                trace.emit("sqlite.traverse_refs_many", started,
+                           oids=len(unique), rows=len(refs))
+        self.object_accesses += len(refs)
+        # The frontier was answered from structure alone — each row
         # here is one full record decode the loop path would have paid.
-        self.decodes_avoided += len(unique)
-        if trace.enabled:
-            trace.emit("sqlite.traverse_refs_many", started,
-                       oids=len(unique))
+        self.decodes_avoided += len(refs)
         return refs
 
     def drop_caches(self) -> bool:

@@ -74,6 +74,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Set,
     Tuple,
 )
 
@@ -741,7 +742,6 @@ class ScenarioCollector:
         self.name = phase_name
         self.classic = MetricsCollector(phase_name)
         self.per_class: Dict[str, OpClassStats] = {}
-        self.operation_results: List[OperationResult] = []
 
     def record_transaction(self, result: TransactionResult, delta,
                            wall_seconds: float, retries: int = 0) -> None:
@@ -756,7 +756,6 @@ class ScenarioCollector:
     def record_operation(self, result: OperationResult,
                          retries: int = 0) -> None:
         """Fold one executed generic operation."""
-        self.operation_results.append(result)
         stats = self.per_class.setdefault(
             result.operation.value,
             OpClassStats(op_class=result.operation.value))
@@ -993,6 +992,49 @@ class ScenarioReport(_CounterAttributes):
 # ---------------------------------------------------------------------- #
 # The executor: one client, any mix
 # ---------------------------------------------------------------------- #
+
+def _structure_walk(session: Session, root: int, depth: int, budget: int,
+                    objects: Mapping[int, object]) -> Set[int]:
+    """The objects a structure-only BFS from *root* visits.
+
+    Each level's frontier is one :meth:`Session.traverse_refs_many`
+    call whose ``until`` callback does the visiting: each answer's
+    targets, in the engine's answer order, join the visited set and
+    the next frontier, and the callback stops the read once *budget*
+    objects are visited.  Edges into objects missing from *objects*
+    (deleted from this client's view by a concurrent client) are
+    skipped; structure-only walks tolerate them like read misses.
+    """
+    visited = {root}
+    # Every visited object but the root, in visit order; each level's
+    # frontier is the tail its answers appended.
+    found: List[int] = []
+    add, append = visited.add, found.append
+
+    def visit(_oid: int, targets: Tuple[int, ...]) -> bool:
+        for target in targets:
+            if target not in visited and target in objects:
+                add(target)
+                append(target)
+        if len(visited) < budget:
+            return False
+        # The budget filled inside this answer: take back the visits
+        # past it, so the walk visits exactly what a per-target check
+        # would have.
+        for target in found[budget - 1:]:
+            visited.discard(target)
+        del found[budget - 1:]
+        return True
+
+    frontier = [root]
+    for _ in range(depth):
+        if not frontier or len(visited) >= budget:
+            break
+        mark = len(found)
+        session.traverse_refs_many(frontier, visit)
+        frontier = found[mark:]
+    return visited
+
 
 class ClientExecutor:
     """Executes one client's share of a mix on a kernel session.
@@ -1365,7 +1407,9 @@ class ClientExecutor:
         everywhere else the backend's read-and-filter loop runs.  Depth
         and ``max_visits`` bound the walk exactly like the transaction
         classes; the touched count is the number of distinct objects
-        whose structure was visited.
+        whose structure was visited.  The visits are made in the
+        engine's ``until`` callback, so a level is read only as far as
+        the visit budget reaches (see :func:`_structure_walk`).
         """
         def body() -> int:
             live = self._live_sorted()
@@ -1374,25 +1418,9 @@ class ClientExecutor:
             drawn = entry.root_distribution(self.mix.dist5).draw(
                 self.rng, 1, self.view.num_objects)
             root = live[(drawn - 1) % len(live)]
-            visited = {root}
-            frontier = [root]
-            for _ in range(entry.resolved_depth):
-                if not frontier or len(visited) >= entry.max_visits:
-                    break
-                answers = self.session.traverse_refs_many(frontier)
-                frontier = []
-                for targets in answers.values():
-                    for target in targets:
-                        if len(visited) >= entry.max_visits:
-                            break
-                        # Skip edges into objects a concurrent client
-                        # deleted from this view; structure-only walks
-                        # tolerate them like read misses.
-                        if target not in visited \
-                                and target in self.view.objects:
-                            visited.add(target)
-                            frontier.append(target)
-            return len(visited)
+            return len(_structure_walk(
+                self.session, root, entry.resolved_depth, entry.max_visits,
+                self.view.objects))
         return self._timed(GenericOperation.STRUCTURE_TRAVERSAL, body)
 
     # -- internals -------------------------------------------------------- #

@@ -47,7 +47,7 @@ from typing import (
     Tuple,
 )
 
-from repro.backends.base import Backend
+from repro.backends.base import Backend, Until
 from repro.clustering.base import ClusteringPolicy, NoClustering
 from repro.core.database import OCBDatabase
 from repro.errors import WorkloadError
@@ -305,18 +305,22 @@ class Session:
                 record = repeats[0]
         return record
 
-    def traverse_refs_many(self, oids: Iterable[int]
+    def traverse_refs_many(self, oids: Iterable[int],
+                           until: Optional[Until] = None
                            ) -> Dict[int, Tuple[int, ...]]:
         """A batch of objects' outgoing references, keyed by oid.
 
         Structure-only frontier expansion: the SQLite engines answer the
         whole batch in one set-oriented round trip that decodes only the
         reference vector of each blob, never a full record; everywhere
-        else the backend's loop fallback runs.  No policy
-        observations are made — callers that *visit* the targets still
-        go through :meth:`access`.
+        else the backend's loop fallback runs.  *until* is passed
+        through: the engine calls it on each answer and stops reading
+        once it returns true (see
+        :meth:`~repro.backends.base.Backend.traverse_refs_many`).
+        No policy observations are made — callers that *visit* the
+        targets still go through :meth:`access`.
         """
-        return self.store.traverse_refs_many(list(oids))
+        return self.store.traverse_refs_many(list(oids), until)
 
     def end_transaction(self) -> None:
         """Close one transaction: notify the policy, drop the prefetch

@@ -34,6 +34,17 @@ Two emission styles
 * :func:`span` — a context manager for structural sections (a protocol
   phase, one scenario operation): it times the body.
 
+Garbage collection
+------------------
+
+While tracing is on, and only then, :func:`enable` installs a
+``gc.callbacks`` hook that writes one ``gc.collect`` record per
+collection, with its ``generation`` and the ``collected`` and
+``uncollectable`` counts.  A collection's time would otherwise land in
+the self time of whichever record was open; as a record of its own it
+is the ``gc`` layer of :func:`summary`.  :func:`disable` removes the
+hook, and an untraced run never installs it.
+
 The file is the store
 ---------------------
 
@@ -54,6 +65,7 @@ layer being the part of its name before the first dot.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
@@ -82,6 +94,14 @@ enabled = False
 _fd: Optional[int] = None
 
 
+#: Start of the collection in progress (``gc.callbacks`` start phase).
+_gc_start_ns = 0
+#: Set while :func:`_write` formats and writes a record.
+_writing = False
+#: Collections that ran inside :func:`_write`, written after its record.
+_gc_pending: List[Tuple[int, int, Dict[str, object]]] = []
+
+
 def enable(path: str) -> None:
     """Truncate *path* and append every record to it from now on."""
     global enabled, _fd
@@ -89,23 +109,56 @@ def enable(path: str) -> None:
     _fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_APPEND,
                   0o644)
     enabled = True
+    gc.callbacks.append(_on_gc)
 
 
 def disable() -> None:
     """Turn tracing off and close the trace file."""
     global enabled, _fd
     enabled = False
+    if _on_gc in gc.callbacks:
+        gc.callbacks.remove(_on_gc)
+    _gc_pending.clear()
     if _fd is not None:
         os.close(_fd)
         _fd = None
 
 
+def _on_gc(phase: str, info: Dict[str, int]) -> None:
+    """The ``gc.callbacks`` hook: one ``gc.collect`` record per
+    collection, with its generation and what it freed."""
+    global _gc_start_ns
+    if phase == "start":
+        _gc_start_ns = time.perf_counter_ns()
+        return
+    if not enabled or not _gc_start_ns:
+        return
+    record = (_gc_start_ns, time.perf_counter_ns(),
+              {"generation": info["generation"],
+               "collected": info["collected"],
+               "uncollectable": info["uncollectable"]})
+    _gc_start_ns = 0
+    if _writing:
+        # A record being written ended before this collection began;
+        # writing it first keeps every pid's lines in end order.
+        _gc_pending.append(record)
+    else:
+        _write("gc.collect", *record)
+
+
 def _write(name: str, start_ns: int, end_ns: int,
            attrs: Dict[str, object]) -> None:
-    line = json.dumps({"name": name, "pid": os.getpid(),
-                       "start_ns": start_ns, "end_ns": end_ns,
-                       "attrs": attrs}, sort_keys=True) + "\n"
-    os.write(_fd, line.encode("utf-8"))  # type: ignore[arg-type]
+    global _writing
+    _writing = True
+    try:
+        line = json.dumps({"name": name, "pid": os.getpid(),
+                           "start_ns": start_ns, "end_ns": end_ns,
+                           "attrs": attrs}, sort_keys=True) + "\n"
+        os.write(_fd, line.encode("utf-8"))  # type: ignore[arg-type]
+    finally:
+        _writing = False
+    while _gc_pending:
+        _write("gc.collect", *_gc_pending.pop(0))
 
 
 def emit(name: str, start: Optional[float] = None, **attrs: object) -> None:

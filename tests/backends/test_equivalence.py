@@ -24,6 +24,18 @@ from repro.store.storage import StoreConfig
 CONFIG = StoreConfig(page_size=512, buffer_pages=16)
 
 
+class _OperationLog(ScenarioCollector):
+    """Keeps every generic operation's result, in execution order."""
+
+    def __init__(self, phase_name: str) -> None:
+        super().__init__(phase_name)
+        self.operation_results = []
+
+    def record_operation(self, result, retries=0):
+        super().record_operation(result, retries)
+        self.operation_results.append(result)
+
+
 def backend_names_under_test():
     return [info.name for info in available_backends()]
 
@@ -42,7 +54,7 @@ def _generic_executor(database, name):
 
 
 def _run_generic(executor, operations):
-    collector = ScenarioCollector("warm")
+    collector = _OperationLog("warm")
     for _ in range(operations):
         executor.step(collector)
     return collector.operation_results

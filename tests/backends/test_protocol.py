@@ -425,3 +425,134 @@ class TestTraverseRefsMany:
         backend.write_object(leaf)
         assert backend.sql_round_trips == before + 1  # objects UPDATE
         backend.close()
+
+
+class TestTraverseUntil:
+    """``traverse_refs_many(oids, until)``: the engine stops reading at
+    the first answer *until* accepts."""
+
+    OIDS = [17, 3, 42, 8, 3, 29, 11, 56, 2, 40]
+
+    @staticmethod
+    def _stop_at(k, seen):
+        def until(oid, refs):
+            seen.append((oid, refs))
+            return len(seen) == k
+        return until
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_stops_on_the_kth_answer(self, loaded_backend, k):
+        full = list(loaded_backend.traverse_refs_many(self.OIDS).items())
+        seen = []
+        answered = loaded_backend.traverse_refs_many(
+            self.OIDS, self._stop_at(k, seen))
+        assert list(answered.items()) == full[:k]
+        assert seen == full[:k]
+
+    def test_without_until_behaves_as_before(self, loaded_backend):
+        expected = {oid: loaded_backend.traverse_refs(oid)
+                    for oid in self.OIDS}
+        assert loaded_backend.traverse_refs_many(self.OIDS) == expected
+        assert loaded_backend.traverse_refs_many(
+            self.OIDS, until=None) == expected
+        seen = []
+        assert loaded_backend.traverse_refs_many(
+            self.OIDS, self._stop_at(0, seen)) == expected
+        assert len(seen) == len(expected)
+
+    def test_missing_oid_reached_before_the_stop_raises(self,
+                                                        loaded_backend):
+        # 0 is below every stored oid and first in request order, so
+        # every engine passes it before answering oid 7.
+        with pytest.raises(UnknownObject) as excinfo:
+            loaded_backend.traverse_refs_many(
+                [5, 0, 6, 7, 9], until=lambda oid, refs: oid == 7)
+        assert excinfo.value.args[0] == 0
+
+    def test_oids_after_the_stop_are_not_checked(self, loaded_backend):
+        call = lambda: loaded_backend.traverse_refs_many(  # noqa: E731
+            [5, 6, 7, 999999], until=lambda oid, refs: oid == 6)
+        if loaded_backend.name == "sharded-sqlite":
+            # The sharded engine reads every shard's slice before it
+            # applies until, so the whole batch is checked.
+            with pytest.raises(UnknownObject):
+                call()
+            return
+        assert list(call()) == [5, 6]
+
+    def test_sqlite_counts_only_rows_and_chunks_issued(self):
+        from repro.backends import SQLiteBackend
+        backend = SQLiteBackend(page_size=512, cache_pages=16)
+        backend.bulk_load(make_records(1200))
+        oids = list(range(1, 1201))
+        for stop, trips in ((3, 1), (500, 1), (501, 2), (1150, 3),
+                            (None, 3)):
+            backend.reset_stats()
+            answered = backend.traverse_refs_many(
+                oids, until=None if stop is None
+                else (lambda oid, refs, stop=stop: oid == stop))
+            rows = 1200 if stop is None else stop
+            assert len(answered) == rows
+            assert backend.sql_round_trips == trips
+            assert backend.decodes_avoided == rows
+            assert backend.object_accesses == rows
+        backend.close()
+
+    def test_sqlite_emits_one_record_on_every_exit(self, tmp_path):
+        from repro.backends import SQLiteBackend
+        from repro.obs import trace
+        backend = SQLiteBackend(page_size=512, cache_pages=16)
+        backend.bulk_load(make_records(20))
+
+        def boom(oid, refs):
+            raise RuntimeError("until failed")
+
+        path = str(tmp_path / "trace.jsonl")
+        trace.enable(path)
+        try:
+            backend.traverse_refs_many([1, 2, 3])
+            backend.traverse_refs_many([1, 2, 3],
+                                       until=lambda oid, refs: oid == 2)
+            with pytest.raises(RuntimeError):
+                backend.traverse_refs_many([1, 2, 3], until=boom)
+            with pytest.raises(UnknownObject):
+                backend.traverse_refs_many([1, 999999])
+        finally:
+            trace.disable()
+            backend.close()
+        records = [(span.attrs["oids"], span.attrs["rows"])
+                   for span in trace.spans(path)
+                   if span.name == "sqlite.traverse_refs_many"]
+        assert records == [(3, 3), (3, 2), (3, 1), (2, 1)]
+
+    def test_sqlite_releases_its_read_lock_on_every_exit(self, tmp_path):
+        """Rollback-journal mode: a SHARED lock left by an unfinished
+        cursor would make another connection's commit fail at once."""
+        import sqlite3
+        from repro.backends import SQLiteBackend
+        path = str(tmp_path / "walk.db")
+        backend = SQLiteBackend(path=path, journal_mode="DELETE")
+        backend.bulk_load(make_records(50))
+
+        def commit_elsewhere():
+            other = sqlite3.connect(path, timeout=0, isolation_level=None)
+            try:
+                other.execute("BEGIN IMMEDIATE")
+                other.execute("UPDATE objects SET cid = cid WHERE oid = 1")
+                other.execute("COMMIT")
+            finally:
+                other.close()
+
+        def boom(oid, refs):
+            raise RuntimeError("until failed")
+
+        answered = backend.traverse_refs_many(
+            range(1, 51), until=lambda oid, refs: oid == 3)
+        assert list(answered) == [1, 2, 3]
+        commit_elsewhere()
+        with pytest.raises(RuntimeError) as excinfo:
+            backend.traverse_refs_many(range(1, 51), until=boom)
+        # The traceback (and the call's frame) is still alive here.
+        assert excinfo.traceback
+        commit_elsewhere()
+        backend.close()

@@ -77,6 +77,13 @@ class TestErrors:
         with pytest.raises(BackendError, match=f"no option '{option}'"):
             create_backend(name, **{option: 2})
 
+    @pytest.mark.parametrize("name", ["memory", "simulated"])
+    def test_optionless_engine_rejects_every_option(self, name):
+        with pytest.raises(BackendError,
+                           match=f"backend '{name}' takes no option "
+                                 f"'path'; accepted: none"):
+            create_backend(name, path="/nonexistent/x")
+
     def test_duplicate_registration_rejected(self):
         register_backend("registry-test", lambda config, **kw: MemoryBackend(),
                          "temporary")

@@ -11,14 +11,21 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from repro.backends.sqlite import SQLiteBackend
 from repro.core.presets import scenario_preset
 from repro.core.scenario import (
+    ClientExecutor,
     MixEntry,
     Scenario,
     ScenarioRunner,
     WorkloadMix,
+    _structure_walk,
 )
+from repro.core.session import Session
 from repro.parallel.spec import ParallelConfig
 
 
@@ -107,3 +114,103 @@ class TestGraphWalkPreset:
                            cold_ops=3, warm_ops=12, seed=5)
         report = ScenarioRunner(small_database, scenario).run()
         assert report.decodes_avoided > 0
+
+
+def _reference_structure_walk(session, root, depth, budget, objects):
+    """The structure walk as a per-target loop over whole levels.
+
+    Returns the visited set, each level's frontier and the answers the
+    walk needed: every answer of a level, up to and including the one
+    that filled the budget.
+    """
+    visited = {root}
+    frontier = [root]
+    levels = []
+    needed = 0
+    for _ in range(depth):
+        if not frontier or len(visited) >= budget:
+            break
+        levels.append(frontier)
+        answers = session.traverse_refs_many(frontier)
+        frontier = []
+        for targets in answers.values():
+            if len(visited) >= budget:
+                break
+            needed += 1
+            for target in targets:
+                if len(visited) >= budget:
+                    break
+                if target not in visited and target in objects:
+                    visited.add(target)
+                    frontier.append(target)
+    return visited, levels, needed
+
+
+class _LevelLog:
+    """A session stand-in that logs each frontier it is asked about."""
+
+    def __init__(self, session):
+        self.session = session
+        self.levels = []
+
+    def traverse_refs_many(self, oids, *until):
+        self.levels.append(list(oids))
+        return self.session.traverse_refs_many(oids, *until)
+
+
+@pytest.fixture(scope="module")
+def walk_sessions(request):
+    database = request.getfixturevalue("small_database")
+    sessions = {name: Session.for_database(database, name)
+                for name in ("memory", "sqlite")}
+    yield sessions
+    for session in sessions.values():
+        session.close()
+
+
+class TestStructureWalk:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pick=st.integers(min_value=0), depth=st.integers(0, 6),
+           budget=st.integers(1, 600))
+    def test_matches_the_per_target_loop(self, small_database,
+                                         walk_sessions, pick, depth,
+                                         budget):
+        objects = small_database.objects
+        oids = sorted(objects)
+        root = oids[pick % len(oids)]
+        for name, session in walk_sessions.items():
+            log = _LevelLog(session)
+            visited = _structure_walk(log, root, depth, budget, objects)
+            expected, levels, _ = _reference_structure_walk(
+                session, root, depth, budget, objects)
+            assert visited == expected, name
+            assert log.levels == levels, name
+
+    def test_capped_walk_decodes_only_the_rows_it_needs(self,
+                                                        small_database):
+        entry = MixEntry("structure_traversal", depth=6, max_visits=20)
+        session = Session.for_database(small_database, "sqlite")
+        executor = ClientExecutor(
+            small_database, WorkloadMix(entries=(entry,)), session)
+        log = _LevelLog(Session(session.store))
+        session.traverse_refs_many = log.traverse_refs_many
+        engine = session.store
+        needed = read = 0
+        for _ in range(10):
+            log.levels.clear()
+            before = engine.decodes_avoided
+            touched = executor.op_structure_traversal(entry).objects_touched
+            avoided = engine.decodes_avoided - before
+            root = log.levels[0][0]
+            visited, _, rows = _reference_structure_walk(
+                engine, root, entry.resolved_depth, entry.max_visits,
+                small_database.objects)
+            assert touched == len(visited)
+            assert avoided == rows
+            needed += rows
+            read += sum(len(level) for level in log.levels)
+        # The cap fell inside a level at least once: the walk read less
+        # than whole levels.
+        assert needed < read
+        session.close()

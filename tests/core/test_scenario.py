@@ -337,10 +337,10 @@ class TestScenarioRunnerMutating:
         session = Session.for_database(database, "memory")
         executor = ClientExecutor(
             database, WorkloadMix(entries=(MixEntry("delete"),)), session)
-        collector = ScenarioCollector("probe")
+        collector = _RecordingCollector()
         executor.step(collector)  # 2 objects: delete is allowed...
         executor.step(collector)  # ...now 1 object: guard forces insert.
-        classes = {r.operation.value for r in collector.operation_results}
+        classes = {r.operation.value for r in collector.log}
         assert "insert" in classes
         assert len(database.objects) >= 1
         session.close()

@@ -548,6 +548,18 @@ class TestTransactionGolden:
         assert signature == GOLDEN["workload_reverse"][backend]
 
 
+class _OperationLog(ScenarioCollector):
+    """Keeps every generic operation's result, in execution order."""
+
+    def __init__(self, phase_name: str) -> None:
+        super().__init__(phase_name)
+        self.operation_results = []
+
+    def record_operation(self, result, retries=0):
+        super().record_operation(result, retries)
+        self.operation_results.append(result)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestGenericOperationsShim:
     def test_operation_stream_matches_golden(self, backend):
@@ -557,7 +569,7 @@ class TestGenericOperationsShim:
         session = Session.for_database(database, backend)
         executor = ClientExecutor(
             database, WorkloadMix.from_operation_weights(), session)
-        collector = ScenarioCollector("warm")
+        collector = _OperationLog("warm")
         for _ in range(18):
             executor.step(collector)
         session.close()

@@ -3,6 +3,7 @@ CLI summary, zero overhead when off."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -243,6 +244,70 @@ def run_traced(capsys, path, argv):
     return int(re.search(r"^trace: (\d+) records", err, re.M).group(1))
 
 
+def _collections_within(records, enclosing):
+    """The ``gc.collect`` records that ran inside *enclosing*."""
+    return [r for r in records if r.name == "gc.collect"
+            and enclosing.start_ns <= r.start_ns
+            and r.end_ns <= enclosing.end_ns]
+
+
+class TestGarbageCollection:
+    def test_collection_is_a_child_record_of_the_open_span(self, path):
+        trace.enable(path)
+        with trace.span("outer"):
+            gc.collect()
+        trace.disable()
+        records = list(trace.spans(path))
+        (outer,) = [r for r in records if r.name == "outer"]
+        collections = _collections_within(records, outer)
+        assert 2 in {r.attrs["generation"] for r in collections}
+        assert {r.parent for r in collections} == {"outer"}
+        assert all(isinstance(r.attrs[key], int) for r in collections
+                   for key in ("collected", "uncollectable"))
+        assert outer.self_ns == outer.end_ns - outer.start_ns - sum(
+            r.end_ns - r.start_ns for r in collections)
+        assert "gc" in dict(trace.summary(path).layers)
+
+    def test_disable_removes_the_hook(self, path):
+        before = list(gc.callbacks)
+        trace.enable(path)
+        assert len(gc.callbacks) == len(before) + 1
+        trace.enable(path)  # Re-enabling installs no second hook.
+        assert len(gc.callbacks) == len(before) + 1
+        trace.disable()
+        assert gc.callbacks == before
+        size = os.path.getsize(path)
+        gc.collect()
+        assert os.path.getsize(path) == size
+
+    def test_collection_inside_a_write_follows_that_record(
+            self, path, monkeypatch):
+        """A collection that runs while a record is being formatted
+        began after that record ended: it is written after it, so the
+        record does not adopt it."""
+        trace.enable(path)
+        dumps = json.dumps
+
+        def collecting_dumps(*args, **kwargs):
+            if args[0]["name"] == "inner":
+                gc.collect()
+            return dumps(*args, **kwargs)
+
+        with trace.span("outer"):
+            monkeypatch.setattr(json, "dumps", collecting_dumps)
+            trace.emit("inner", ago(0.001))
+            monkeypatch.setattr(json, "dumps", dumps)
+        trace.disable()
+        records = list(trace.spans(path))
+        (inner,) = [r for r in records if r.name == "inner"]
+        (outer,) = [r for r in records if r.name == "outer"]
+        assert 2 in {r.attrs["generation"]
+                     for r in _collections_within(records, outer)}
+        assert inner.self_ns == inner.end_ns - inner.start_ns - sum(
+            r.end_ns - r.start_ns
+            for r in _collections_within(records, inner))
+
+
 class TestTracedCli:
     """Whole-run traces: every record summarised, parents by layer."""
 
@@ -320,6 +385,28 @@ class TestZeroOverheadWhenOff:
         assert main(["scenario", "read_heavy", "--warm", "5",
                      "--cold", "1"]) == 0
         assert calls == []
+
+    def test_scenario_off_run_installs_no_gc_hook(self, monkeypatch):
+        """Without --trace, `ocb scenario` never touches gc.callbacks."""
+        from repro.cli import main
+
+        calls = []
+
+        class SpyList(list):
+            def append(self, item):
+                calls.append(("append", item))
+                super().append(item)
+
+            def remove(self, item):
+                calls.append(("remove", item))
+                super().remove(item)
+
+        spy = SpyList(gc.callbacks)
+        monkeypatch.setattr(gc, "callbacks", spy)
+        assert main(["scenario", "read_heavy", "--warm", "5",
+                     "--cold", "1"]) == 0
+        assert calls == []
+        assert gc.callbacks is spy
 
     def test_loadtest_off_run_executes_no_tracer_callbacks(
             self, monkeypatch):

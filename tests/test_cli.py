@@ -289,6 +289,21 @@ class TestScenarioCommand:
         assert "'shards'" in err
         assert "busy_timeout_ms" in err  # The accepted options are listed.
 
+    def test_option_on_optionless_engine_fails_cleanly(self, tmp_path,
+                                                       capsys):
+        spec = {
+            "mix": {"name": "probe", "entries": [
+                {"kind": "update", "weight": 1.0}]},
+            "cold_ops": 1, "warm_ops": 2, "backend": "memory",
+            "backend_options": {"shards": 2, "path": "/nonexistent/x"},
+        }
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(spec))
+        assert main(["scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ocb: error:")
+        assert "backend 'memory' takes no option 'shards'" in err
+
     def test_unknown_scenario_fails_cleanly(self, capsys):
         assert main(["scenario", "nope"]) == 1
         assert "unknown scenario" in capsys.readouterr().err
