@@ -53,7 +53,7 @@ def backend_results():
 
 
 def test_backend_comparison_table(backend_results):
-    summaries = [summarize_backend_run(name, result.report.warm.classic)
+    summaries = [summarize_backend_run(name, result.report.warm)
                  for name, result in sorted(backend_results.items())]
     term_print(render_backend_comparison(summaries))
     assert len(summaries) >= 3
@@ -63,8 +63,8 @@ def test_logical_workload_identical_across_backends(backend_results):
     """Same seed + same graph => every engine visits the same objects."""
     reference = None
     for name, result in sorted(backend_results.items()):
-        totals = result.report.warm.classic.totals
-        signature = (totals.count, totals.visits, totals.distinct_objects)
+        totals = result.report.warm.transactions().totals
+        signature = (totals.count, totals.objects, totals.distinct_objects)
         if reference is None:
             reference = (name, signature)
         else:
@@ -75,7 +75,7 @@ def test_logical_workload_identical_across_backends(backend_results):
 
 def test_only_simulated_reports_simulated_ios(backend_results):
     for name, result in backend_results.items():
-        totals = result.report.warm.classic.totals
+        totals = result.report.warm.transactions().totals
         if name == "simulated":
             assert totals.io_reads > 0
             assert totals.sim_time > 0.0
@@ -86,8 +86,9 @@ def test_only_simulated_reports_simulated_ios(backend_results):
 
 def test_every_backend_reports_wall_percentiles(backend_results):
     for name, result in backend_results.items():
-        wall = result.report.warm.classic.wall_percentiles()
-        assert wall.count == result.report.warm.classic.totals.count
+        warm = result.report.warm.transactions()
+        wall = warm.wall_percentiles()
+        assert wall.count == warm.totals.count
         assert wall.p50 <= wall.p95 <= wall.p99
         assert wall.p99 > 0.0, f"{name} reported zero wall-clock latency"
 
@@ -115,8 +116,8 @@ def _run_set_oriented_sqlite(engine: type):
         report = ScenarioRunner(database, scenario, store=store).run()
     finally:
         store.close()
-    totals = report.clients[0].warm.classic.totals
-    return ((totals.count, totals.visits, totals.distinct_objects),
+    totals = report.clients[0].warm.transactions().totals
+    return ((totals.count, totals.objects, totals.distinct_objects),
             report.sql_round_trips)
 
 

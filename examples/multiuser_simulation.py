@@ -94,10 +94,11 @@ def run_on_backend(backend: str) -> None:
     for clients in CLIENT_COUNTS:
         scenario = Scenario.from_workload_parameters(workload(clients),
                                                      backend=backend)
-        warm = ScenarioRunner(database, scenario).run().merged_warm.classic
+        report = ScenarioRunner(database, scenario).run()
+        warm = report.merged_warm.transactions()
         wall = warm.wall_percentiles()
         totals = warm.totals
-        rows.append([clients, totals.count, totals.visits_per_transaction,
+        rows.append([clients, totals.count, totals.objects_per_op,
                      wall.p50 * 1000, wall.p95 * 1000, wall.p99 * 1000])
 
     print(render_table(

@@ -43,7 +43,7 @@ def main() -> None:
     print()
     print(render_table(
         ["kind", "n", "objects/txn", "reads/txn", "IOs/txn", "t_sim/txn (s)"],
-        result.report.warm.classic.rows(),
+        result.report.warm.kind_rows(),
         title="Warm-run metrics per transaction type",
         precision=3))
 

@@ -428,19 +428,21 @@ def _cmd_run(args: argparse.Namespace) -> str:
     finally:
         if bench.backend is not None:
             bench.backend.close()
-    warm = result.report.warm.classic
-    wall = warm.wall_percentiles()
+    warm = result.report.warm.transactions()
+    totals = warm.totals
+    wall = totals.wall_percentiles()
+    rows = warm.kind_rows()
     if args.json:
         import json
         document = {
             "command": "run",
             "preset": args.preset,
             "backend": result.backend_name,
-            "warm_transactions": warm.totals.count,
-            "objects_per_txn": warm.totals.visits_per_transaction,
-            "reads_per_txn": warm.totals.reads_per_transaction,
-            "ios_per_txn": warm.totals.ios_per_transaction,
-            "sim_time_per_txn": warm.totals.sim_time_per_transaction,
+            "warm_transactions": totals.count,
+            "objects_per_txn": totals.objects_per_op,
+            "reads_per_txn": totals.reads_per_op,
+            "ios_per_txn": totals.ios_per_op,
+            "sim_time_per_txn": totals.sim_time_per_op,
             "wall_p50_ms": wall.p50 * 1e3,
             "wall_p95_ms": wall.p95 * 1e3,
             "wall_p99_ms": wall.p99 * 1e3,
@@ -448,14 +450,14 @@ def _cmd_run(args: argparse.Namespace) -> str:
                 {"kind": kind, "n": count, "objects_per_txn": visits,
                  "reads_per_txn": reads, "ios_per_txn": ios,
                  "sim_time_per_txn": sim}
-                for kind, count, visits, reads, ios, sim in warm.rows()],
+                for kind, count, visits, reads, ios, sim in rows],
         }
         return json.dumps(document, indent=2)
     lines = [result.describe(), "",
              render_table(
                  ["kind", "n", "objects/txn", "reads/txn", "IOs/txn",
                   "t_sim/txn (s)"],
-                 warm.rows(),
+                 rows,
                  title="Warm-run metrics per transaction type",
                  precision=3),
              "",

@@ -8,7 +8,6 @@ from repro.core.generation import (
     generate_database,
     generate_schema,
 )
-from repro.core.metrics import KindStats, MetricsCollector, PhaseReport
 from repro.core.parameters import (
     DatabaseParameters,
     ReferenceTypeSpec,
@@ -64,9 +63,6 @@ __all__ = [
     "generate_schema",
     "GenericOperation",
     "OperationResult",
-    "KindStats",
-    "MetricsCollector",
-    "PhaseReport",
     "DatabaseParameters",
     "WorkloadParameters",
     "ReferenceTypeSpec",

@@ -39,16 +39,16 @@ class BenchmarkResult:
 
     database_statistics: DatabaseStatistics
     generation: GenerationReport
-    #: The single client's run; ``report.warm.classic`` is the warm
-    #: phase per transaction kind.
+    #: The single client's run; ``report.warm.transactions()`` is the
+    #: warm phase per transaction kind.
     report: ClientScenarioReport
     store_pages: int
     backend_name: str = "simulated"
 
     def describe(self) -> str:
         """Multi-line human-readable summary."""
-        warm = self.report.warm.classic.totals
-        wall = self.report.warm.classic.wall_percentiles()
+        warm = self.report.warm.transactions().totals
+        wall = warm.wall_percentiles()
         lines = [
             "OCB benchmark result",
             f"  database : {self.database_statistics.describe()}",
@@ -58,8 +58,8 @@ class BenchmarkResult:
             f"  backend  : {self.backend_name}",
             f"  store    : {self.store_pages} pages",
             f"  warm run : {warm.count} transactions, "
-            f"{warm.visits_per_transaction:.1f} objects/txn, "
-            f"{warm.reads_per_transaction:.2f} reads/txn, "
+            f"{warm.objects_per_op:.1f} objects/txn, "
+            f"{warm.reads_per_op:.2f} reads/txn, "
             f"{warm.hit_ratio * 100:.1f}% buffer hits",
             f"  wall/txn : {wall.describe()}",
         ]

@@ -43,14 +43,14 @@ class ExperimentResult:
     @property
     def ios_before(self) -> float:
         """Mean page reads per warm transaction, before reclustering."""
-        return self.before.warm.classic.totals.reads_per_transaction
+        return self.before.warm.transactions().totals.reads_per_op
 
     @property
     def ios_after(self) -> float:
         """Mean page reads per warm transaction, after reclustering."""
         if self.after is None:
             return self.ios_before
-        return self.after.warm.classic.totals.reads_per_transaction
+        return self.after.warm.transactions().totals.reads_per_op
 
     @property
     def gain_factor(self) -> float:

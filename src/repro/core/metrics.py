@@ -7,23 +7,20 @@ The paper measures, globally *and per transaction type*:
 * the number of I/Os performed, split into **transaction I/Os** and
   **clustering I/O overhead**.
 
-:class:`MetricsCollector` accumulates per-kind aggregates from
-``(TransactionResult, StoreSnapshot delta, wall seconds)`` triples;
-:class:`PhaseReport` is the publishable summary of one protocol phase
-(cold or warm run).
+Those aggregates live in one place: each phase folds every executed
+operation into one :class:`~repro.core.scenario.OpClassStats` per class,
+and :meth:`~repro.core.scenario.ScenarioPhase.transactions` is the
+per-transaction-type view the paper's tables quote.  This module holds
+the wall-clock latency summary those aggregates report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
 
-from repro.core.transactions import TransactionKind, TransactionResult
-from repro.stats import percentile
-from repro.store.storage import StoreSnapshot
+from repro.stats import BoundedSample
 
-__all__ = ["KindStats", "LatencyPercentiles", "PhaseReport",
-           "MetricsCollector"]
+__all__ = ["LatencyPercentiles"]
 
 
 @dataclass(frozen=True)
@@ -37,189 +34,18 @@ class LatencyPercentiles:
     p999: float = 0.0
 
     @classmethod
-    def from_samples(cls, samples: "List[float]") -> "LatencyPercentiles":
-        """Percentiles of *samples*; all-zero when no samples exist.
-
-        *samples* may be a plain sequence or any object exposing
-        ``__len__`` and ``percentile(q)`` (``stats.BoundedSample``, an
-        ``obs.latency.LatencyHistogram``) — long-running sweeps fold
-        into bounded histograms instead of unbounded lists.
-        """
+    def from_samples(cls, samples: BoundedSample) -> "LatencyPercentiles":
+        """Percentiles of *samples*; all-zero when no samples exist."""
         if not len(samples):
             return cls(count=0, p50=0.0, p95=0.0, p99=0.0)
-        quantile = getattr(samples, "percentile", None)
-        if quantile is None:
-            def quantile(q: float) -> float:
-                return percentile(samples, q)
         return cls(count=len(samples),
-                   p50=quantile(50.0),
-                   p95=quantile(95.0),
-                   p99=quantile(99.0),
-                   p999=quantile(99.9))
+                   p50=samples.percentile(50.0),
+                   p95=samples.percentile(95.0),
+                   p99=samples.percentile(99.0),
+                   p999=samples.percentile(99.9))
 
     def describe(self, scale: float = 1e3, unit: str = "ms") -> str:
         """One line, e.g. ``P50 0.12 ms | P95 0.50 ms | P99 0.91 ms``."""
         return (f"P50 {self.p50 * scale:.3f} {unit} | "
                 f"P95 {self.p95 * scale:.3f} {unit} | "
                 f"P99 {self.p99 * scale:.3f} {unit}")
-
-
-@dataclass
-class KindStats:
-    """Aggregates for one transaction kind."""
-
-    count: int = 0
-    visits: int = 0
-    distinct_objects: int = 0
-    io_reads: int = 0
-    io_writes: int = 0
-    buffer_hits: int = 0
-    buffer_misses: int = 0
-    sim_time: float = 0.0
-    wall_time: float = 0.0
-    truncated: int = 0
-    wall_samples: List[float] = field(default_factory=list)
-
-    def add(self, result: TransactionResult, delta: StoreSnapshot,
-            wall_seconds: float) -> None:
-        """Fold one transaction into the aggregate."""
-        self.count += 1
-        self.visits += result.visits
-        self.distinct_objects += result.distinct_objects
-        self.io_reads += delta.io_reads
-        self.io_writes += delta.io_writes
-        self.buffer_hits += delta.buffer.hits
-        self.buffer_misses += delta.buffer.misses
-        self.sim_time += delta.sim_time
-        self.wall_time += wall_seconds
-        self.wall_samples.append(wall_seconds)
-        if result.truncated:
-            self.truncated += 1
-
-    def merge(self, other: "KindStats") -> None:
-        """Fold another aggregate (multi-client merges)."""
-        self.count += other.count
-        self.visits += other.visits
-        self.distinct_objects += other.distinct_objects
-        self.io_reads += other.io_reads
-        self.io_writes += other.io_writes
-        self.buffer_hits += other.buffer_hits
-        self.buffer_misses += other.buffer_misses
-        self.sim_time += other.sim_time
-        self.wall_time += other.wall_time
-        self.truncated += other.truncated
-        self.wall_samples.extend(other.wall_samples)
-
-    # Per-transaction means (0.0 when the kind never ran).
-
-    @property
-    def ios_per_transaction(self) -> float:
-        """Mean page I/Os (reads + writes) per transaction."""
-        return (self.io_reads + self.io_writes) / self.count if self.count else 0.0
-
-    @property
-    def reads_per_transaction(self) -> float:
-        """Mean page reads per transaction."""
-        return self.io_reads / self.count if self.count else 0.0
-
-    @property
-    def visits_per_transaction(self) -> float:
-        """Mean accessed objects per transaction."""
-        return self.visits / self.count if self.count else 0.0
-
-    @property
-    def sim_time_per_transaction(self) -> float:
-        """Mean simulated response time per transaction (seconds)."""
-        return self.sim_time / self.count if self.count else 0.0
-
-    @property
-    def hit_ratio(self) -> float:
-        """Buffer hit ratio over the kind's accesses."""
-        total = self.buffer_hits + self.buffer_misses
-        return self.buffer_hits / total if total else 0.0
-
-    @property
-    def wall_time_per_transaction(self) -> float:
-        """Mean wall-clock response time per transaction (seconds)."""
-        return self.wall_time / self.count if self.count else 0.0
-
-    def wall_percentiles(self) -> LatencyPercentiles:
-        """Wall-clock latency percentiles over the kind's transactions."""
-        return LatencyPercentiles.from_samples(self.wall_samples)
-
-
-@dataclass
-class PhaseReport:
-    """Metrics of one protocol phase (cold run or warm run)."""
-
-    name: str
-    per_kind: Dict[TransactionKind, KindStats] = field(default_factory=dict)
-
-    @property
-    def totals(self) -> KindStats:
-        """Aggregate over every kind."""
-        total = KindStats()
-        for stats in self.per_kind.values():
-            total.merge(stats)
-        return total
-
-    @property
-    def transaction_count(self) -> int:
-        """Transactions executed in the phase."""
-        return sum(stats.count for stats in self.per_kind.values())
-
-    def kind(self, kind: TransactionKind) -> KindStats:
-        """Stats for one kind (empty aggregate if it never ran)."""
-        return self.per_kind.get(kind, KindStats())
-
-    def wall_percentiles(self) -> LatencyPercentiles:
-        """Wall-clock P50/P95/P99 over every transaction in the phase."""
-        return self.totals.wall_percentiles()
-
-    def merge(self, other: "PhaseReport") -> None:
-        """Fold another phase report into this one (multi-client)."""
-        for kind, stats in other.per_kind.items():
-            if kind in self.per_kind:
-                self.per_kind[kind].merge(stats)
-            else:
-                merged = KindStats()
-                merged.merge(stats)
-                self.per_kind[kind] = merged
-
-    def rows(self) -> List[Tuple[str, int, float, float, float, float]]:
-        """Table rows: kind, n, visits/txn, reads/txn, IOs/txn, t_sim/txn."""
-        table = []
-        for kind in TransactionKind:
-            stats = self.per_kind.get(kind)
-            if stats is None or stats.count == 0:
-                continue
-            table.append((kind.value, stats.count,
-                          stats.visits_per_transaction,
-                          stats.reads_per_transaction,
-                          stats.ios_per_transaction,
-                          stats.sim_time_per_transaction))
-        totals = self.totals
-        table.append(("all", totals.count,
-                      totals.visits_per_transaction,
-                      totals.reads_per_transaction,
-                      totals.ios_per_transaction,
-                      totals.sim_time_per_transaction))
-        return table
-
-
-class MetricsCollector:
-    """Accumulates transaction results into a :class:`PhaseReport`."""
-
-    def __init__(self, phase_name: str) -> None:
-        self._report = PhaseReport(name=phase_name)
-
-    def record(self, result: TransactionResult, delta: StoreSnapshot,
-               wall_seconds: float = 0.0) -> None:
-        """Fold one transaction (with its store-delta) into the phase."""
-        stats = self._report.per_kind.setdefault(result.kind, KindStats())
-        stats.add(result, delta, wall_seconds)
-
-    @property
-    def report(self) -> PhaseReport:
-        """The phase report built so far."""
-        return self._report

@@ -82,8 +82,7 @@ from repro.backends.base import Backend
 from repro.clustering.base import ClusteringPolicy, NoClustering, \
     PlacementContext
 from repro.core.database import OCBDatabase, OCBObject
-from repro.core.metrics import LatencyPercentiles, MetricsCollector, \
-    PhaseReport
+from repro.core.metrics import LatencyPercentiles
 from repro.core.parameters import WorkloadParameters
 from repro.core.session import Session
 from repro.core.transactions import (
@@ -578,7 +577,13 @@ class Scenario:
 
 @dataclass
 class OpClassStats:
-    """Aggregates for one operation class (transaction kind or generic op)."""
+    """Aggregates for one operation class (transaction kind or generic op).
+
+    ``objects`` is a transaction's visits (accessed objects, counted
+    with repeats); ``distinct_objects``, the buffer counters and
+    ``truncated`` (transactions stopped by their visit budget) are the
+    transaction-only figures, 0 for generic operations.
+    """
 
     op_class: str
     count: int = 0
@@ -588,12 +593,18 @@ class OpClassStats:
     sim_time: float = 0.0
     wall_time: float = 0.0
     busy_retries: int = 0
+    distinct_objects: int = 0
+    buffer_hits: int = 0
+    buffer_misses: int = 0
+    truncated: int = 0
     # Bounded: exact samples for short runs, log-bucketed histogram once
     # a long open-loop sweep pushes past the fold threshold.
     wall_samples: BoundedSample = field(default_factory=BoundedSample)
 
     def add(self, objects: int, io_reads: int, io_writes: int,
-            sim_time: float, wall_seconds: float, retries: int = 0) -> None:
+            sim_time: float, wall_seconds: float, retries: int = 0,
+            distinct_objects: int = 0, buffer_hits: int = 0,
+            buffer_misses: int = 0, truncated: bool = False) -> None:
         """Fold one executed operation into the aggregate."""
         self.count += 1
         self.objects += objects
@@ -602,6 +613,10 @@ class OpClassStats:
         self.sim_time += sim_time
         self.wall_time += wall_seconds
         self.busy_retries += retries
+        self.distinct_objects += distinct_objects
+        self.buffer_hits += buffer_hits
+        self.buffer_misses += buffer_misses
+        self.truncated += truncated
         self.wall_samples.append(wall_seconds)
 
     def merge(self, other: "OpClassStats") -> None:
@@ -613,7 +628,13 @@ class OpClassStats:
         self.sim_time += other.sim_time
         self.wall_time += other.wall_time
         self.busy_retries += other.busy_retries
+        self.distinct_objects += other.distinct_objects
+        self.buffer_hits += other.buffer_hits
+        self.buffer_misses += other.buffer_misses
+        self.truncated += other.truncated
         self.wall_samples.extend(other.wall_samples)
+
+    # Per-operation means (0.0 when the class never ran).
 
     @property
     def objects_per_op(self) -> float:
@@ -627,9 +648,21 @@ class OpClassStats:
         return self.io_reads / self.count if self.count else 0.0
 
     @property
+    def ios_per_op(self) -> float:
+        """Mean page I/Os (reads + writes) per operation."""
+        return (self.io_reads + self.io_writes) / self.count \
+            if self.count else 0.0
+
+    @property
     def sim_time_per_op(self) -> float:
         """Mean simulated cost per operation (seconds)."""
         return self.sim_time / self.count if self.count else 0.0
+
+    @property
+    def hit_ratio(self) -> float:
+        """Buffer hit ratio over the class's page accesses."""
+        total = self.buffer_hits + self.buffer_misses
+        return self.buffer_hits / total if total else 0.0
 
     def wall_percentiles(self) -> LatencyPercentiles:
         """Wall-clock latency percentiles over the class's operations."""
@@ -657,20 +690,15 @@ class OpClassStats:
 class ScenarioPhase:
     """One protocol phase (cold or warm) of one client, per-class.
 
-    ``classic`` is the per-transaction-kind :class:`PhaseReport`
-    covering the phase's transaction entries — the shape the paper's
-    tables quote (reads/IOs per transaction, per kind).  The Tables 4-5
+    :meth:`transactions` is the phase over its OCB transaction kinds
+    alone — the shape the paper's tables quote (reads/IOs per
+    transaction, per kind, see :meth:`kind_rows`).  The Tables 4-5
     experiment, the benchmark facade and the cross-backend comparison
-    read it, and multi-client folds merge it.
+    read it.
     """
 
     name: str
     per_class: Dict[str, OpClassStats] = field(default_factory=dict)
-    classic: PhaseReport = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.classic is None:
-            self.classic = PhaseReport(name=self.name)
 
     @property
     def operation_count(self) -> int:
@@ -693,6 +721,14 @@ class ScenarioPhase:
         """Wall-clock P50/P95/P99 over every operation in the phase."""
         return self.totals.wall_percentiles()
 
+    def transactions(self) -> "ScenarioPhase":
+        """The phase over its transaction kinds only; it shares their
+        stats, so its ``totals`` and ``wall_percentiles()`` cover the
+        phase's transactions."""
+        return ScenarioPhase(name=self.name, per_class={
+            op_class: stats for op_class, stats in self.per_class.items()
+            if op_class in TRANSACTION_CLASSES})
+
     def merge(self, other: "ScenarioPhase") -> None:
         """Fold another phase (multi-client merges)."""
         for op_class, stats in other.per_class.items():
@@ -702,7 +738,6 @@ class ScenarioPhase:
                 merged = OpClassStats(op_class=op_class)
                 merged.merge(stats)
                 self.per_class[op_class] = merged
-        self.classic.merge(other.classic)
 
     def rows(self) -> List[List[object]]:
         """Table rows in canonical class order, with the totals row."""
@@ -724,6 +759,22 @@ class ScenarioPhase:
                       totals.busy_retries])
         return table
 
+    def kind_rows(self) -> List[Tuple[str, int, float, float, float, float]]:
+        """The paper's per-transaction-type rows, in kind order, then
+        ``all`` over the transactions: kind, n, visits/txn, reads/txn,
+        IOs/txn, t_sim/txn."""
+        view = self.transactions()
+        table = [(stats.op_class, stats.count, stats.objects_per_op,
+                  stats.reads_per_op, stats.ios_per_op,
+                  stats.sim_time_per_op)
+                 for stats in map(view.per_class.get, TRANSACTION_CLASSES)
+                 if stats is not None and stats.count]
+        totals = view.totals
+        table.append(("all", totals.count, totals.objects_per_op,
+                      totals.reads_per_op, totals.ios_per_op,
+                      totals.sim_time_per_op))
+        return table
+
     def to_dict(self) -> dict:
         """JSON-ready mapping: per-class rows in canonical order."""
         return {
@@ -740,18 +791,20 @@ class ScenarioCollector:
 
     def __init__(self, phase_name: str) -> None:
         self.name = phase_name
-        self.classic = MetricsCollector(phase_name)
         self.per_class: Dict[str, OpClassStats] = {}
 
     def record_transaction(self, result: TransactionResult, delta,
                            wall_seconds: float, retries: int = 0) -> None:
         """Fold one executed OCB transaction."""
-        self.classic.record(result, delta, wall_seconds)
         stats = self.per_class.setdefault(
             result.kind.value, OpClassStats(op_class=result.kind.value))
         stats.add(objects=result.visits, io_reads=delta.io_reads,
                   io_writes=delta.io_writes, sim_time=delta.sim_time,
-                  wall_seconds=wall_seconds, retries=retries)
+                  wall_seconds=wall_seconds, retries=retries,
+                  distinct_objects=result.distinct_objects,
+                  buffer_hits=delta.buffer.hits,
+                  buffer_misses=delta.buffer.misses,
+                  truncated=result.truncated)
 
     def record_operation(self, result: OperationResult,
                          retries: int = 0) -> None:
@@ -766,8 +819,7 @@ class ScenarioCollector:
     @property
     def phase(self) -> ScenarioPhase:
         """The phase built so far."""
-        return ScenarioPhase(name=self.name, per_class=self.per_class,
-                             classic=self.classic.report)
+        return ScenarioPhase(name=self.name, per_class=self.per_class)
 
 
 #: The engine ``stats()`` keys every scenario report carries, each with

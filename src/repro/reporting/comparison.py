@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.core.metrics import LatencyPercentiles, PhaseReport
+from repro.core.metrics import LatencyPercentiles
+from repro.core.scenario import ScenarioPhase
 from repro.reporting.tables import render_table
 
 __all__ = ["BackendRunSummary", "summarize_backend_run",
@@ -34,17 +35,18 @@ class BackendRunSummary:
 
 
 def summarize_backend_run(backend: str,
-                          warm: PhaseReport) -> BackendRunSummary:
-    """Fold one backend's warm :class:`PhaseReport` into one table row."""
-    totals = warm.totals
+                          warm: ScenarioPhase) -> BackendRunSummary:
+    """Fold the transactions of one backend's warm phase into one table
+    row."""
+    totals = warm.transactions().totals
     return BackendRunSummary(
         backend=backend,
         transactions=totals.count,
-        visits_per_transaction=totals.visits_per_transaction,
-        reads_per_transaction=totals.reads_per_transaction,
-        ios_per_transaction=totals.ios_per_transaction,
-        sim_time_per_transaction=totals.sim_time_per_transaction,
-        wall=warm.wall_percentiles(),
+        visits_per_transaction=totals.objects_per_op,
+        reads_per_transaction=totals.reads_per_op,
+        ios_per_transaction=totals.ios_per_op,
+        sim_time_per_transaction=totals.sim_time_per_op,
+        wall=totals.wall_percentiles(),
         wall_total_seconds=totals.wall_time)
 
 

@@ -44,7 +44,7 @@ class ScalingPoint:
 def summarize_parallel_run(report: ScenarioReport) -> ScalingPoint:
     """Fold one process-parallel run of the Table 2 mix into a sweep
     row; the latency tails are over its warm transactions."""
-    warm = report.merged_warm.classic.wall_percentiles()
+    warm = report.merged_warm.transactions().wall_percentiles()
     return ScalingPoint(
         workers=report.client_count,
         backend=report.backend_name,

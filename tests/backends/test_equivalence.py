@@ -82,10 +82,11 @@ class TestTransactionEquivalence:
         report = _run_protocol(database, backend, params)
         backend.close()
         signature = []
-        for phase in (report.cold.classic, report.warm.classic):
-            for kind, stats in sorted(phase.per_kind.items()):
-                signature.append((phase.name, kind.value, stats.count,
-                                  stats.visits, stats.distinct_objects,
+        for phase in (report.cold.transactions(),
+                      report.warm.transactions()):
+            for kind, stats in sorted(phase.per_class.items()):
+                signature.append((phase.name, kind, stats.count,
+                                  stats.objects, stats.distinct_objects,
                                   stats.truncated))
         return tuple(signature)
 
@@ -114,7 +115,7 @@ class TestTransactionEquivalence:
                                     cold_n=1, hot_n=6, max_visits=200)
         report = _run_protocol(equivalence_database, None, params,
                                backend="memory")
-        assert report.warm.classic.totals.count == 6
+        assert report.warm.transactions().totals.count == 6
 
     def test_sqlite_batched_equals_unbatched(self, equivalence_database):
         params = WorkloadParameters(set_depth=3, simple_depth=2,
@@ -129,8 +130,8 @@ class TestTransactionEquivalence:
         for backend in (_loaded("sqlite", equivalence_database),
                         PerObjectSQLite(page_size=512, cache_pages=16)):
             report = _run_protocol(equivalence_database, backend, params)
-            totals = report.warm.classic.totals
-            signatures.append((totals.count, totals.visits,
+            totals = report.warm.transactions().totals
+            signatures.append((totals.count, totals.objects,
                                totals.distinct_objects))
             backend.close()
         assert signatures[0] == signatures[1]
@@ -207,9 +208,9 @@ class TestMultiUserEquivalence:
                                     max_visits=150)
         scenario = Scenario.from_workload_parameters(params, backend=name)
         report = ScenarioRunner(database, scenario).run()
-        signature = tuple((c.warm.classic.totals.count,
-                           c.warm.classic.totals.visits,
-                           c.warm.classic.totals.distinct_objects)
+        signature = tuple((c.warm.transactions().totals.count,
+                           c.warm.transactions().totals.objects,
+                           c.warm.transactions().totals.distinct_objects)
                           for c in report.clients)
         return signature, report
 
@@ -223,8 +224,8 @@ class TestMultiUserEquivalence:
     def test_merged_percentiles_on_every_backend(self, equivalence_database):
         for name in backend_names_under_test():
             _signature, report = self._signature(name, equivalence_database)
-            warm = report.merged_warm.classic
+            warm = report.merged_warm.transactions()
             wall = warm.wall_percentiles()
-            assert wall.count == warm.transaction_count
+            assert wall.count == warm.operation_count
             assert 0.0 < wall.p50 <= wall.p95 <= wall.p99
             assert report.backend_name == name

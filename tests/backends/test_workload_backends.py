@@ -38,7 +38,7 @@ def _run(database, backend, params, policy=None):
     scenario = Scenario.from_workload_parameters(params, clients=1)
     client = ScenarioRunner(database, scenario, store=backend,
                             policy=policy).run().clients[0]
-    return client.cold.classic, client.warm.classic
+    return client.cold.transactions(), client.warm.transactions()
 
 
 class TestBitIdenticalSimulated:
@@ -61,7 +61,7 @@ class TestBitIdenticalSimulated:
             t_direct = phase_direct.totals
             t_adapted = phase_adapted.totals
             assert t_direct.count == t_adapted.count
-            assert t_direct.visits == t_adapted.visits
+            assert t_direct.objects == t_adapted.objects
             assert t_direct.io_reads == t_adapted.io_reads
             assert t_direct.io_writes == t_adapted.io_writes
             assert t_direct.buffer_hits == t_adapted.buffer_hits
@@ -78,7 +78,7 @@ class TestCrossBackendEquivalence:
             backend = _loaded(create_backend(name, config), small_database)
             _cold, warm = _run(small_database, backend, small_workload)
             totals = warm.totals
-            signatures[name] = (totals.count, totals.visits,
+            signatures[name] = (totals.count, totals.objects,
                                 totals.distinct_objects)
             backend.close()
         assert len(set(signatures.values())) == 1, signatures
@@ -92,7 +92,7 @@ class TestCrossBackendEquivalence:
             totals = warm.totals
             assert totals.io_reads == 0
             assert totals.sim_time == 0.0
-            assert totals.visits > 0
+            assert totals.objects > 0
             backend.close()
 
     def test_wall_percentiles_populated(self, small_database,
@@ -146,7 +146,7 @@ class TestBenchmarkFacade:
                              backend="sqlite")
         result = bench.run()
         assert result.backend_name == "sqlite"
-        assert result.report.warm.classic.totals.count == \
+        assert result.report.warm.transactions().totals.count == \
             small_workload.hot_n
         assert "P95" in result.describe()
         bench.backend.close()
@@ -165,7 +165,7 @@ class TestBenchmarkFacade:
         assert result.backend_name == "simulated"
         assert bench.store is not None
         assert result.store_pages == bench.store.page_count
-        assert result.report.warm.classic.totals.io_reads > 0
+        assert result.report.warm.transactions().totals.io_reads > 0
 
     def test_clustering_experiment_rejects_real_engines(self, tiny_db_params,
                                                         small_workload):

@@ -46,7 +46,7 @@ class TestSetup:
 class TestRun:
     def test_run_returns_full_result(self):
         result = make_benchmark().run()
-        assert result.report.warm.classic.transaction_count == 8
+        assert result.report.warm.transactions().operation_count == 8
         assert result.database_statistics.num_objects == 200
         assert result.store_pages > 0
         assert result.generation.total_seconds > 0.0
@@ -54,7 +54,7 @@ class TestRun:
     def test_run_auto_setup(self):
         bench = make_benchmark()
         result = bench.run()  # No explicit setup().
-        assert result.report.cold.classic.transaction_count == 2
+        assert result.report.cold.transactions().operation_count == 2
 
     def test_describe(self):
         result = make_benchmark().run()
@@ -81,4 +81,4 @@ class TestClusteringExperiment:
         bench = make_benchmark(policy=policy)
         result = bench.run_clustering_experiment(label="facade")
         assert result.label == "facade"
-        assert result.before.warm.classic.transaction_count == 8
+        assert result.before.warm.transactions().operation_count == 8

@@ -39,9 +39,9 @@ def setup_experiment(policy=None, **workload_overrides):
 class TestProtocol:
     def test_runs_both_phases(self):
         result = setup_experiment().run()
-        assert result.before.warm.classic.transaction_count == 15
+        assert result.before.warm.transactions().operation_count == 15
         assert result.after is not None
-        assert result.after.warm.classic.transaction_count == 15
+        assert result.after.warm.transactions().operation_count == 15
 
     def test_reorganization_recorded(self):
         result = setup_experiment().run()
@@ -58,8 +58,8 @@ class TestProtocol:
         result = setup_experiment().run()
         assert result.after is not None
         # Same seed => identical visit counts in both phases.
-        assert result.before.warm.classic.totals.visits == \
-            result.after.warm.classic.totals.visits
+        assert result.before.warm.transactions().totals.objects == \
+            result.after.warm.transactions().totals.objects
 
     def test_no_clustering_policy_returns_no_after_phase(self):
         result = setup_experiment(policy=NoClustering()).run()

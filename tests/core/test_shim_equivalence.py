@@ -506,8 +506,8 @@ def phase_signature(phase):
     between two runs); everything else in a report derives from them.
     """
     signature = []
-    for kind, stats in sorted(phase.per_kind.items()):
-        signature.append((phase.name, kind.value, stats.count, stats.visits,
+    for kind, stats in sorted(phase.transactions().per_class.items()):
+        signature.append((phase.name, kind, stats.count, stats.objects,
                           stats.distinct_objects, stats.truncated,
                           stats.io_reads, stats.io_writes,
                           round(stats.sim_time, 9)))
@@ -528,8 +528,8 @@ def run_single_client(database, engine, params):
     report = ScenarioRunner(database, scenario, store=engine).run()
     engine.close()
     client = report.clients[0]
-    return phase_signature(client.cold.classic) + \
-        phase_signature(client.warm.classic)
+    return phase_signature(client.cold.transactions()) + \
+        phase_signature(client.warm.transactions())
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -589,7 +589,7 @@ class TestMultiClientGolden:
                                                      backend=backend)
         report = ScenarioRunner(golden_database, scenario).run()
         signature = tuple(
-            phase_signature(client.cold.classic)
-            + phase_signature(client.warm.classic)
+            phase_signature(client.cold.transactions())
+            + phase_signature(client.warm.transactions())
             for client in report.clients)
         assert signature == GOLDEN["multiuser"][backend]

@@ -43,13 +43,13 @@ def draw_spec(executor):
 class TestProtocol:
     def test_cold_and_warm_counts(self, small_database, loaded_store):
         report = run_protocol(small_database, loaded_store)
-        assert report.cold.classic.transaction_count == 2
-        assert report.warm.classic.transaction_count == 10
+        assert report.cold.transactions().operation_count == 2
+        assert report.warm.transactions().operation_count == 10
 
     def test_metrics_accumulate_io(self, small_database, loaded_store):
         report = run_protocol(small_database, loaded_store)
-        totals = report.warm.classic.totals
-        assert totals.visits > 0
+        totals = report.warm.transactions().totals
+        assert totals.objects > 0
         assert totals.io_reads > 0
         assert totals.sim_time > 0.0
 
@@ -59,10 +59,11 @@ class TestProtocol:
             records = small_database.to_records()
             store.bulk_load(records.values(), order=sorted(records))
             store.reset_stats()
-            return run_protocol(small_database, store, seed=77).warm.classic
+            report = run_protocol(small_database, store, seed=77)
+            return report.warm.transactions()
 
         a, b = run_once(), run_once()
-        assert a.totals.visits == b.totals.visits
+        assert a.totals.objects == b.totals.objects
         assert a.totals.io_reads == b.totals.io_reads
 
     def test_client_ids_draw_distinct_streams(self, small_database,
@@ -131,7 +132,7 @@ class TestStep:
         executor = make_executor(small_database, loaded_store)
         collector = ScenarioCollector("probe")
         executor.step(collector)
-        assert collector.classic.report.transaction_count == 1
+        assert collector.phase.operation_count == 1
 
 
 class TestAutoReorganization:

@@ -59,9 +59,9 @@ class TestFullPipeline:
         store = load(database)
         scenario = Scenario.from_workload_parameters(workload, clients=1)
         report = ScenarioRunner(database, scenario, store=store).run()
-        warm = report.clients[0].warm.classic
-        assert warm.transaction_count == 12
-        assert warm.totals.reads_per_transaction > 0.0
+        warm = report.clients[0].warm.transactions()
+        assert warm.operation_count == 12
+        assert warm.totals.reads_per_op > 0.0
 
     def test_presets_run_end_to_end(self):
         db_params, _ = preset("default-small")
@@ -71,7 +71,7 @@ class TestFullPipeline:
         bench = OCBBenchmark(db_params, workload,
                              StoreConfig(buffer_pages=64))
         result = bench.run()
-        assert result.report.warm.classic.transaction_count == 6
+        assert result.report.warm.transactions().operation_count == 6
 
 
 class TestPolicyShootout:
@@ -126,7 +126,7 @@ class TestMultiUserIntegration:
         report = ScenarioRunner(database,
                                 Scenario.from_workload_parameters(multi),
                                 store=store).run()
-        assert report.merged_warm.classic.transaction_count == 8
+        assert report.merged_warm.transactions().operation_count == 8
 
 
 class TestCrossSeedStability:

@@ -33,39 +33,41 @@ class TestMultiClientScenario:
                      fresh_store(small_database))
         assert report.client_count == 3
         for client in report.clients:
-            assert client.cold.classic.transaction_count == 2
-            assert client.warm.classic.transaction_count == 5
+            assert client.cold.transactions().operation_count == 2
+            assert client.warm.transactions().operation_count == 5
 
     def test_merged_totals(self, small_database):
         report = run(small_database, workload(clients=2),
                      fresh_store(small_database))
-        assert report.merged_warm.classic.transaction_count == 10
-        assert report.merged_cold.classic.transaction_count == 4
-        total = sum(c.warm.classic.totals.visits for c in report.clients)
-        assert report.merged_warm.classic.totals.visits == total
+        assert report.merged_warm.transactions().operation_count == 10
+        assert report.merged_cold.transactions().operation_count == 4
+        total = sum(c.warm.transactions().totals.objects
+                    for c in report.clients)
+        assert report.merged_warm.transactions().totals.objects == total
 
     def test_clients_follow_distinct_streams(self, small_database):
         report = run(small_database, workload(clients=2),
                      fresh_store(small_database))
         a, b = report.clients
-        assert a.warm.classic.totals.visits != b.warm.classic.totals.visits
+        assert a.warm.transactions().totals.objects \
+            != b.warm.transactions().totals.objects
 
     def test_shared_buffer_gives_cross_client_hits(self, small_database):
         report = run(small_database, workload(clients=2),
                      fresh_store(small_database))
-        assert report.merged_warm.classic.totals.buffer_hits > 0
+        assert report.merged_warm.transactions().totals.buffer_hits > 0
 
     def test_single_client_equivalent_shape(self, small_database):
         report = run(small_database, workload(clients=1),
                      fresh_store(small_database))
         assert report.client_count == 1
-        assert report.merged_warm.classic.totals.reads_per_transaction \
+        assert report.merged_warm.transactions().totals.reads_per_op \
             >= 0.0
 
     def test_empty_report_defaults(self):
         report = ScenarioReport(scenario_name="empty")
         assert report.client_count == 0
-        assert report.merged_warm.classic.transaction_count == 0
+        assert report.merged_warm.transactions().operation_count == 0
         assert report.merged_warm.wall_percentiles().count == 0
 
 
@@ -76,27 +78,28 @@ class TestMergedWallPercentiles:
                                                         small_database):
         report = run(small_database, workload(clients=3),
                      fresh_store(small_database))
-        warm = report.merged_warm.classic.wall_percentiles()
-        assert warm.count == report.merged_warm.classic.transaction_count \
-            == 15
+        merged_warm = report.merged_warm.transactions()
+        warm = merged_warm.wall_percentiles()
+        assert warm.count == merged_warm.operation_count == 15
         assert 0.0 < warm.p50 <= warm.p95 <= warm.p99
-        cold = report.merged_cold.classic.wall_percentiles()
-        assert cold.count == report.merged_cold.classic.transaction_count \
-            == 6
+        merged_cold = report.merged_cold.transactions()
+        cold = merged_cold.wall_percentiles()
+        assert cold.count == merged_cold.operation_count == 6
 
     def test_merged_samples_are_union_of_clients(self, small_database):
         report = run(small_database, workload(clients=2),
                      fresh_store(small_database))
-        merged = sorted(report.merged_warm.classic.totals.wall_samples)
-        unioned = sorted(sample for client in report.clients
-                         for sample in client.warm.classic.totals.wall_samples)
+        merged = sorted(report.merged_warm.transactions().totals.wall_samples)
+        unioned = sorted(
+            sample for client in report.clients
+            for sample in client.warm.transactions().totals.wall_samples)
         assert merged == unioned
 
     def test_per_client_percentiles(self, small_database):
         report = run(small_database, workload(clients=2),
                      fresh_store(small_database))
         for client in report.clients:
-            wall = client.warm.classic.wall_percentiles()
+            wall = client.warm.transactions().wall_percentiles()
             assert wall.count == 5
             assert wall.p99 > 0.0
 
@@ -109,14 +112,14 @@ class TestBackendNames:
         assert report.backend_name == "memory"
         assert report.client_count == 2
         for client in report.clients:
-            assert client.warm.classic.transaction_count == 5
+            assert client.warm.transactions().operation_count == 5
             # Wall-clock only: no simulated I/O on a real engine.
-            assert client.warm.classic.totals.io_reads == 0
+            assert client.warm.transactions().totals.io_reads == 0
 
     def test_runs_on_sqlite(self, small_database):
         report = run(small_database, workload(clients=2), backend="sqlite")
         assert report.backend_name == "sqlite"
-        assert report.merged_warm.classic.wall_percentiles().p99 > 0.0
+        assert report.merged_warm.transactions().wall_percentiles().p99 > 0.0
 
     def test_clients_share_one_engine(self, small_database):
         scenario = Scenario.from_workload_parameters(workload(clients=3),

@@ -63,10 +63,11 @@ def _logical_signature(reports):
     """Per-client logical metrics, phase by phase, kind by kind."""
     signature = []
     for report in reports:
-        for phase in (report.cold.classic, report.warm.classic):
-            for kind, stats in sorted(phase.per_kind.items()):
-                signature.append((phase.name, kind.value, stats.count,
-                                  stats.visits, stats.distinct_objects,
+        for phase in (report.cold.transactions(),
+                      report.warm.transactions()):
+            for kind, stats in sorted(phase.per_class.items()):
+                signature.append((phase.name, kind, stats.count,
+                                  stats.objects, stats.distinct_objects,
                                   stats.truncated))
     return tuple(signature)
 
@@ -154,7 +155,7 @@ class TestExecutionModes:
         # Cost-model engines keep their simulated counters in parallel
         # (the small database is fully buffer-resident, so the evidence
         # is buffer traffic, not page faults).
-        totals = report.merged_warm.classic.totals
+        totals = report.merged_warm.transactions().totals
         assert totals.buffer_hits + totals.buffer_misses > 0
 
     def test_memory_runs_replicated(self, parallel_database):
@@ -301,16 +302,17 @@ class TestParallelReport:
         assert report.client_count == PARAMS.clients
         assert report.backend_name == "sqlite"
         assert report.scenario_name == "ocb-transactions"
-        merged = report.merged_warm.classic
-        assert merged.transaction_count == PARAMS.clients * PARAMS.hot_n
-        assert merged.totals.visits == sum(
-            client.warm.classic.totals.visits for client in report.clients)
+        merged = report.merged_warm.transactions()
+        assert merged.operation_count == PARAMS.clients * PARAMS.hot_n
+        assert merged.totals.objects == sum(
+            client.warm.transactions().totals.objects
+            for client in report.clients)
 
     def test_merged_percentiles_cover_every_transaction(self, report):
-        warm = report.merged_warm.classic.wall_percentiles()
+        warm = report.merged_warm.transactions().wall_percentiles()
         assert warm.count == PARAMS.clients * PARAMS.hot_n
         assert 0.0 < warm.p50 <= warm.p95 <= warm.p99
-        assert report.merged_cold.classic.transaction_count == \
+        assert report.merged_cold.transactions().operation_count == \
             PARAMS.clients * PARAMS.cold_n
 
     def test_throughput(self, report):

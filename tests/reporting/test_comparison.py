@@ -2,28 +2,26 @@
 
 from __future__ import annotations
 
-from repro.core.metrics import (
-    KindStats,
-    LatencyPercentiles,
-    MetricsCollector,
-    PhaseReport,
-)
+from repro.core.metrics import LatencyPercentiles
+from repro.core.scenario import OpClassStats, ScenarioCollector, \
+    ScenarioPhase
 from repro.core.transactions import TransactionKind
+from repro.stats import BoundedSample
 from repro.reporting import render_backend_comparison, summarize_backend_run
 from repro.reporting.comparison import BackendRunSummary
 
 
 def _warm_with(wall_samples):
-    warm = PhaseReport(name="warm")
-    stats = KindStats()
-    for i, wall in enumerate(wall_samples):
-        stats.count += 1
-        stats.visits += 10
-        stats.io_reads += 2
-        stats.wall_time += wall
-        stats.wall_samples.append(wall)
-    warm.per_kind[TransactionKind.SET] = stats
-    return warm
+    stats = OpClassStats(op_class="set")
+    for wall in wall_samples:
+        stats.add(objects=10, io_reads=2, io_writes=0, sim_time=0.0,
+                  wall_seconds=wall)
+    # A generic operation in the phase stays out of the transaction row.
+    scan = OpClassStats(op_class="sequential_scan")
+    scan.add(objects=99, io_reads=9, io_writes=0, sim_time=0.0,
+             wall_seconds=1.0)
+    return ScenarioPhase(name="warm", per_class={
+        "set": stats, "sequential_scan": scan})
 
 
 class TestSummarize:
@@ -72,18 +70,19 @@ class TestRender:
 class TestLatencyPercentiles:
     def test_from_samples(self):
         samples = [float(i) for i in range(1, 101)]
-        wall = LatencyPercentiles.from_samples(samples)
+        wall = LatencyPercentiles.from_samples(BoundedSample(samples))
         assert wall.count == 100
         assert wall.p50 == 50.5
         assert wall.p95 == 95.05
         assert wall.p99 == 99.01
 
     def test_empty_is_zero(self):
-        wall = LatencyPercentiles.from_samples([])
+        wall = LatencyPercentiles.from_samples(BoundedSample([]))
         assert wall == LatencyPercentiles(0, 0.0, 0.0, 0.0)
 
     def test_describe_format(self):
-        wall = LatencyPercentiles.from_samples([0.001, 0.002, 0.003])
+        wall = LatencyPercentiles.from_samples(
+            BoundedSample([0.001, 0.002, 0.003]))
         text = wall.describe()
         assert "P50" in text and "P95" in text and "P99" in text
         assert "ms" in text
@@ -94,7 +93,7 @@ class TestLatencyPercentiles:
         from repro.store.buffer import BufferStats
         from repro.store.disk import DiskStats
         from repro.store.swizzle import SwizzleStats
-        collector = MetricsCollector("warm")
+        collector = ScenarioCollector("warm")
         empty = StoreSnapshot(DiskStats(), BufferStats(), SwizzleStats(), 0,
                               0.0)
         for wall in (0.01, 0.02, 0.03):
@@ -102,7 +101,7 @@ class TestLatencyPercentiles:
                 kind=TransactionKind.SET, root=1, visits=1,
                 distinct_objects=1, max_depth_reached=0, reverse=False,
                 ref_type=None, truncated=False)
-            collector.record(result, empty, wall)
-        report = collector.report
+            collector.record_transaction(result, empty, wall)
+        report = collector.phase
         assert report.wall_percentiles().count == 3
         assert report.wall_percentiles().p50 == 0.02

@@ -354,6 +354,40 @@ class TestMachineReadableRunAndOps:
         assert document["wall_p50_ms"] <= document["wall_p99_ms"]
         assert document["per_kind"][-1]["kind"] == "all"
 
+    def test_run_json_logical_fields_are_pinned(self, capsys):
+        """Same preset and seed, same per-kind table: every logical field
+        of the simulated warm run, exactly."""
+        assert main(["run", "--backend", "simulated", "--preset",
+                     "default-small", "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        all_row = {"kind": "all", "n": 200, "objects_per_txn": 477.015,
+                   "reads_per_txn": 224.105, "ios_per_txn": 224.105,
+                   "sim_time_per_txn": 2.258509650003965}
+        assert document["warm_transactions"] == all_row["n"]
+        for field in ("objects_per_txn", "reads_per_txn", "ios_per_txn",
+                      "sim_time_per_txn"):
+            assert document[field] == all_row[field], field
+        assert document["per_kind"] == [
+            {"kind": "set", "n": 48,
+             "objects_per_txn": 808.8333333333334,
+             "reads_per_txn": 385.3333333333333,
+             "ios_per_txn": 385.3333333333333,
+             "sim_time_per_txn": 3.8831310833397037},
+            {"kind": "simple", "n": 57,
+             "objects_per_txn": 801.6140350877193,
+             "reads_per_txn": 384.57894736842104,
+             "ios_per_txn": 384.57894736842104,
+             "sim_time_per_txn": 3.875410912287883},
+            {"kind": "hierarchy", "n": 48, "objects_per_txn": 176.875,
+             "reads_per_txn": 68.3125, "ios_per_txn": 68.3125,
+             "sim_time_per_txn": 0.6890787500011629},
+            {"kind": "stochastic", "n": 47, "objects_per_txn": 51.0,
+             "reads_per_txn": 23.93617021276596,
+             "ios_per_txn": 23.93617021276596,
+             "sim_time_per_txn": 0.24122204255366234},
+            all_row,
+        ]
+
     def test_ops_json(self, capsys):
         assert main(["ops", "--backend", "sqlite", "--operations", "8",
                      "--json"]) == 0
